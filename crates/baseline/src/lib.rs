@@ -19,6 +19,7 @@
 //! `epcm-workloads` runs identical traces on both.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod cache;
 pub mod vm;

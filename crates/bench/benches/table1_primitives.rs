@@ -1,10 +1,13 @@
 //! Regenerates Table 1 (printed before timing) and benchmarks the real
 //! wall-clock cost of the underlying kernel primitives.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use epcm_core::flags::PageFlags;
-use epcm_core::types::{AccessKind, PageNumber, SegmentKind};
+use epcm_core::kernel::Kernel;
+use epcm_core::translate::MappingTable;
+use epcm_core::types::{AccessKind, FrameId, PageNumber, SegmentId, SegmentKind};
 use epcm_managers::Machine;
+use epcm_workloads::runner::PAPER_FRAMES;
 
 fn bench(c: &mut Criterion) {
     println!("{}", epcm_bench::table1::render());
@@ -79,5 +82,49 @@ fn bench(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench);
+/// Host cost of a machine's fixed state: building and dropping a kernel at
+/// the paper's size and at an economy lane's, and one probe of the 64 K
+/// mapping table.
+fn construction_and_translation(c: &mut Criterion) {
+    c.bench_function("kernel_new_paper_frames", |b| {
+        b.iter(|| Kernel::new(black_box(PAPER_FRAMES)))
+    });
+
+    c.bench_function("kernel_new_lane_32", |b| {
+        b.iter(|| Kernel::new(black_box(32)))
+    });
+
+    // A table holding 4096 translations, as after a 16 MB working set.
+    let filled = || {
+        let mut table = MappingTable::vpp_default();
+        for p in 0..4096u32 {
+            table.install(
+                SegmentId::FRAME_POOL,
+                PageNumber(p.into()),
+                FrameId::from_raw(p),
+            );
+        }
+        table
+    };
+
+    c.bench_function("mapping_lookup_hit", |b| {
+        let mut table = filled();
+        let mut p = 0u64;
+        b.iter(|| {
+            p = (p + 1) % 4096;
+            table.lookup(SegmentId::FRAME_POOL, PageNumber(p))
+        });
+    });
+
+    c.bench_function("mapping_lookup_miss", |b| {
+        let mut table = filled();
+        let mut p = 4096u64;
+        b.iter(|| {
+            p = 4096 + (p + 1) % 4096;
+            table.lookup(SegmentId::FRAME_POOL, PageNumber(p))
+        });
+    });
+}
+
+criterion_group!(benches, bench, construction_and_translation);
 criterion_main!(benches);

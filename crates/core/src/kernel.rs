@@ -238,28 +238,28 @@ impl Kernel {
             frames as u64,
             "tier layout must cover the frame pool exactly"
         );
-        let table = FrameTable::new(frames);
-        let mut boot = Segment::new(
+        let mut frames_table = FrameTable::new(frames);
+        // The boot segment's page map is built in one pass from the frame
+        // ids, which are already in page order.
+        let boot = Segment::new(
             SegmentId::FRAME_POOL,
             SegmentKind::FramePool,
             UserId::SYSTEM,
             ManagerId::SYSTEM,
             1,
             frames as u64,
-        );
-        let mut frames_table = table;
-        for id in frames_table.ids().collect::<Vec<_>>() {
-            boot.insert_entry(
+        )
+        .with_entries(frames_table.ids().map(|id| {
+            (
                 PageNumber(id.index() as u64),
                 PageEntry {
                     frame: id,
                     flags: PageFlags::RW,
                 },
-            );
-            frames_table.set_owner(
-                id,
-                Some((SegmentId::FRAME_POOL, PageNumber(id.index() as u64))),
-            );
+            )
+        }));
+        for (page, entry) in boot.resident() {
+            frames_table.set_owner(entry.frame, Some((SegmentId::FRAME_POOL, page)));
         }
         let mut segments = BTreeMap::new();
         segments.insert(0, boot);

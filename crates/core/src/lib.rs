@@ -22,7 +22,9 @@
 //! * **The UIO block interface** — file-like read/write on cached-file
 //!   segments at kernel-call cost.
 //! * **The global mapping table** ([`translate::MappingTable`]) — the 64 K
-//!   direct-mapped hash table + 32-entry overflow of §3.2.
+//!   direct-mapped hash table + 32-entry overflow of §3.2, modelled slot
+//!   for slot but storing only occupied slots, so a kernel's fixed cost
+//!   follows the frames it maps rather than 1.5 MB per machine.
 //!
 //! What the kernel deliberately does **not** contain — page reclamation,
 //! writeback, replacement policy, read-ahead, global allocation — lives in

@@ -112,6 +112,16 @@ impl Segment {
         }
     }
 
+    /// Replaces the page map with `entries`, built in bulk rather than one
+    /// insertion at a time (the boot segment's every-frame map).
+    pub(crate) fn with_entries(
+        mut self,
+        entries: impl IntoIterator<Item = (PageNumber, PageEntry)>,
+    ) -> Self {
+        self.pages = entries.into_iter().map(|(p, e)| (p.as_u64(), e)).collect();
+        self
+    }
+
     /// The segment's id.
     pub fn id(&self) -> SegmentId {
         self.id

@@ -7,8 +7,18 @@
 //! falls back to walking the segment/bound-region structures and refills
 //! the table. Hit/miss/displacement statistics feed the extended analyses
 //! in EXPERIMENTS.md.
+//!
+//! The 64 K slots are modelled exactly — the same slot hash, collisions,
+//! displacement into overflow and overflow evictions — but stored
+//! sparsely: only occupied slots take memory, keyed by slot index. A
+//! dense array would cost 1.5 MB per kernel, zeroed at construction and
+//! scanned on every segment deletion, whether the machine has 32 frames
+//! or 32 768; a machine holds at most one translation per frame, so the
+//! sparse table costs in proportion to what the machine maps.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::types::{FrameId, PageNumber, SegmentId};
 
@@ -17,6 +27,27 @@ struct Entry {
     segment: SegmentId,
     page: u64,
     frame: FrameId,
+}
+
+/// Hashes a slot index (already a Fibonacci hash of the key) with one
+/// multiply, spreading it into the high bits the map's control bytes use.
+#[derive(Debug, Default, Clone, Copy)]
+struct SlotHasher(u64);
+
+impl Hasher for SlotHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(b.into());
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Counters describing mapping-table behaviour.
@@ -53,6 +84,9 @@ impl MappingStats {
 
 /// The direct-mapped global hash table with a small overflow area.
 ///
+/// Only occupied slots are stored (see the module docs); the slot count
+/// fixes the hash and collision behaviour, not the memory used.
+///
 /// # Example
 ///
 /// ```
@@ -65,7 +99,10 @@ impl MappingStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MappingTable {
-    slots: Vec<Option<Entry>>,
+    /// Modelled slot count: the modulus of the slot hash.
+    slots: usize,
+    /// The occupied slots, keyed by slot index.
+    occupied: HashMap<u32, Entry, BuildHasherDefault<SlotHasher>>,
     overflow: Vec<Entry>,
     overflow_capacity: usize,
     stats: MappingStats,
@@ -82,29 +119,32 @@ impl MappingTable {
     ///
     /// # Panics
     ///
-    /// Panics if `slots` is zero.
+    /// Panics if `slots` is zero or exceeds `u32::MAX`.
     pub fn with_capacity(slots: usize, overflow: usize) -> Self {
         assert!(slots > 0, "mapping table needs at least one slot");
+        assert!(slots <= u32::MAX as usize, "slot index must fit in u32");
         MappingTable {
-            slots: vec![None; slots],
+            slots,
+            occupied: HashMap::default(),
             overflow: Vec::with_capacity(overflow),
             overflow_capacity: overflow,
             stats: MappingStats::default(),
         }
     }
 
-    fn slot_index(&self, segment: SegmentId, page: u64) -> usize {
+    fn slot_index(&self, segment: SegmentId, page: u64) -> u32 {
         // Fibonacci hashing over the packed key: cheap and well-spread for
         // the sequential page numbers segments produce.
         let key = ((segment.as_u32() as u64) << 40) ^ page;
         let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 32) as usize % self.slots.len()
+        // The remainder is below `slots`, which fits in u32.
+        ((h >> 32) % self.slots as u64) as u32
     }
 
     /// Looks up a translation, updating hit/miss statistics.
     pub fn lookup(&mut self, segment: SegmentId, page: PageNumber) -> Option<FrameId> {
         let idx = self.slot_index(segment, page.as_u64());
-        if let Some(e) = self.slots[idx] {
+        if let Some(e) = self.occupied.get(&idx) {
             if e.segment == segment && e.page == page.as_u64() {
                 self.stats.direct_hits += 1;
                 return Some(e.frame);
@@ -132,20 +172,15 @@ impl MappingTable {
             page: page.as_u64(),
             frame,
         };
-        match self.slots[idx] {
-            Some(old) if old.segment == segment && old.page == page.as_u64() => {
-                self.slots[idx] = Some(new);
-            }
-            Some(old) => {
+        if let Some(old) = self.occupied.insert(idx, new) {
+            if !(old.segment == segment && old.page == page.as_u64()) {
                 self.stats.displacements += 1;
                 if self.overflow.len() < self.overflow_capacity {
                     self.overflow.push(old);
                 } else {
                     self.stats.overflow_evictions += 1;
                 }
-                self.slots[idx] = Some(new);
             }
-            None => self.slots[idx] = Some(new),
         }
         // Drop any stale overflow copy of this key.
         self.overflow
@@ -155,10 +190,12 @@ impl MappingTable {
     /// Removes a translation if present (on unmap/migration-out).
     pub fn remove(&mut self, segment: SegmentId, page: PageNumber) {
         let idx = self.slot_index(segment, page.as_u64());
-        if let Some(e) = self.slots[idx] {
-            if e.segment == segment && e.page == page.as_u64() {
-                self.slots[idx] = None;
-            }
+        if self
+            .occupied
+            .get(&idx)
+            .is_some_and(|e| e.segment == segment && e.page == page.as_u64())
+        {
+            self.occupied.remove(&idx);
         }
         self.overflow
             .retain(|e| !(e.segment == segment && e.page == page.as_u64()));
@@ -166,11 +203,7 @@ impl MappingTable {
 
     /// Removes every translation belonging to `segment` (segment deletion).
     pub fn remove_segment(&mut self, segment: SegmentId) {
-        for slot in &mut self.slots {
-            if matches!(slot, Some(e) if e.segment == segment) {
-                *slot = None;
-            }
-        }
+        self.occupied.retain(|_, e| e.segment != segment);
         self.overflow.retain(|e| e.segment != segment);
     }
 
@@ -187,11 +220,11 @@ impl MappingTable {
 
 impl fmt::Display for MappingTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let used = self.slots.iter().filter(|s| s.is_some()).count();
         write!(
             f,
-            "mapping table: {used}/{} slots, {} overflow, hit rate {:.3}",
-            self.slots.len(),
+            "mapping table: {}/{} slots, {} overflow, hit rate {:.3}",
+            self.occupied.len(),
+            self.slots,
             self.overflow.len(),
             self.stats.hit_rate()
         )
@@ -291,8 +324,9 @@ mod tests {
     #[test]
     fn vpp_default_dimensions() {
         let m = MappingTable::vpp_default();
-        assert_eq!(m.slots.len(), 65_536);
+        assert_eq!(m.slots, 65_536);
         assert_eq!(m.overflow_capacity, 32);
+        assert!(m.occupied.is_empty(), "an empty table holds no slots");
     }
 }
 

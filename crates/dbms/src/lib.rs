@@ -21,6 +21,7 @@
 //! simulated time on a discrete-event 6-processor [`engine`].
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod config;
 pub mod engine;

@@ -140,8 +140,10 @@ mod tests {
         // bucket as every quantile.
         let total = u64::MAX / 500;
         let mut h = LatencyHistogram::new();
-        h.counts[4] = total / 2;
-        h.counts[40] = total - total / 2;
+        // `total` is odd: the median rank is ceil(total / 2), so the low
+        // bucket takes the larger half for the median to land in it.
+        h.counts[4] = total - total / 2;
+        h.counts[40] = total / 2;
         h.total = total;
         assert_eq!(h.quantile_milli(500), BUCKET_BOUNDS_US[4]);
         assert_eq!(h.quantile_milli(990), BUCKET_BOUNDS_US[40]);

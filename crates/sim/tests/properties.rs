@@ -175,7 +175,7 @@ proptest! {
         let mut held: Vec<epcm_sim::events::Reservation> = Vec::new();
         let mut expected_busy = Micros::ZERO;
         for &(reserve, advance, amount) in &ops {
-            now = now + Micros::new(advance);
+            now += Micros::new(advance);
             if reserve || held.is_empty() {
                 let service = Micros::new(amount);
                 let r = bank.reserve(now, service);

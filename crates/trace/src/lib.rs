@@ -34,6 +34,7 @@
 //! timestamps) rather than the typed wrappers defined higher up.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod event;
 pub mod json;

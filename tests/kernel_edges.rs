@@ -1,12 +1,13 @@
 //! Kernel edge cases: deep binding chains, unbinding semantics, resize
 //! interactions, partial UIO faults, mapping-table behaviour under churn,
-//! and the fault-retry machinery's bounds.
+//! the fault-retry machinery's bounds, and the boot segment's layout.
 
 use epcm::core::kernel::{AccessOutcome, Kernel, MAX_BIND_DEPTH};
 use epcm::core::{
     AccessKind, KernelError, ManagerId, PageFlags, PageNumber, SegmentId, SegmentKind, UserId,
 };
 use epcm::managers::Machine;
+use epcm::workloads::runner::PAPER_FRAMES;
 
 fn kernel() -> Kernel {
     Kernel::new(128)
@@ -313,4 +314,31 @@ fn segment_ids_are_unique_forever() {
     let b = anon(&mut k, 1);
     assert_ne!(a, b);
     assert!(k.segment(a).is_err());
+}
+
+/// The boot segment holds every frame at the page of its own index,
+/// read-write, and the frame table names that slot as each frame's owner.
+#[test]
+fn boot_segment_maps_every_frame_to_its_own_page() {
+    for frames in [1, 32, PAPER_FRAMES] {
+        let k = Kernel::new(frames);
+        let boot = k.segment(SegmentId::FRAME_POOL).unwrap();
+        assert_eq!(boot.size_pages(), frames as u64);
+        assert_eq!(
+            k.resident_pages(SegmentId::FRAME_POOL).unwrap(),
+            frames as u64
+        );
+        let mut seen = 0;
+        for (page, entry) in boot.resident() {
+            assert_eq!(entry.frame.index() as u64, page.as_u64());
+            assert_eq!(entry.flags, PageFlags::RW);
+            assert_eq!(
+                k.frames().owner(entry.frame),
+                Some((SegmentId::FRAME_POOL, page))
+            );
+            seen += 1;
+        }
+        assert_eq!(seen, frames);
+        assert_eq!(k.frames().len(), frames);
+    }
 }

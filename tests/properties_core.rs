@@ -1,10 +1,13 @@
 //! Property-based tests of the kernel invariants in DESIGN.md §6:
 //! frame conservation, translation soundness, copy-on-write isolation and
-//! flag-operation algebra, under randomly generated operation sequences.
+//! flag-operation algebra, under randomly generated operation sequences;
+//! and the global mapping table against a dense reference model of §3.2.
 
 use epcm::core::kernel::{AccessOutcome, Kernel};
+use epcm::core::translate::{MappingStats, MappingTable};
 use epcm::core::{
-    AccessKind, FaultKind, KernelError, PageFlags, PageNumber, SegmentId, SegmentKind, UserId,
+    AccessKind, FaultKind, FrameId, KernelError, PageFlags, PageNumber, SegmentId, SegmentKind,
+    UserId,
 };
 use proptest::prelude::*;
 
@@ -300,4 +303,169 @@ fn errors_do_not_corrupt() {
         )
         .is_err());
     assert_conservation(&kernel);
+}
+
+/// A mapping-table operation over a small key space, so that tables of
+/// 1–64 slots see frequent collisions and overflow evictions.
+#[derive(Debug, Clone)]
+enum TableOp {
+    Install { seg: usize, page: u64, frame: u32 },
+    Lookup { seg: usize, page: u64 },
+    Remove { seg: usize, page: u64 },
+    RemoveSegment { seg: usize },
+}
+
+const TABLE_SEGS: usize = 3;
+
+fn table_op_strategy() -> impl Strategy<Value = TableOp> {
+    prop_oneof![
+        (0..TABLE_SEGS, 0..24u64, 0..64u32).prop_map(|(seg, page, frame)| TableOp::Install {
+            seg,
+            page,
+            frame
+        }),
+        (0..TABLE_SEGS, 0..24u64).prop_map(|(seg, page)| TableOp::Lookup { seg, page }),
+        (0..TABLE_SEGS, 0..24u64).prop_map(|(seg, page)| TableOp::Lookup { seg, page }),
+        (0..TABLE_SEGS, 0..24u64).prop_map(|(seg, page)| TableOp::Remove { seg, page }),
+        (0..TABLE_SEGS).prop_map(|seg| TableOp::RemoveSegment { seg }),
+    ]
+}
+
+/// The paper's table written the obvious way: one array element per slot,
+/// a bounded overflow list, the same Fibonacci slot hash.
+struct DenseTable {
+    slots: Vec<Option<(SegmentId, u64, FrameId)>>,
+    overflow: Vec<(SegmentId, u64, FrameId)>,
+    overflow_capacity: usize,
+    stats: MappingStats,
+}
+
+impl DenseTable {
+    fn new(slots: usize, overflow_capacity: usize) -> Self {
+        DenseTable {
+            slots: vec![None; slots],
+            overflow: Vec::new(),
+            overflow_capacity,
+            stats: MappingStats::default(),
+        }
+    }
+
+    fn slot(&self, seg: SegmentId, page: u64) -> usize {
+        let key = ((seg.as_u32() as u64) << 40) ^ page;
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.slots.len()
+    }
+
+    fn lookup(&mut self, seg: SegmentId, page: u64) -> Option<FrameId> {
+        let i = self.slot(seg, page);
+        if let Some((s, p, f)) = self.slots[i] {
+            if (s, p) == (seg, page) {
+                self.stats.direct_hits += 1;
+                return Some(f);
+            }
+        }
+        if let Some(&(_, _, f)) = self.overflow.iter().find(|e| (e.0, e.1) == (seg, page)) {
+            self.stats.overflow_hits += 1;
+            return Some(f);
+        }
+        self.stats.misses += 1;
+        None
+    }
+
+    fn install(&mut self, seg: SegmentId, page: u64, frame: FrameId) {
+        let i = self.slot(seg, page);
+        if let Some(old) = self.slots[i] {
+            if (old.0, old.1) != (seg, page) {
+                self.stats.displacements += 1;
+                if self.overflow.len() < self.overflow_capacity {
+                    self.overflow.push(old);
+                } else {
+                    self.stats.overflow_evictions += 1;
+                }
+            }
+        }
+        self.slots[i] = Some((seg, page, frame));
+        self.overflow
+            .retain(|e| !((e.0, e.1) == (seg, page) && e.2 != frame));
+    }
+
+    fn remove(&mut self, seg: SegmentId, page: u64) {
+        let i = self.slot(seg, page);
+        if matches!(self.slots[i], Some((s, p, _)) if (s, p) == (seg, page)) {
+            self.slots[i] = None;
+        }
+        self.overflow.retain(|e| (e.0, e.1) != (seg, page));
+    }
+
+    fn remove_segment(&mut self, seg: SegmentId) {
+        for slot in &mut self.slots {
+            if matches!(slot, Some((s, _, _)) if *s == seg) {
+                *slot = None;
+            }
+        }
+        self.overflow.retain(|e| e.0 != seg);
+    }
+
+    fn occupied(&self) -> usize {
+        self.slots.iter().filter(|s| s.is_some()).count()
+    }
+}
+
+/// Distinct segment ids, obtained the only public way: from a kernel.
+fn table_segments() -> Vec<SegmentId> {
+    let mut kernel = Kernel::new(1);
+    (0..TABLE_SEGS)
+        .map(|_| {
+            kernel
+                .create_segment(
+                    SegmentKind::Anonymous,
+                    UserId::SYSTEM,
+                    epcm::core::ManagerId(1),
+                    1,
+                    1,
+                )
+                .expect("create segment")
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The sparse mapping table answers every lookup, and counts every
+    /// hit, miss, displacement and eviction, exactly as the dense table.
+    #[test]
+    fn mapping_table_matches_dense_model(
+        slots in 1usize..=64,
+        overflow in 0usize..=4,
+        ops in proptest::collection::vec(table_op_strategy(), 1..200),
+    ) {
+        let segs = table_segments();
+        let mut table = MappingTable::with_capacity(slots, overflow);
+        let mut model = DenseTable::new(slots, overflow);
+        for op in ops {
+            match op {
+                TableOp::Install { seg, page, frame } => {
+                    table.install(segs[seg], PageNumber(page), FrameId::from_raw(frame));
+                    model.install(segs[seg], page, FrameId::from_raw(frame));
+                }
+                TableOp::Lookup { seg, page } => {
+                    prop_assert_eq!(
+                        table.lookup(segs[seg], PageNumber(page)),
+                        model.lookup(segs[seg], page)
+                    );
+                }
+                TableOp::Remove { seg, page } => {
+                    table.remove(segs[seg], PageNumber(page));
+                    model.remove(segs[seg], page);
+                }
+                TableOp::RemoveSegment { seg } => {
+                    table.remove_segment(segs[seg]);
+                    model.remove_segment(segs[seg]);
+                }
+            }
+        }
+        prop_assert_eq!(table.stats(), model.stats);
+        let expected = format!("mapping table: {}/{slots} slots, {} overflow", model.occupied(), model.overflow.len());
+        prop_assert!(table.to_string().starts_with(&expected), "{table} vs {expected}");
+    }
 }
