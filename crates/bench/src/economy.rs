@@ -144,9 +144,9 @@ fn class_json(r: &EconomyReport) -> String {
                 c.final_resident_by_tier[MemTier::CompressedRam.index()],
             )
             .u64("demotions", c.demotions);
-        // Promotions are only emitted for promotion-enabled scenarios —
-        // same opt-in key discipline as the ring metrics — so committed
-        // BENCH_economy.json bytes are untouched by the feature.
+        // Promotions are only emitted for promotion-enabled scenarios,
+        // so committed BENCH_economy.json bytes are untouched by the
+        // feature.
         if c.promotions > 0 {
             obj = obj.u64("promotions", c.promotions);
         }

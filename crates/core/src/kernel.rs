@@ -25,7 +25,7 @@ use crate::error::KernelError;
 use crate::fault::{FaultEvent, FaultKind};
 use crate::flags::PageFlags;
 use crate::frame::FrameTable;
-use crate::ring::{CompletionEntry, CompletionRing, RingOp, RingOutput, SubmissionRing};
+use crate::ring::{CompletionEntry, CompletionRing, RingOp, SubmissionRing};
 use crate::segment::{BoundRegion, PageEntry, Segment};
 use crate::tier::{MemTier, TierLayout};
 use crate::translate::{MappingTable, Tlb};
@@ -120,8 +120,8 @@ pub struct KernelStats {
     /// Modeled protection-boundary crossings: one per manager-ABI kernel
     /// call, one per non-empty [`Kernel::drain_ring`] doorbell, plus the
     /// dispatch legs the machine layer reports via
-    /// [`Kernel::note_crossings`]. This is the quantity the batched ABI
-    /// collapses.
+    /// [`Kernel::note_crossings`]. This is the quantity coalescing ops
+    /// onto one ring doorbell collapses.
     pub crossings: u64,
     /// Non-empty batches consumed by [`Kernel::drain_ring`].
     pub ring_batches: u64,
@@ -396,19 +396,13 @@ impl Kernel {
         m.set("tier.zram_accesses", s.zram_accesses);
         // Promotions only happen when a manager opts into the promotion
         // ladder, so the key appears only once one has occurred —
-        // promotion-off runs export byte-identical documents (the same
-        // discipline as the ring metrics below).
+        // promotion-off runs export byte-identical documents.
         if s.tier_promotions > 0 {
             m.set("tier.promotions", s.tier_promotions);
         }
-        // Ring metrics appear only once a batch has actually been drained,
-        // so flat (batched-off) runs export byte-identical documents to
-        // pre-ring builds — same discipline as the opt-in watchdog.
-        if s.ring_batches > 0 {
-            m.set("kernel.crossings", s.crossings);
-            m.set("kernel.ring.batches", s.ring_batches);
-            m.set("kernel.ring.ops", s.ring_ops);
-        }
+        m.set("kernel.crossings", s.crossings);
+        m.set("kernel.ring.batches", s.ring_batches);
+        m.set("kernel.ring.ops", s.ring_ops);
         for tier in MemTier::all() {
             m.set(
                 &format!("tier.{}.frames", tier.name()),
@@ -1135,6 +1129,9 @@ impl Kernel {
         dst: FrameId,
         call_cost: Micros,
     ) -> Result<(), KernelError> {
+        // The entry is paid even by a failing or no-op exchange, as for
+        // every other manager-ABI call.
+        self.clock.advance(call_cost);
         if seg == SegmentId::FRAME_POOL {
             return Err(KernelError::BootSegmentImmutable);
         }
@@ -1205,7 +1202,7 @@ impl Kernel {
         if from_tier.is_promotion_to(to_tier) {
             self.stats.tier_promotions += 1;
         }
-        self.clock.advance(call_cost + self.costs.page_copy_4k);
+        self.clock.advance(self.costs.page_copy_4k);
         self.charge_tier_access(dst);
         self.trace(EventKind::TierMigrated {
             segment: seg.0 as u64,
@@ -1795,19 +1792,6 @@ impl Kernel {
         buf: &mut [u8],
     ) -> Result<AccessOutcome, KernelError> {
         self.stats.crossings += 1;
-        let call = self.costs.kernel_call;
-        self.uio_read_at(seg, offset, buf, call)
-    }
-
-    /// [`Kernel::uio_read`] with a caller-supplied call-entry cost (see
-    /// [`Kernel::migrate_pages`]'s `_at` variant).
-    fn uio_read_at(
-        &mut self,
-        seg: SegmentId,
-        offset: u64,
-        buf: &mut [u8],
-        call_cost: Micros,
-    ) -> Result<AccessOutcome, KernelError> {
         self.require_file(seg)?;
         let blocks = block_count(buf.len() as u64);
         match self.access_bytes(seg, offset, buf.len() as u64, AccessKind::Read)? {
@@ -1816,7 +1800,8 @@ impl Kernel {
                 self.copy_bytes_out(seg, offset, buf)?;
                 self.stats.uio_reads += blocks;
                 self.clock.advance(
-                    call_cost + (self.costs.uio_lookup_read + self.costs.page_copy_4k) * blocks,
+                    self.costs.kernel_call
+                        + (self.costs.uio_lookup_read + self.costs.page_copy_4k) * blocks,
                 );
                 self.trace(EventKind::UioRead {
                     segment: seg.0 as u64,
@@ -1842,19 +1827,6 @@ impl Kernel {
         buf: &[u8],
     ) -> Result<AccessOutcome, KernelError> {
         self.stats.crossings += 1;
-        let call = self.costs.kernel_call;
-        self.uio_write_at(seg, offset, buf, call)
-    }
-
-    /// [`Kernel::uio_write`] with a caller-supplied call-entry cost (see
-    /// [`Kernel::migrate_pages`]'s `_at` variant).
-    fn uio_write_at(
-        &mut self,
-        seg: SegmentId,
-        offset: u64,
-        buf: &[u8],
-        call_cost: Micros,
-    ) -> Result<AccessOutcome, KernelError> {
         self.require_file(seg)?;
         let blocks = block_count(buf.len() as u64);
         match self.access_bytes(seg, offset, buf.len() as u64, AccessKind::Write)? {
@@ -1863,7 +1835,8 @@ impl Kernel {
                 self.copy_bytes_in(seg, offset, buf)?;
                 self.stats.uio_writes += blocks;
                 self.clock.advance(
-                    call_cost + (self.costs.uio_lookup_write + self.costs.page_copy_4k) * blocks,
+                    self.costs.kernel_call
+                        + (self.costs.uio_lookup_write + self.costs.page_copy_4k) * blocks,
                 );
                 self.trace(EventKind::UioWrite {
                     segment: seg.0 as u64,
@@ -1882,11 +1855,11 @@ impl Kernel {
         }
     }
 
-    // ----- batched ABI (submission/completion rings) -----------------------
+    // ----- manager ABI (submission/completion rings) -----------------------
 
     /// Consumes queued submissions from `sq` and posts one completion per
-    /// consumed entry to `cq` — the kernel side of the batched manager
-    /// ABI (see [`crate::ring`]).
+    /// consumed entry to `cq` — the kernel side of the manager ABI (see
+    /// [`crate::ring`]).
     ///
     /// Cost model: the whole batch crosses the protection boundary once.
     /// One `kernel_call` is charged for the doorbell, then every executed
@@ -1896,15 +1869,13 @@ impl Kernel {
     /// `kernel_call × (n - 1)` of virtual time and `n - 1` crossings
     /// (pinned by the billing property in tests/properties_ring.rs). The
     /// fault-path IPC legs (`fault_dispatch_ipc` + `ipc_reply`) are
-    /// charged once per upcall by the machine layer in both modes.
+    /// charged once per upcall by the machine layer.
     ///
     /// Execution is strict FIFO and stops at the first failing
     /// operation: its error is posted, every remaining consumed entry is
     /// posted as [`CompletionEntry::Cancelled`] without executing — the
     /// same prefix of operations takes effect as when a synchronous
-    /// caller stops at the first error. A UIO fault outcome is a
-    /// *successful* completion carrying [`RingOutput::Fault`], not a
-    /// failure: it does not cancel the rest of the batch.
+    /// caller stops at the first error.
     ///
     /// At most [`CompletionRing::free`] entries are consumed, so every
     /// consumed submission is guaranteed its completion slot; excess
@@ -1943,7 +1914,7 @@ impl Kernel {
 
     /// Executes one ring operation at its service cost (no `kernel_call`
     /// entry charge — the batch's doorbell already paid it).
-    fn execute_ring_op(&mut self, op: RingOp) -> Result<RingOutput, KernelError> {
+    fn execute_ring_op(&mut self, op: RingOp) -> Result<(), KernelError> {
         match op {
             RingOp::MigratePages {
                 src,
@@ -1953,42 +1924,25 @@ impl Kernel {
                 count,
                 set,
                 clear,
-            } => self
-                .migrate_pages_at(
-                    src,
-                    dst,
-                    src_page,
-                    dst_page,
-                    count,
-                    set,
-                    clear,
-                    Micros::ZERO,
-                )
-                .map(|()| RingOutput::Done),
+            } => self.migrate_pages_at(
+                src,
+                dst,
+                src_page,
+                dst_page,
+                count,
+                set,
+                clear,
+                Micros::ZERO,
+            ),
             RingOp::ModifyPageFlags {
                 seg,
                 page,
                 count,
                 set,
                 clear,
-            } => self
-                .modify_page_flags_at(seg, page, count, set, clear, Micros::ZERO)
-                .map(|()| RingOutput::Done),
-            RingOp::MigrateFrame { seg, page, dst } => self
-                .migrate_frame_at(seg, page, dst, Micros::ZERO)
-                .map(|()| RingOutput::Done),
-            RingOp::UioRead { seg, offset, len } => {
-                let mut buf = vec![0u8; len as usize];
-                match self.uio_read_at(seg, offset, &mut buf, Micros::ZERO)? {
-                    AccessOutcome::Completed => Ok(RingOutput::Data(buf)),
-                    AccessOutcome::Fault(f) => Ok(RingOutput::Fault(f)),
-                }
-            }
-            RingOp::UioWrite { seg, offset, data } => {
-                match self.uio_write_at(seg, offset, &data, Micros::ZERO)? {
-                    AccessOutcome::Completed => Ok(RingOutput::Done),
-                    AccessOutcome::Fault(f) => Ok(RingOutput::Fault(f)),
-                }
+            } => self.modify_page_flags_at(seg, page, count, set, clear, Micros::ZERO),
+            RingOp::MigrateFrame { seg, page, dst } => {
+                self.migrate_frame_at(seg, page, dst, Micros::ZERO)
             }
         }
     }

@@ -84,7 +84,7 @@ pub use fault::{FaultEvent, FaultKind};
 pub use flags::PageFlags;
 pub use kernel::{AccessOutcome, Kernel, KernelStats, PageAttributes};
 pub use ring::{
-    CompletionEntry, CompletionRing, Ring, RingFull, RingOp, RingOutput, SubmissionEntry,
+    CompletionEntry, CompletionRing, Ring, RingFull, RingOp, RingPort, SubmissionEntry,
     SubmissionRing,
 };
 pub use segment::{BoundRegion, PageEntry, Segment};

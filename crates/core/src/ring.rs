@@ -1,4 +1,4 @@
-//! Shared-memory submission/completion rings for the batched manager ABI.
+//! Shared-memory submission/completion rings: the manager→kernel ABI.
 //!
 //! Table 1 shows the 379 µs manager fault dominated by its two IPC legs
 //! (120 µs each). Both Douglas papers (user-mode page management /
@@ -7,10 +7,12 @@
 //! batch, not once per operation. This module is that boundary, shaped
 //! like io_uring: a manager fills a [`SubmissionRing`] with [`RingOp`]s
 //! (pure data — no kernel entry), rings the doorbell once via
-//! [`Kernel::drain_ring`](crate::kernel::Kernel::drain_ring), and reaps
-//! [`CompletionEntry`]s from the [`CompletionRing`]. The writeback
-//! pipeline's completion events ride the same completion ring
-//! ([`CompletionEntry::Writeback`]), so a manager has one place to poll.
+//! [`Kernel::drain_ring`], and reaps [`CompletionEntry`]s from the
+//! [`CompletionRing`]. Managers hold their end as a [`RingPort`]: every
+//! page operation a manager issues rides it, either coalesced into one
+//! doorbell per batch ([`RingPort::submit`], then [`RingPort::flush`]) or
+//! with one doorbell per op ([`RingPort::call`]), which costs exactly
+//! what the paper's synchronous kernel call does.
 //!
 //! The rings are fixed-capacity single-producer/single-consumer queues
 //! with monotonic head/tail counters (indices wrap modulo capacity, the
@@ -20,11 +22,9 @@
 //! wraparound behavior are pinned by the property models in
 //! `tests/properties_ring.rs`.
 
-use epcm_sim::clock::Micros;
-
 use crate::error::KernelError;
-use crate::fault::FaultEvent;
 use crate::flags::PageFlags;
+use crate::kernel::Kernel;
 use crate::types::{FrameId, PageNumber, SegmentId};
 
 /// Default capacity of a submission or completion ring, in entries.
@@ -169,13 +169,12 @@ impl<T> Ring<T> {
 /// One batched kernel operation, as carried by a [`SubmissionEntry`].
 ///
 /// These are exactly the manager-ABI calls a segment manager issues on
-/// its fault/reclaim paths: page migration, flag manipulation, tier
-/// exchange, and the UIO block interface. Attribute queries stay
-/// synchronous calls — they return data the manager branches on
-/// immediately, so there is nothing to amortize.
+/// its fault/reclaim paths: page migration, flag manipulation and tier
+/// exchange. Attribute queries stay synchronous calls — they return data
+/// the manager branches on immediately, so there is nothing to amortize.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RingOp {
-    /// [`Kernel::migrate_pages`](crate::kernel::Kernel::migrate_pages).
+    /// [`Kernel::migrate_pages`].
     MigratePages {
         /// Source segment.
         src: SegmentId,
@@ -192,7 +191,7 @@ pub enum RingOp {
         /// Flags to clear on each migrated page.
         clear: PageFlags,
     },
-    /// [`Kernel::modify_page_flags`](crate::kernel::Kernel::modify_page_flags).
+    /// [`Kernel::modify_page_flags`].
     ModifyPageFlags {
         /// Target segment.
         seg: SegmentId,
@@ -205,8 +204,7 @@ pub enum RingOp {
         /// Flags to clear.
         clear: PageFlags,
     },
-    /// [`Kernel::migrate_frame`](crate::kernel::Kernel::migrate_frame)
-    /// — the tier-exchange primitive.
+    /// [`Kernel::migrate_frame`] — the tier-exchange primitive.
     MigrateFrame {
         /// Segment holding the page to move.
         seg: SegmentId,
@@ -214,25 +212,6 @@ pub enum RingOp {
         page: PageNumber,
         /// Destination physical frame.
         dst: FrameId,
-    },
-    /// [`Kernel::uio_read`](crate::kernel::Kernel::uio_read); the bytes
-    /// come back as [`RingOutput::Data`].
-    UioRead {
-        /// Cached-file segment.
-        seg: SegmentId,
-        /// Byte offset.
-        offset: u64,
-        /// Bytes to read.
-        len: u64,
-    },
-    /// [`Kernel::uio_write`](crate::kernel::Kernel::uio_write).
-    UioWrite {
-        /// Cached-file segment.
-        seg: SegmentId,
-        /// Byte offset.
-        offset: u64,
-        /// Bytes to write.
-        data: Vec<u8>,
     },
 }
 
@@ -247,19 +226,6 @@ pub struct SubmissionEntry {
     pub op: RingOp,
 }
 
-/// Successful payload of a completed [`RingOp`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RingOutput {
-    /// The operation completed with no data to return.
-    Done,
-    /// A [`RingOp::UioRead`] completed; these are the bytes read.
-    Data(Vec<u8>),
-    /// A UIO operation faulted: the fault must be routed to the segment
-    /// manager and the operation resubmitted, exactly as a synchronous
-    /// [`AccessOutcome::Fault`](crate::kernel::AccessOutcome) would be.
-    Fault(FaultEvent),
-}
-
 /// One entry posted to the [`CompletionRing`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompletionEntry {
@@ -268,22 +234,13 @@ pub enum CompletionEntry {
         /// The submitter's correlation token, echoed.
         token: u64,
         /// The operation's result.
-        result: Result<RingOutput, KernelError>,
+        result: Result<(), KernelError>,
     },
     /// A submitted operation was *not* executed because an earlier
     /// operation in the same batch failed; resubmit if still wanted.
     Cancelled {
         /// The submitter's correlation token, echoed.
         token: u64,
-    },
-    /// An asynchronous writeback completed
-    /// ([`epcm_sim::writeback::WritebackPipeline`] rides the same
-    /// completion ring as the batched ABI).
-    Writeback {
-        /// The pipeline's ticket for the completed write.
-        ticket: u64,
-        /// Device service time the completed write occupied.
-        service: Micros,
     },
 }
 
@@ -292,6 +249,95 @@ pub type SubmissionRing = Ring<SubmissionEntry>;
 
 /// The kernel→manager completion ring.
 pub type CompletionRing = Ring<CompletionEntry>;
+
+/// A manager's end of the ABI: its submission and completion rings, the
+/// next correlation token and a count of ops submitted.
+///
+/// Both rings are empty between handler activations: every submission
+/// site flushes before it returns to the kernel.
+#[derive(Debug, Clone)]
+pub struct RingPort {
+    sq: SubmissionRing,
+    cq: CompletionRing,
+    next_token: u64,
+    submitted: u64,
+}
+
+impl RingPort {
+    /// A port whose rings hold `capacity` entries each (clamped to at
+    /// least 1).
+    pub fn with_capacity(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
+        RingPort {
+            sq: SubmissionRing::with_capacity(capacity),
+            cq: CompletionRing::with_capacity(capacity),
+            next_token: 0,
+            submitted: 0,
+        }
+    }
+
+    /// Ops submitted through this port over its lifetime.
+    pub fn submitted(&self) -> u64 {
+        self.submitted
+    }
+
+    /// Enqueues `op` without entering the kernel, flushing first if the
+    /// submission ring is full (so an enqueue never loses an entry).
+    ///
+    /// # Errors
+    ///
+    /// The first failure of that forced flush; `op` is then not queued.
+    pub fn submit(&mut self, kernel: &mut Kernel, op: RingOp) -> Result<(), KernelError> {
+        if self.sq.is_full() {
+            self.flush(kernel)?;
+        }
+        let token = self.next_token;
+        self.next_token += 1;
+        self.submitted += 1;
+        self.sq
+            .push(SubmissionEntry { token, op })
+            .expect("submission ring has room after flush");
+        Ok(())
+    }
+
+    /// Rings the doorbell until the submission ring is empty and reaps
+    /// every completion. Each non-empty batch charges one `kernel_call`
+    /// entry; each op then runs at its service cost.
+    ///
+    /// # Errors
+    ///
+    /// The batch's first failing op, after the whole batch has been
+    /// reaped. The kernel cancelled the ops queued behind it, so the same
+    /// prefix takes effect as for a synchronous caller that stops at its
+    /// first failing call.
+    pub fn flush(&mut self, kernel: &mut Kernel) -> Result<(), KernelError> {
+        let mut first_err = None;
+        while !self.sq.is_empty() {
+            if kernel.drain_ring(&mut self.sq, &mut self.cq) == 0 {
+                break; // unreachable: the reap below always frees the cq
+            }
+            while let Some(entry) = self.cq.pop() {
+                if let CompletionEntry::Op { result: Err(e), .. } = entry {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        first_err.map_or(Ok(()), Err)
+    }
+
+    /// One op with its own doorbell: [`RingPort::submit`], then
+    /// [`RingPort::flush`]. A singleton batch charges exactly what the
+    /// synchronous kernel call does, so sites that must observe an op's
+    /// effect before their next statement pay the paper's costs.
+    ///
+    /// # Errors
+    ///
+    /// The op's failure, as the synchronous call would report it.
+    pub fn call(&mut self, kernel: &mut Kernel, op: RingOp) -> Result<(), KernelError> {
+        self.submit(kernel, op)?;
+        self.flush(kernel)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -361,5 +407,50 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn zero_capacity_is_rejected() {
         let _ = Ring::<u32>::with_capacity(0);
+    }
+
+    fn modify(page: u64) -> RingOp {
+        RingOp::ModifyPageFlags {
+            seg: SegmentId::FRAME_POOL,
+            page: PageNumber(page),
+            count: 1,
+            set: PageFlags::MANAGER_B,
+            clear: PageFlags::empty(),
+        }
+    }
+
+    #[test]
+    fn port_coalesces_submissions_into_one_doorbell() {
+        let mut k = Kernel::new(16);
+        let mut port = RingPort::with_capacity(8);
+        for p in 0..4 {
+            port.submit(&mut k, modify(p)).unwrap();
+        }
+        assert_eq!(k.stats().crossings, 0, "submission never enters the kernel");
+        port.flush(&mut k).unwrap();
+        assert_eq!(k.stats().ring_batches, 1);
+        assert_eq!(k.stats().ring_ops, 4);
+        assert_eq!(port.submitted(), 4);
+    }
+
+    #[test]
+    fn port_flushes_a_full_ring_before_queueing() {
+        let mut k = Kernel::new(16);
+        let mut port = RingPort::with_capacity(2);
+        for p in 0..5 {
+            port.submit(&mut k, modify(p)).unwrap();
+        }
+        port.flush(&mut k).unwrap();
+        assert_eq!(k.stats().ring_batches, 3, "2 + 2 + 1");
+        assert_eq!(k.stats().ring_ops, 5);
+    }
+
+    #[test]
+    fn port_call_reports_the_failure_and_keeps_the_port_usable() {
+        let mut k = Kernel::new(16);
+        let mut port = RingPort::with_capacity(4);
+        assert!(port.call(&mut k, modify(999)).is_err());
+        port.call(&mut k, modify(0)).unwrap();
+        assert_eq!(k.stats().ring_batches, 2, "one doorbell per call");
     }
 }

@@ -185,14 +185,6 @@ mod tests {
     use epcm_core::types::{SegmentKind, UserId};
 
     fn market_machine(frames: usize, incomes: &[f64]) -> (Machine, Vec<ManagerId>, Vec<SegmentId>) {
-        market_machine_with(frames, incomes, false)
-    }
-
-    fn market_machine_with(
-        frames: usize,
-        incomes: &[f64],
-        batched: bool,
-    ) -> (Machine, Vec<ManagerId>, Vec<SegmentId>) {
         let mut market = MemoryMarket::new(MarketConfig {
             income_per_sec: 0.0,
             charge_per_mb_sec: 10.0,
@@ -211,10 +203,7 @@ mod tests {
         let mut segs = Vec::new();
         for (i, &income) in incomes.iter().enumerate() {
             market.open_account(ManagerId(i as u32 + 1), Some(income));
-            let mut mgr = GenericManager::new(PlainSpec, ManagerMode::FaultingProcess);
-            if batched {
-                mgr = mgr.batched_abi(64);
-            }
+            let mgr = GenericManager::new(PlainSpec, ManagerMode::FaultingProcess);
             let id = m.register_manager(Box::new(mgr));
             ids.push(id);
             let seg = m
@@ -264,6 +253,12 @@ mod tests {
             assert!(job.stats().swap_outs >= 2);
         }
         assert!(max_granted <= 384, "over-granted: {max_granted}");
+        let k = m.kernel().stats();
+        assert!(k.ring_ops > 0, "the batch lifecycle never touched the ring");
+        assert_eq!(
+            k.ring_batches, k.ring_ops,
+            "every op rings its own doorbell"
+        );
     }
 
     #[test]
@@ -289,37 +284,6 @@ mod tests {
             rich.resident_time,
             poor.resident_time
         );
-    }
-
-    #[test]
-    fn batched_abi_jobs_match_unbatched() {
-        // The batch lifecycle issues only single-op ring batches, which
-        // are exactly cost-neutral: the batched run must reproduce the
-        // unbatched run's progress and virtual timeline to the microsecond
-        // while actually riding the ring.
-        let run = |batched: bool| {
-            let (mut m, ids, segs) = market_machine_with(384, &[12.0, 12.0], batched);
-            let mut jobs: Vec<BatchJob> = ids
-                .iter()
-                .zip(&segs)
-                .map(|(&id, &seg)| BatchJob::new(id, seg, 320, Micros::from_secs(4)))
-                .collect();
-            for _ in 0..120 {
-                m.kernel_mut().charge(Micros::from_secs(1));
-                m.tick().unwrap();
-                for job in &mut jobs {
-                    job.poll(&mut m).unwrap();
-                }
-            }
-            let stats: Vec<BatchStats> = jobs.iter().map(|j| j.stats()).collect();
-            (stats, m.now(), m.kernel().stats().ring_ops)
-        };
-        let (stats_sync, now_sync, ring_sync) = run(false);
-        let (stats_ring, now_ring, ring_ring) = run(true);
-        assert_eq!(stats_sync, stats_ring);
-        assert_eq!(now_sync, now_ring, "single-op batches are cost-neutral");
-        assert_eq!(ring_sync, 0);
-        assert!(ring_ring > 0, "batched run never touched the ring");
     }
 
     #[test]

@@ -29,9 +29,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use epcm_core::fault::{FaultEvent, FaultKind};
 use epcm_core::flags::PageFlags;
 use epcm_core::kernel::Kernel;
-use epcm_core::ring::{
-    CompletionEntry, CompletionRing, RingOp, SubmissionEntry, SubmissionRing, DEFAULT_RING_CAPACITY,
-};
+use epcm_core::ring::{RingOp, RingPort, DEFAULT_RING_CAPACITY};
 use epcm_core::tier::MemTier;
 use epcm_core::types::{FrameId, ManagerId, PageNumber, SegmentId, SegmentKind, BASE_PAGE_SIZE};
 use epcm_sim::clock::Micros;
@@ -201,16 +199,14 @@ pub struct DefaultManagerConfig {
     /// Disk arms serving the asynchronous writeback pipeline (clamped to
     /// at least 1).
     pub writeback_servers: usize,
-    /// Route kernel page operations through the batched
-    /// submission/completion rings ([`epcm_core::ring`]) instead of one
-    /// synchronous call each. Batch sites (the 16-page protection
-    /// restore, the sampling sweep) pay one doorbell crossing per batch;
-    /// single-op sites enqueue and drain immediately, which charges
-    /// exactly what the synchronous call would. Off by default: flat
-    /// runs are byte-identical with the flag off.
+    /// Coalesce the batch sites' page operations (the 16-page protection
+    /// restore, the sampling sweep) into one ring doorbell per batch.
+    /// Off, every op rings its own doorbell, which reproduces the
+    /// paper's synchronous per-call costs. Every other site issues
+    /// single-op batches either way ([`epcm_core::ring::RingPort`]).
     pub batched_abi: bool,
     /// Capacity of the submission and completion rings, in entries
-    /// (clamped to at least 1; only meaningful with `batched_abi` on).
+    /// (clamped to at least 1).
     pub ring_capacity: usize,
     /// Upper bound on hot-page promotions per tick (0 disables the
     /// promotion ladder entirely — no heat is tracked and no exchange is
@@ -306,16 +302,9 @@ pub struct DefaultSegmentManager {
     /// Reverse index of `unclean` for completion-time lookup.
     unclean_by_ticket: BTreeMap<TicketId, (u32, u64)>,
     wb_stats: WritebackStats,
-    /// Batched-ABI submission ring; empty between handler runs (every
-    /// enqueue site flushes before returning).
-    sq: SubmissionRing,
-    /// Batched-ABI completion ring, shared with the writeback pipeline's
-    /// completion events.
-    cq: CompletionRing,
-    /// Next correlation token for submitted ring ops.
-    ring_token: u64,
-    /// Ops this manager has submitted through the ring.
-    ring_submitted: u64,
+    /// This manager's end of the kernel ABI; every page operation rides
+    /// it.
+    ring: RingPort,
     /// Access heat per non-DRAM-resident page, `(segment, page) ->
     /// count`, fed by fault-time re-references, sampling-window hits and
     /// writeback completions. Empty (never written) with the promotion
@@ -358,7 +347,7 @@ impl DefaultSegmentManager {
     /// Full control over mode and tuning.
     pub fn with_config(mode: ManagerMode, config: DefaultManagerConfig) -> Self {
         let wb = WritebackPipeline::new(config.writeback_servers, config.writeback_window);
-        let ring_cap = config.ring_capacity.max(1);
+        let ring = RingPort::with_capacity(config.ring_capacity);
         DefaultSegmentManager {
             id: ManagerId(u32::MAX),
             mode,
@@ -379,21 +368,12 @@ impl DefaultSegmentManager {
             unclean: BTreeMap::new(),
             unclean_by_ticket: BTreeMap::new(),
             wb_stats: WritebackStats::default(),
-            sq: SubmissionRing::with_capacity(ring_cap),
-            cq: CompletionRing::with_capacity(ring_cap),
-            ring_token: 0,
-            ring_submitted: 0,
+            ring,
             heat: BTreeMap::new(),
             wb_keys: BTreeMap::new(),
             promo_stats: PromotionStats::default(),
             tracer: None,
         }
-    }
-
-    /// Ops this manager has submitted through the batched ABI rings
-    /// (0 with `batched_abi` off).
-    pub fn ring_ops_submitted(&self) -> u64 {
-        self.ring_submitted
     }
 
     /// Records `kind` at the current virtual time, if tracing is on.
@@ -540,7 +520,16 @@ impl DefaultSegmentManager {
         seg: SegmentId,
         page: PageNumber,
     ) -> Result<(), ManagerError> {
-        self.op_modify_flags(env, seg, page, 1, PageFlags::PINNED, PageFlags::empty())?;
+        self.ring.call(
+            env.kernel,
+            RingOp::ModifyPageFlags {
+                seg,
+                page,
+                count: 1,
+                set: PageFlags::PINNED,
+                clear: PageFlags::empty(),
+            },
+        )?;
         if self.quarantined.insert((seg.as_u32(), page.as_u64())) {
             self.io_stats.quarantined_pages += 1;
             self.trace(
@@ -728,8 +717,7 @@ impl DefaultSegmentManager {
 
     /// Books one writeback completion: bills its service time and market
     /// I/O charge, clears the "promised free but not yet clean" mark, and
-    /// traces it. Shared by the direct poll path and the completion-ring
-    /// path — the booking is identical either way.
+    /// traces it.
     fn writeback_completed(&mut self, env: &mut Env<'_>, ticket: TicketId, service: Micros) {
         self.wb_stats.completed += 1;
         self.wb_stats.billed_us += service.as_micros();
@@ -737,7 +725,7 @@ impl DefaultSegmentManager {
         if let Some(key) = self.unclean_by_ticket.remove(&ticket) {
             self.unclean.remove(&key);
         }
-        // Promotion heat from the completion ring: a page that is
+        // Promotion heat from the completion stream: a page that is
         // re-resident below DRAM by the time its writeback completes was
         // rescued while the disk was still in flight — it is cycling,
         // the strongest re-reference signal the event stream carries.
@@ -756,106 +744,18 @@ impl DefaultSegmentManager {
 
     /// Bills every writeback completion due by now: its service time and
     /// market I/O charge land here, not at issue, and its "promised free
-    /// but not yet clean" mark clears. With the batched ABI on, the
-    /// pipeline's completions ride the completion ring
-    /// ([`CompletionEntry::Writeback`]) before being reaped, so a
-    /// batched manager has one place completions of every kind arrive.
+    /// but not yet clean" mark clears.
     fn drain_writebacks(&mut self, env: &mut Env<'_>) {
         if self.wb.is_idle() {
             return;
         }
         let now = env.kernel.now();
         for c in self.wb.poll(now) {
-            if self.config.batched_abi
-                && self
-                    .cq
-                    .push(CompletionEntry::Writeback {
-                        ticket: c.ticket,
-                        service: c.service,
-                    })
-                    .is_ok()
-            {
-                continue;
-            }
-            // Unbatched mode, or the completion ring is full: book it
-            // directly (never drop a completion).
             self.writeback_completed(env, c.ticket, c.service);
         }
-        if self.config.batched_abi {
-            let mut first_err = None;
-            self.reap_completions(env, &mut first_err);
-            debug_assert!(first_err.is_none(), "op completion outside a flush");
-        }
     }
 
-    /// Pops every completion-ring entry: writeback completions are
-    /// booked, the first failed op is recorded for the caller, cancelled
-    /// entries need no action (their ops never executed — resubmission
-    /// is the enqueue site's choice, and every current site propagates
-    /// the batch's error instead).
-    fn reap_completions(&mut self, env: &mut Env<'_>, first_err: &mut Option<ManagerError>) {
-        while let Some(entry) = self.cq.pop() {
-            match entry {
-                CompletionEntry::Op { result: Ok(_), .. } | CompletionEntry::Cancelled { .. } => {}
-                CompletionEntry::Op { result: Err(e), .. } => {
-                    if first_err.is_none() {
-                        *first_err = Some(ManagerError::Kernel(e));
-                    }
-                }
-                CompletionEntry::Writeback { ticket, service } => {
-                    self.writeback_completed(env, ticket, service);
-                }
-            }
-        }
-    }
-
-    /// Enqueues one op on the submission ring, flushing first if it is
-    /// full (so an enqueue never fails and never loses an entry).
-    fn ring_submit(&mut self, env: &mut Env<'_>, op: RingOp) -> Result<(), ManagerError> {
-        if self.sq.is_full() {
-            self.ring_flush(env)?;
-        }
-        let token = self.ring_token;
-        self.ring_token += 1;
-        self.ring_submitted += 1;
-        self.sq
-            .push(SubmissionEntry { token, op })
-            .expect("submission ring has room after flush");
-        Ok(())
-    }
-
-    /// Rings the kernel's doorbell until the submission ring drains and
-    /// reaps every completion. One non-empty batch charges a single
-    /// `kernel_call` entry; each op then runs at its service cost. The
-    /// first op failure is returned — after the whole batch has been
-    /// reaped — matching the synchronous path, which also stops at the
-    /// first failing call (the kernel cancels the batch's remainder).
-    fn ring_flush(&mut self, env: &mut Env<'_>) -> Result<(), ManagerError> {
-        let mut first_err = None;
-        while !self.sq.is_empty() {
-            if env.kernel.drain_ring(&mut self.sq, &mut self.cq) == 0 {
-                break; // unreachable: the reap below always frees the cq
-            }
-            self.reap_completions(env, &mut first_err);
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// One op through the ring: enqueue plus an immediate flush. A
-    /// single-entry batch charges exactly what the synchronous call
-    /// would (one doorbell + the op's service cost), so sites that must
-    /// observe an op's effect before their next statement ride the ring
-    /// without cost or state divergence.
-    fn ring_call(&mut self, env: &mut Env<'_>, op: RingOp) -> Result<(), ManagerError> {
-        self.ring_submit(env, op)?;
-        self.ring_flush(env)
-    }
-
-    /// `MigratePages` via the configured ABI: a synchronous kernel call,
-    /// or a single-entry ring batch with `batched_abi` on.
+    /// `MigratePages` as a single-op ring batch.
     #[allow(clippy::too_many_arguments)]
     fn op_migrate_pages(
         &mut self,
@@ -868,73 +768,22 @@ impl DefaultSegmentManager {
         set: PageFlags,
         clear: PageFlags,
     ) -> Result<(), ManagerError> {
-        if self.config.batched_abi {
-            self.ring_call(
-                env,
-                RingOp::MigratePages {
-                    src,
-                    dst,
-                    src_page,
-                    dst_page,
-                    count,
-                    set,
-                    clear,
-                },
-            )
-        } else {
-            env.kernel
-                .migrate_pages(src, dst, src_page, dst_page, count, set, clear)?;
-            Ok(())
-        }
+        let op = RingOp::MigratePages {
+            src,
+            dst,
+            src_page,
+            dst_page,
+            count,
+            set,
+            clear,
+        };
+        Ok(self.ring.call(env.kernel, op)?)
     }
 
-    /// `MigrateFrame` (the tier exchange) via the configured ABI.
-    fn op_migrate_frame(
-        &mut self,
-        env: &mut Env<'_>,
-        seg: SegmentId,
-        page: PageNumber,
-        dst: FrameId,
-    ) -> Result<(), ManagerError> {
-        if self.config.batched_abi {
-            self.ring_call(env, RingOp::MigrateFrame { seg, page, dst })
-        } else {
-            env.kernel.migrate_frame(seg, page, dst)?;
-            Ok(())
-        }
-    }
-
-    /// `ModifyPageFlags` via the configured ABI, executed immediately.
-    fn op_modify_flags(
-        &mut self,
-        env: &mut Env<'_>,
-        seg: SegmentId,
-        page: PageNumber,
-        count: u64,
-        set: PageFlags,
-        clear: PageFlags,
-    ) -> Result<(), ManagerError> {
-        if self.config.batched_abi {
-            self.ring_call(
-                env,
-                RingOp::ModifyPageFlags {
-                    seg,
-                    page,
-                    count,
-                    set,
-                    clear,
-                },
-            )
-        } else {
-            env.kernel.modify_page_flags(seg, page, count, set, clear)?;
-            Ok(())
-        }
-    }
-
-    /// `ModifyPageFlags`, deferred onto the ring with `batched_abi` on.
-    /// Batch sites (protection restore, sampling sweep) call this in
-    /// their loops and [`Self::ring_flush`] once at the end, collapsing
-    /// n crossings into one.
+    /// `ModifyPageFlags` at a batch site (protection restore, sampling
+    /// sweep). With `batched_abi` on the op is only queued, and the
+    /// site's closing flush rings one doorbell for the whole batch; off,
+    /// the op rings its own doorbell now.
     fn op_modify_flags_deferred(
         &mut self,
         env: &mut Env<'_>,
@@ -944,21 +793,19 @@ impl DefaultSegmentManager {
         set: PageFlags,
         clear: PageFlags,
     ) -> Result<(), ManagerError> {
+        let op = RingOp::ModifyPageFlags {
+            seg,
+            page,
+            count,
+            set,
+            clear,
+        };
         if self.config.batched_abi {
-            self.ring_submit(
-                env,
-                RingOp::ModifyPageFlags {
-                    seg,
-                    page,
-                    count,
-                    set,
-                    clear,
-                },
-            )
+            self.ring.submit(env.kernel, op)?;
         } else {
-            env.kernel.modify_page_flags(seg, page, count, set, clear)?;
-            Ok(())
+            self.ring.call(env.kernel, op)?;
         }
+        Ok(())
     }
 
     /// Drives the writeback pipeline to empty — the fsync-like barrier.
@@ -1213,7 +1060,8 @@ impl DefaultSegmentManager {
             self.zram_stats.raw_bytes += BASE_PAGE_SIZE;
             self.zram_stats.stored_bytes += stored;
         }
-        self.op_migrate_frame(env, seg, page, dst)?;
+        self.ring
+            .call(env.kernel, RingOp::MigrateFrame { seg, page, dst })?;
         self.stats.demotions += 1;
         Ok(Demotion::Done)
     }
@@ -1387,7 +1235,8 @@ impl DefaultSegmentManager {
                 // old frame moves in residually): laundry there drops
                 // first, exactly as on the demotion path.
                 self.drop_slot_laundry(env, slot);
-                self.op_migrate_frame(env, seg, page, dst)?;
+                self.ring
+                    .call(env.kernel, RingOp::MigrateFrame { seg, page, dst })?;
                 false
             }
             None => {
@@ -1406,7 +1255,12 @@ impl DefaultSegmentManager {
                     self.zram_stats.raw_bytes += BASE_PAGE_SIZE;
                     self.zram_stats.stored_bytes += stored;
                 }
-                self.op_migrate_frame(env, seg, page, vframe)?;
+                let op = RingOp::MigrateFrame {
+                    seg,
+                    page,
+                    dst: vframe,
+                };
+                self.ring.call(env.kernel, op)?;
                 env.kernel.manager_write_page(vseg, vpage, &buf)?;
                 env.kernel.charge(env.kernel.costs().page_copy_4k);
                 true
@@ -1842,9 +1696,9 @@ impl DefaultSegmentManager {
                 PageFlags::MANAGER_B,
             )?;
         }
-        // With the batched ABI this is the crossing collapse: one
+        // With `batched_abi` on this is the crossing collapse: one
         // doorbell drains the whole restore batch.
-        self.ring_flush(env)
+        Ok(self.ring.flush(env.kernel)?)
     }
 
     /// Handles a copy-on-write fault: provide a frame; the kernel copies.
@@ -1925,7 +1779,7 @@ impl DefaultSegmentManager {
             self.sample_cursor = (0, 0); // wrap the sweep
         }
         // One doorbell for the whole sweep's revocations.
-        self.ring_flush(env)
+        Ok(self.ring.flush(env.kernel)?)
     }
 }
 
@@ -2202,12 +2056,11 @@ impl SegmentManager for DefaultSegmentManager {
         m.set(&format!("manager.{id}.writeback.completed"), wb.completed);
         m.set(&format!("manager.{id}.writeback.billed_us"), wb.billed_us);
         m.set(&format!("manager.{id}.laundry_dropped"), wb.laundry_dropped);
-        // Ring keys are opt-in (same discipline as the kernel's ring
-        // metrics): batched-off runs export an unchanged key set.
-        if self.config.batched_abi {
-            m.set(&format!("manager.{id}.ring.submitted"), self.ring_submitted);
-        }
-        // Promotion keys follow the same opt-in discipline: off-by-
+        m.set(
+            &format!("manager.{id}.ring.submitted"),
+            self.ring.submitted(),
+        );
+        // Promotion keys are opt-in: off-by-
         // default runs export byte-identical documents.
         if self.config.promotion_budget > 0 {
             let p = &self.promo_stats;

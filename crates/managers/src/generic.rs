@@ -17,7 +17,7 @@ use std::fmt;
 use epcm_core::fault::{FaultEvent, FaultKind};
 use epcm_core::flags::PageFlags;
 use epcm_core::kernel::Kernel;
-use epcm_core::ring::{CompletionEntry, CompletionRing, RingOp, SubmissionEntry, SubmissionRing};
+use epcm_core::ring::{RingOp, RingPort, DEFAULT_RING_CAPACITY};
 use epcm_core::types::{ManagerId, PageNumber, SegmentId, SegmentKind, BASE_PAGE_SIZE};
 
 use crate::manager::{Env, ManagerError, ManagerMode, SegmentManager};
@@ -168,11 +168,10 @@ pub struct GenericManager<S> {
     refill_batch: u64,
     managed: BTreeSet<u32>,
     stats: GenericStats,
-    /// Batched-ABI rings, present when [`GenericManager::batched_abi`]
-    /// enabled them. Specialised managers (prefetch, discard, coloring)
-    /// then issue their page operations as single-entry ring batches —
-    /// cost-identical to synchronous calls, but riding the shared ABI.
-    ring: Option<(SubmissionRing, CompletionRing, u64)>,
+    /// This manager's end of the kernel ABI. Specialised managers
+    /// (prefetch, discard, coloring) issue every page operation as a
+    /// single-op batch, which costs exactly a synchronous call.
+    ring: RingPort,
 }
 
 impl<S: Specialization> GenericManager<S> {
@@ -195,86 +194,11 @@ impl<S: Specialization> GenericManager<S> {
             refill_batch: 32,
             managed: BTreeSet::new(),
             stats: GenericStats::default(),
-            ring: None,
+            ring: RingPort::with_capacity(DEFAULT_RING_CAPACITY),
         }
     }
 
-    /// Routes this manager's page operations through batched
-    /// submission/completion rings of `capacity` entries (clamped to at
-    /// least 1). Builder-style; off unless called.
-    #[must_use]
-    pub fn batched_abi(mut self, capacity: usize) -> Self {
-        let cap = capacity.max(1);
-        self.ring = Some((
-            SubmissionRing::with_capacity(cap),
-            CompletionRing::with_capacity(cap),
-            0,
-        ));
-        self
-    }
-
-    /// Whether the batched ABI is on.
-    pub fn is_batched(&self) -> bool {
-        self.ring.is_some()
-    }
-
-    /// One op through the ring (enqueue + immediate doorbell): charges
-    /// exactly what the synchronous call would. Falls back to the
-    /// direct call with the ring off.
-    fn ring_op(&mut self, env: &mut Env<'_>, op: RingOp) -> Result<(), ManagerError> {
-        let Some((sq, cq, token)) = self.ring.as_mut() else {
-            return match op {
-                RingOp::MigratePages {
-                    src,
-                    dst,
-                    src_page,
-                    dst_page,
-                    count,
-                    set,
-                    clear,
-                } => {
-                    env.kernel
-                        .migrate_pages(src, dst, src_page, dst_page, count, set, clear)?;
-                    Ok(())
-                }
-                RingOp::ModifyPageFlags {
-                    seg,
-                    page,
-                    count,
-                    set,
-                    clear,
-                } => {
-                    env.kernel.modify_page_flags(seg, page, count, set, clear)?;
-                    Ok(())
-                }
-                RingOp::MigrateFrame { seg, page, dst } => {
-                    env.kernel.migrate_frame(seg, page, dst)?;
-                    Ok(())
-                }
-                RingOp::UioRead { .. } | RingOp::UioWrite { .. } => {
-                    unreachable!("generic managers issue no UIO ops")
-                }
-            };
-        };
-        sq.push(SubmissionEntry { token: *token, op })
-            .expect("single-entry batch on an empty ring");
-        *token += 1;
-        env.kernel.drain_ring(sq, cq);
-        let mut first_err = None;
-        while let Some(entry) = cq.pop() {
-            if let CompletionEntry::Op { result: Err(e), .. } = entry {
-                if first_err.is_none() {
-                    first_err = Some(ManagerError::Kernel(e));
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// `MigratePages` via the configured ABI.
+    /// `MigratePages` as a single-op ring batch.
     #[allow(clippy::too_many_arguments)]
     fn op_migrate_pages(
         &mut self,
@@ -287,40 +211,16 @@ impl<S: Specialization> GenericManager<S> {
         set: PageFlags,
         clear: PageFlags,
     ) -> Result<(), ManagerError> {
-        self.ring_op(
-            env,
-            RingOp::MigratePages {
-                src,
-                dst,
-                src_page,
-                dst_page,
-                count,
-                set,
-                clear,
-            },
-        )
-    }
-
-    /// `ModifyPageFlags` via the configured ABI.
-    fn op_modify_flags(
-        &mut self,
-        env: &mut Env<'_>,
-        seg: SegmentId,
-        page: PageNumber,
-        count: u64,
-        set: PageFlags,
-        clear: PageFlags,
-    ) -> Result<(), ManagerError> {
-        self.ring_op(
-            env,
-            RingOp::ModifyPageFlags {
-                seg,
-                page,
-                count,
-                set,
-                clear,
-            },
-        )
+        let op = RingOp::MigratePages {
+            src,
+            dst,
+            src_page,
+            dst_page,
+            count,
+            set,
+            clear,
+        };
+        Ok(self.ring.call(env.kernel, op)?)
     }
 
     /// The specialisation, for reading its state.
@@ -591,7 +491,14 @@ impl<S: Specialization + 'static> SegmentManager for GenericManager<S> {
                 }
                 // Otherwise generic managers keep their segments fully
                 // accessible.
-                self.op_modify_flags(env, seg, page, 1, PageFlags::RW, PageFlags::empty())?;
+                let op = RingOp::ModifyPageFlags {
+                    seg,
+                    page,
+                    count: 1,
+                    set: PageFlags::RW,
+                    clear: PageFlags::empty(),
+                };
+                self.ring.call(env.kernel, op)?;
                 self.policy.note_referenced(seg, page);
                 Ok(())
             }

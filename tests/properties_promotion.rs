@@ -235,12 +235,12 @@ fn dram_only_promotion_is_a_noop() {
     assert_eq!(off.1, on.1, "kernel counters diverged");
 }
 
-/// The promotion stage bills identically whether its kernel calls ride
-/// the batched submission/completion rings or the direct ABI: same
+/// The promotion stage bills identically whether the manager coalesces
+/// its batch sites onto one ring doorbell or rings one per op: same
 /// promotions, same per-copy I/O blocks on the market ledger. (Total
-/// virtual time legitimately differs — the rings collapse the sampling
-/// sweep's multi-op restore batches — so parity is asserted on the
-/// promotion activity and its billing, not on the whole clock.)
+/// virtual time legitimately differs — coalescing collapses the
+/// sampling sweep's multi-op restore batches — so parity is asserted
+/// on the promotion activity and its billing, not on the whole clock.)
 #[test]
 fn batched_abi_promotion_bills_identically_to_direct() {
     let layout = TierLayout::new(16, 32, 16);

@@ -1,21 +1,20 @@
-//! Property-based tests of the batched manager ABI
-//! ([`epcm::core::ring`]): the ring container against a bounded-FIFO
-//! reference model, [`Kernel::drain_ring`] against the equivalent
-//! sequence of synchronous calls, and whole-machine batched-vs-direct
-//! equivalence — identical kernel state and trace multisets, with
-//! billing differing by exactly the amortized per-call crossing charge.
-//! Plus the edge models (wraparound, full rings, empty drains) and the
-//! cost-attribution regression pins referenced from `kernel.rs`.
+//! Property-based tests of the manager ABI ([`epcm::core::ring`]): the
+//! ring container against a bounded-FIFO reference model,
+//! [`Kernel::drain_ring`] against the equivalent sequence of synchronous
+//! calls, and whole-machine coalesced-vs-per-op-doorbell equivalence —
+//! identical kernel state and trace multisets, with billing differing by
+//! exactly the amortized per-call crossing charge. Plus the edge models
+//! (wraparound, full rings, empty drains) and the cost-attribution
+//! regression pins referenced from `kernel.rs`.
 
 use std::collections::VecDeque;
 
 use epcm::core::ring::{
-    CompletionEntry, CompletionRing, Ring, RingFull, RingOp, RingOutput, SubmissionEntry,
-    SubmissionRing,
+    CompletionEntry, CompletionRing, Ring, RingFull, RingOp, SubmissionEntry, SubmissionRing,
 };
 use epcm::core::{
-    AccessKind, Kernel, ManagerId, PageFlags, PageNumber, SegmentId, SegmentKind, UserId,
-    BASE_PAGE_SIZE,
+    AccessKind, FrameId, Kernel, KernelError, KernelStats, ManagerId, PageFlags, PageNumber,
+    SegmentId, SegmentKind, TierLayout, UserId, BASE_PAGE_SIZE,
 };
 use epcm::managers::default_manager::{DefaultManagerConfig, DefaultSegmentManager};
 use epcm::managers::{Machine, ManagerMode};
@@ -37,23 +36,15 @@ fn kernel_fingerprint(kernel: &Kernel) -> Vec<(u32, u64, usize, u16)> {
     out
 }
 
-/// The fault/call counters that must be identical across ABI modes
-/// (everything in `KernelStats` except the crossing/ring accounting the
-/// batched ABI exists to change).
-fn fault_counters(kernel: &Kernel) -> [u64; 10] {
-    let s = kernel.stats();
-    [
-        s.references,
-        s.faults_missing,
-        s.faults_protection,
-        s.faults_cow,
-        s.migrate_calls,
-        s.pages_migrated,
-        s.modify_calls,
-        s.zero_fills,
-        s.uio_reads,
-        s.uio_writes,
-    ]
+/// Every kernel counter except the crossing and ring accounting, which
+/// the doorbell count is allowed to change.
+fn op_counters(kernel: &Kernel) -> KernelStats {
+    KernelStats {
+        crossings: 0,
+        ring_batches: 0,
+        ring_ops: 0,
+        ..kernel.stats()
+    }
 }
 
 /// A modify-flags submission for boot-pool page `page..page+count`.
@@ -64,6 +55,200 @@ fn modify_op(page: u64, count: u64) -> RingOp {
         count,
         set: PageFlags::MANAGER_B,
         clear: PageFlags::empty(),
+    }
+}
+
+/// Frames of the tiered kernel Model 2 runs on: DRAM, SlowMem and zram
+/// thirds, so frame exchanges cross tiers in both directions.
+const MODEL_TIERS: (u64, u64, u64) = (4, 4, 8);
+
+/// A tiered kernel plus an empty anonymous segment that the model's ops
+/// fill from the boot pool.
+fn model_kernel() -> (Kernel, SegmentId) {
+    let (dram, slow, zram) = MODEL_TIERS;
+    let layout = TierLayout::new(dram, slow, zram);
+    let mut k = Kernel::with_tiers(
+        layout.total() as usize,
+        epcm::sim::cost::CostModel::decstation_5000_200(),
+        layout,
+    );
+    let seg = k
+        .create_segment(SegmentKind::Anonymous, UserId(1), ManagerId(1), 1, 64)
+        .expect("segment");
+    (k, seg)
+}
+
+/// Builds an op sequence that succeeds by construction from `(kind, a,
+/// b)` draws. Kind 0 modifies flags on resident pages; kind 1 migrates a
+/// run of boot-pool pages into `seg`; kind 2 exchanges the frames of two
+/// resident pages of `seg` (a no-op when they coincide). A kind whose
+/// precondition does not hold yet falls back to the previous one. The op
+/// at `fail_at`, if any, is replaced by a failing op of its kind.
+fn model_ops(seg: SegmentId, draws: &[(u8, u64, u64)], fail_at: usize) -> Vec<RingOp> {
+    let (dram, slow, zram) = MODEL_TIERS;
+    let boot_frames = dram + slow + zram;
+    let mut frames: Vec<FrameId> = Vec::new(); // frame backing seg page i
+    let mut ops = Vec::new();
+    for (i, &(kind, a, b)) in draws.iter().enumerate() {
+        let n = frames.len() as u64;
+        let left = boot_frames - n; // boot pages n.. are still in the pool
+        let kind = match kind % 3 {
+            2 if n == 0 => 1,
+            1 if left == 0 => 0,
+            k => k,
+        };
+        let fail = i == fail_at;
+        let op = match kind {
+            0 => {
+                let (target, page, span) = if n > 0 {
+                    (seg, a % n, n - a % n)
+                } else {
+                    (SegmentId::FRAME_POOL, a % left, left - a % left)
+                };
+                RingOp::ModifyPageFlags {
+                    seg: target,
+                    page: PageNumber(if fail { 1_000 } else { page }),
+                    count: (1 + b % 3).min(span),
+                    set: PageFlags::MANAGER_B,
+                    clear: PageFlags::REFERENCED,
+                }
+            }
+            1 => {
+                let count = (1 + a % 4).min(left);
+                if !fail {
+                    frames.extend((n..n + count).map(|f| FrameId::from_raw(f as u32)));
+                }
+                RingOp::MigratePages {
+                    src: SegmentId::FRAME_POOL,
+                    dst: seg,
+                    src_page: PageNumber(n),
+                    dst_page: PageNumber(if fail { 1_000 } else { n }),
+                    count,
+                    set: PageFlags::RW,
+                    clear: PageFlags::empty(),
+                }
+            }
+            _ => {
+                let (page, other) = ((a % n) as usize, (b % n) as usize);
+                let dst = if fail {
+                    FrameId::from_raw(10_000)
+                } else {
+                    frames[other]
+                };
+                frames.swap(page, other);
+                RingOp::MigrateFrame {
+                    seg,
+                    page: PageNumber(page as u64),
+                    dst,
+                }
+            }
+        };
+        ops.push(op);
+    }
+    ops
+}
+
+/// Issues `op` as the synchronous kernel call it stands for.
+fn call_sync(k: &mut Kernel, op: RingOp) -> Result<(), KernelError> {
+    match op {
+        RingOp::MigratePages {
+            src,
+            dst,
+            src_page,
+            dst_page,
+            count,
+            set,
+            clear,
+        } => k.migrate_pages(src, dst, src_page, dst_page, count, set, clear),
+        RingOp::ModifyPageFlags {
+            seg,
+            page,
+            count,
+            set,
+            clear,
+        } => k.modify_page_flags(seg, page, count, set, clear),
+        RingOp::MigrateFrame { seg, page, dst } => k.migrate_frame(seg, page, dst),
+    }
+}
+
+/// The body of Model 2: runs [`model_ops`] as synchronous calls on one
+/// kernel and as a single drained batch on another, then compares state,
+/// counters, billing and completions.
+fn assert_drain_matches_sync(draws: &[(u8, u64, u64)], fail_at: usize) {
+    let (mut direct, seg) = model_kernel();
+    let ops_list = model_ops(seg, draws, fail_at);
+    let n = ops_list.len();
+
+    // Synchronous reference: call until the first failure.
+    let d0 = direct.now();
+    let mut executed = 0u64;
+    for op in ops_list.iter().cloned() {
+        executed += 1;
+        if call_sync(&mut direct, op).is_err() {
+            break;
+        }
+    }
+    let direct_elapsed = direct.now().duration_since(d0);
+    assert_eq!(
+        executed < n as u64,
+        fail_at < n - 1,
+        "only the injected op fails"
+    );
+
+    // Batched: enqueue everything, one doorbell.
+    let (mut ringed, _) = model_kernel();
+    let mut sq: SubmissionRing = Ring::with_capacity(n);
+    let mut cq: CompletionRing = Ring::with_capacity(n);
+    for (i, op) in ops_list.into_iter().enumerate() {
+        sq.push(SubmissionEntry {
+            token: i as u64,
+            op,
+        })
+        .expect("sized to fit");
+    }
+    let r0 = ringed.now();
+    assert_eq!(
+        ringed.drain_ring(&mut sq, &mut cq),
+        n,
+        "whole batch consumed"
+    );
+    let ring_elapsed = ringed.now().duration_since(r0);
+
+    // Identical end state, identical call counters.
+    assert_eq!(kernel_fingerprint(&direct), kernel_fingerprint(&ringed));
+    assert_eq!(op_counters(&direct), op_counters(&ringed));
+    let rs = ringed.stats();
+    assert_eq!(rs.ring_batches, 1);
+    assert_eq!(rs.ring_ops, executed, "drain executed the same prefix");
+    assert_eq!(rs.crossings, 1, "one doorbell crossing for the batch");
+    assert_eq!(direct.stats().crossings, executed, "one crossing per call");
+    // Billing: the batch saves exactly the amortized entry charges.
+    let call = ringed.costs().kernel_call;
+    assert_eq!(
+        direct_elapsed + call,
+        ring_elapsed + call * executed,
+        "batch must save kernel_call x (executed - 1) exactly"
+    );
+    // Completions: Ok prefix, at most one Err, Cancelled remainder,
+    // tokens echoed in order.
+    let completions = cq.drain_all();
+    assert_eq!(completions.len(), n);
+    for (i, c) in completions.into_iter().enumerate() {
+        match c {
+            CompletionEntry::Op { token, result } => {
+                assert_eq!(token, i as u64);
+                assert!((i as u64) < executed);
+                if (i as u64) < executed - 1 {
+                    assert_eq!(result, Ok(()));
+                } else if fail_at < n {
+                    assert!(result.is_err(), "last executed op was the failure");
+                }
+            }
+            CompletionEntry::Cancelled { token } => {
+                assert_eq!(token, i as u64);
+                assert!((i as u64) >= executed, "cancelled op was executed");
+            }
+        }
     }
 }
 
@@ -146,97 +331,25 @@ proptest! {
         prop_assert!(ring.is_empty());
     }
 
-    /// Model 2: one `drain_ring` of n operations leaves the kernel in
-    /// exactly the state of the n equivalent synchronous calls (stopping
-    /// at the first failure), posts the right completion per entry, and
-    /// bills exactly `kernel_call × (ops_executed - 1)` less — the
-    /// amortized crossing charge and nothing else.
+    /// Model 2: one `drain_ring` of n operations — flag changes,
+    /// boot-pool migrations and cross-tier frame exchanges — leaves a
+    /// tiered kernel in exactly the state of the n equivalent synchronous
+    /// calls (stopping at the first failure), posts the right completion
+    /// per entry, and bills exactly `kernel_call × (ops_executed - 1)`
+    /// less — the amortized crossing charge and nothing else.
     #[test]
     fn drain_matches_synchronous_calls_exactly(
-        ops in proptest::collection::vec((0u64..60, 1u64..4), 1..40),
-        fail_at in 0usize..80, // >= ops.len() means no injected failure
+        draws in proptest::collection::vec((0u8..3, 0u64..64, 0u64..64), 1..40),
+        fail_at in 0usize..80, // >= draws.len() means no injected failure
     ) {
-        let build = || {
-            let mut ops: Vec<RingOp> =
-                ops.iter().map(|&(p, c)| modify_op(p, c)).collect();
-            if fail_at < ops.len() {
-                ops[fail_at] = modify_op(1_000, 1); // out of range: fails
-            }
-            (Kernel::new(64), ops)
-        };
-
-        // Synchronous reference: call until the first failure.
-        let (mut direct, ops_list) = build();
-        let d0 = direct.now();
-        let mut executed = 0u64;
-        for op in &ops_list {
-            let RingOp::ModifyPageFlags { seg, page, count, set, clear } = op.clone() else {
-                unreachable!("model only emits modify ops");
-            };
-            executed += 1;
-            if direct.modify_page_flags(seg, page, count, set, clear).is_err() {
-                break;
-            }
-        }
-        let direct_elapsed = direct.now().duration_since(d0);
-
-        // Batched: enqueue everything, one doorbell.
-        let (mut ringed, ops_list) = build();
-        let n = ops_list.len();
-        let mut sq: SubmissionRing = Ring::with_capacity(n);
-        let mut cq: CompletionRing = Ring::with_capacity(n);
-        for (i, op) in ops_list.into_iter().enumerate() {
-            sq.push(SubmissionEntry { token: i as u64, op }).expect("sized to fit");
-        }
-        let r0 = ringed.now();
-        prop_assert_eq!(ringed.drain_ring(&mut sq, &mut cq), n, "whole batch consumed");
-        let ring_elapsed = ringed.now().duration_since(r0);
-
-        // Identical end state, identical call counters.
-        prop_assert_eq!(kernel_fingerprint(&direct), kernel_fingerprint(&ringed));
-        prop_assert_eq!(fault_counters(&direct), fault_counters(&ringed));
-        let rs = ringed.stats();
-        prop_assert_eq!(rs.ring_batches, 1);
-        prop_assert_eq!(rs.ring_ops, executed, "drain executed the same prefix");
-        prop_assert_eq!(rs.crossings, 1, "one doorbell crossing for the batch");
-        prop_assert_eq!(direct.stats().crossings, executed, "one crossing per call");
-        // Billing: the batch saves exactly the amortized entry charges.
-        let call = ringed.costs().kernel_call;
-        prop_assert_eq!(
-            direct_elapsed + call,
-            ring_elapsed + call * executed,
-            "batch must save kernel_call x (executed - 1) exactly"
-        );
-        // Completions: Ok prefix, at most one Err, Cancelled remainder,
-        // tokens echoed in order.
-        let completions = cq.drain_all();
-        prop_assert_eq!(completions.len(), n);
-        for (i, c) in completions.into_iter().enumerate() {
-            match c {
-                CompletionEntry::Op { token, result } => {
-                    prop_assert_eq!(token, i as u64);
-                    prop_assert!((i as u64) < executed);
-                    if (i as u64) < executed - 1 {
-                        prop_assert_eq!(result, Ok(RingOutput::Done));
-                    } else if executed < n as u64 || fail_at == n - 1 {
-                        prop_assert!(result.is_err(), "last executed op was the failure");
-                    }
-                }
-                CompletionEntry::Cancelled { token } => {
-                    prop_assert_eq!(token, i as u64);
-                    prop_assert!((i as u64) >= executed, "cancelled op was executed");
-                }
-                CompletionEntry::Writeback { .. } => {
-                    prop_assert!(false, "kernel never posts writeback entries");
-                }
-            }
-        }
+        assert_drain_matches_sync(&draws, fail_at);
     }
 
-    /// Model 3: the batched ABI is state-invisible. Any random pressured
-    /// workload (stores, loads, sampling ticks) leaves byte-identical
-    /// resident tables, frame assignments, page flags and fault counters
-    /// in both modes; only the ring counters (and time) may differ.
+    /// Model 3: coalescing batch sites is state-invisible. Any random
+    /// pressured workload (stores, loads, sampling ticks) leaves
+    /// byte-identical resident tables, frame assignments, page flags and
+    /// fault counters whether ops share doorbells or ring one each; only
+    /// the ring counters (and time) may differ.
     #[test]
     fn batched_abi_preserves_kernel_state_on_random_workloads(
         accesses in proptest::collection::vec((0u8..3, 0u64..48, any::<u8>()), 1..120),
@@ -247,15 +360,13 @@ proptest! {
             kernel_fingerprint(direct.kernel()),
             kernel_fingerprint(batched.kernel())
         );
-        prop_assert_eq!(
-            fault_counters(direct.kernel()),
-            fault_counters(batched.kernel())
-        );
+        prop_assert_eq!(op_counters(direct.kernel()), op_counters(batched.kernel()));
         prop_assert_eq!(
             direct.stats().manager_calls,
             batched.stats().manager_calls
         );
-        prop_assert_eq!(direct.kernel_stats().ring_ops, 0);
+        let k = direct.kernel_stats();
+        prop_assert_eq!(k.ring_batches, k.ring_ops, "every direct batch holds one op");
     }
 
     /// Model 4: billing differs by exactly the amortized crossing
@@ -285,7 +396,7 @@ proptest! {
         );
     }
 
-    /// Model 5: the batched ABI is trace-invisible. Both modes emit the
+    /// Model 5: coalescing is trace-invisible. Both modes emit the
     /// same multiset of trace events (kind and payload; timestamps are
     /// the one permitted difference).
     #[test]
@@ -334,6 +445,27 @@ proptest! {
 }
 
 // ----- edge models ----------------------------------------------------------
+
+/// Model 2 with a failure injected at every position of one fixed batch
+/// that migrates pages out of DRAM and SlowMem, changes flags and
+/// exchanges frames across tiers (once as a no-op), so each op kind
+/// fails at least once; the last run injects nothing.
+#[test]
+fn injected_failure_of_every_op_kind_matches_synchronous_calls() {
+    let draws = [
+        (1, 3, 0), // migrate 4 DRAM pages
+        (0, 1, 2), // modify pages 1..4
+        (1, 3, 0), // migrate 4 SlowMem pages
+        (2, 0, 6), // exchange DRAM page 0 with SlowMem page 6
+        (2, 5, 5), // no-op exchange
+        (1, 1, 0), // migrate 2 zram pages
+        (2, 9, 2), // exchange zram page 9 with DRAM page 2
+        (0, 7, 0), // modify page 7
+    ];
+    for fail_at in 0..=draws.len() {
+        assert_drain_matches_sync(&draws, fail_at);
+    }
+}
 
 /// An empty drain — nothing submitted — consumes nothing, charges
 /// nothing, and counts nothing.
@@ -404,7 +536,7 @@ fn first_failure_cancels_the_rest() {
         completions[0],
         CompletionEntry::Op {
             token: 0,
-            result: Ok(RingOutput::Done)
+            result: Ok(())
         }
     ));
     assert!(matches!(

@@ -4,14 +4,19 @@
 //! `--jobs`/`--shards` worker counts (every point owns its machine; the
 //! [`ScenarioPool`] joins in declared order, and the ring section never
 //! reads the shard spec at all). And with the flag *off*, the seed
-//! benchmark documents must be untouched: the batched ABI is opt-in, so
-//! `BENCH_table1.json`, `BENCH_tables23.json` and `BENCH_table4.json`
-//! stay byte-identical to the last `reproduce --quick --json` run
-//! whether or not the ring section also ran.
+//! benchmark documents must be untouched: `BENCH_table1.json`,
+//! `BENCH_tables23.json` and `BENCH_table4.json` stay byte-identical to
+//! the last `reproduce --quick --json` run whether or not the ring
+//! section also ran. The golden test pins the Table 2/3 figures and the
+//! collapse row to constants, so a fresh checkout checks them too.
 
+use epcm::managers::default_manager::DefaultSegmentManager;
+use epcm::managers::Machine;
 use epcm_bench::json_report::{table1_json, table4_json, tables23_json, traced_results_with};
 use epcm_bench::pool::ScenarioPool;
 use epcm_bench::{ring, table4};
+use epcm_workloads::apps::table2_apps;
+use epcm_workloads::runner::{run_vpp_app, PAPER_FRAMES};
 
 const JOB_COUNTS: [usize; 3] = [1, 4, 8];
 
@@ -48,7 +53,7 @@ fn assert_matches_last_run(name: &str, json: &str) {
         Some(on_disk) => assert_eq!(
             format!("{json}\n"),
             on_disk,
-            "{name} drifted after the ring section ran — the batched ABI must be opt-in"
+            "{name} drifted after the ring section ran"
         ),
         None => eprintln!("{name} not present (fresh checkout); skipping byte comparison"),
     }
@@ -68,8 +73,8 @@ fn batched_off_tables_are_untouched_by_a_ring_run() {
 }
 
 /// The direct-mode rows of the ring report reproduce the seed cost
-/// model: the app reruns must carry zero ring activity, and the batched
-/// rows must match their elapsed times exactly (single-op batches are
+/// model: every app-rerun batch holds one op, and the batched rows must
+/// match their elapsed times exactly (single-op batches are
 /// cost-neutral).
 #[test]
 fn direct_rows_reproduce_the_seed_path() {
@@ -80,8 +85,8 @@ fn direct_rows_reproduce_the_seed_path() {
         assert_eq!(direct.mode, "direct");
         assert_eq!(batched.mode, "batched");
         assert_eq!(
-            direct.ring_ops, 0,
-            "{}: direct rerun touched the ring",
+            direct.ring_batches, direct.ring_ops,
+            "{}: a direct batch held more than one op",
             direct.app
         );
         assert_eq!(
@@ -90,4 +95,58 @@ fn direct_rows_reproduce_the_seed_path() {
             direct.app
         );
     }
+}
+
+/// One Table 2 application's V++ figures under the default server
+/// manager: `(app, elapsed µs, faults, manager calls, MigratePages
+/// calls, zero fills, crossings)`.
+type GoldenRow = (&'static str, u64, u64, u64, u64, u64, u64);
+
+/// Values recorded when every manager page operation still had a direct
+/// kernel call path; one doorbell per op must reproduce them exactly.
+const TABLE2_GOLDEN: [GoldenRow; 3] = [
+    ("diff", 3_990_000, 372, 376, 372, 0, 2_317),
+    ("uncompress", 6_390_000, 195, 198, 195, 0, 3_217),
+    ("latex", 14_710_000, 238, 250, 238, 0, 1_179),
+];
+
+/// Golden regression: the Table 2/3 figures on V++ and the collapse row
+/// match fixed constants, and every direct-mode batch holds one op.
+#[test]
+fn table2_and_collapse_match_golden_constants() {
+    let apps = table2_apps();
+    assert_eq!(apps.len(), TABLE2_GOLDEN.len());
+    for ((spec, _paper), golden) in apps.iter().zip(TABLE2_GOLDEN) {
+        let mut m = Machine::new(PAPER_FRAMES);
+        let id = m.register_manager(Box::new(DefaultSegmentManager::server()));
+        m.set_default_manager(id);
+        let r = run_vpp_app(spec, &mut m).expect("table 2 app");
+        let k = m.kernel_stats();
+        let measured = (
+            golden.0,
+            r.elapsed.as_micros(),
+            r.faults,
+            r.manager_calls,
+            r.migrate_calls,
+            r.zero_fills,
+            k.crossings,
+        );
+        assert_eq!(spec.name, golden.0);
+        assert_eq!(
+            measured, golden,
+            "{} drifted from its golden row",
+            spec.name
+        );
+        assert_eq!(
+            k.ring_batches, k.ring_ops,
+            "{}: one op per doorbell",
+            spec.name
+        );
+    }
+    let direct = ring::measure_collapse(false);
+    let batched = ring::measure_collapse(true);
+    assert_eq!((direct.crossings, batched.crossings), (18, 3));
+    assert_eq!((direct.fault_us, batched.fault_us), (1_018, 748));
+    assert_eq!(direct.ring_batches, direct.ring_ops);
+    assert_eq!((batched.ring_batches, batched.ring_ops), (1, 16));
 }
