@@ -4,9 +4,11 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use epcm_core::flags::PageFlags;
 use epcm_core::kernel::Kernel;
+use epcm_core::tier::TierLayout;
 use epcm_core::translate::MappingTable;
 use epcm_core::types::{AccessKind, FrameId, PageNumber, SegmentId, SegmentKind};
-use epcm_managers::Machine;
+use epcm_managers::default_manager::{DefaultManagerConfig, DefaultSegmentManager};
+use epcm_managers::{Machine, ManagerMode};
 use epcm_workloads::runner::PAPER_FRAMES;
 
 fn bench(c: &mut Criterion) {
@@ -126,5 +128,54 @@ fn construction_and_translation(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench, construction_and_translation);
+/// Host cost of the per-segment page table and of the manager scans that
+/// walk it.
+fn page_tables(c: &mut Criterion) {
+    // One page-table probe in the boot segment at the paper's size,
+    // striding so successive probes land far apart.
+    c.bench_function("segment_entry_hit", |b| {
+        let kernel = Kernel::new(PAPER_FRAMES);
+        let boot = kernel.segment(SegmentId::FRAME_POOL).unwrap();
+        let mut p = 0u64;
+        b.iter(|| {
+            p = (p + 7919) % PAPER_FRAMES as u64;
+            boot.entry(black_box(PageNumber(p)))
+        });
+    });
+
+    // One default-manager tick on the benchmark's 512/2048/512 tiered
+    // machine, with its sampling and promotion settings, after a warm-up
+    // that overfills memory by a third and re-reads a hot eighth.
+    c.bench_function("default_manager_tick_tiered", |b| {
+        let layout = TierLayout::new(512, 2048, 512);
+        let mut m = Machine::builder(layout.total() as usize)
+            .tiers(layout)
+            .build();
+        let mgr = m.register_manager(Box::new(DefaultSegmentManager::with_config(
+            ManagerMode::Server,
+            DefaultManagerConfig {
+                sample_batch: 128,
+                promotion_budget: 16,
+                ..DefaultManagerConfig::default()
+            },
+        )));
+        m.set_default_manager(mgr);
+        let pages = layout.total() * 4 / 3;
+        let seg = m.create_segment(SegmentKind::Anonymous, pages).unwrap();
+        for p in 0..pages {
+            m.touch(seg, p, AccessKind::Write).unwrap();
+        }
+        for round in 0..4 {
+            for p in 0..pages / 8 {
+                m.touch(seg, p, AccessKind::Read).unwrap();
+            }
+            if round % 2 == 1 {
+                m.tick().unwrap();
+            }
+        }
+        b.iter(|| m.tick().unwrap());
+    });
+}
+
+criterion_group!(benches, bench, construction_and_translation, page_tables);
 criterion_main!(benches);

@@ -19,8 +19,6 @@ use epcm_sim::cost::CostModel;
 use epcm_trace::event::{access, fault_class};
 use epcm_trace::{EventKind, MetricsRegistry, SharedTracer, TraceEvent, TraceSink};
 
-use std::collections::BTreeMap;
-
 use crate::error::KernelError;
 use crate::fault::{FaultEvent, FaultKind};
 use crate::flags::PageFlags;
@@ -187,8 +185,10 @@ enum Resolved {
 #[derive(Debug, Clone)]
 pub struct Kernel {
     frames: FrameTable,
-    segments: BTreeMap<u32, Segment>,
-    next_segment: u32,
+    /// Segments indexed by id. Ids are handed out in order and never
+    /// reused, so a destroyed segment leaves `None` behind and the next
+    /// id is always the table's length.
+    segments: Vec<Option<Segment>>,
     mapping: MappingTable,
     tlb: Tlb,
     clock: Clock,
@@ -239,7 +239,7 @@ impl Kernel {
             "tier layout must cover the frame pool exactly"
         );
         let mut frames_table = FrameTable::new(frames);
-        // The boot segment's page map is built in one pass from the frame
+        // The boot segment's page table is filled in one pass from the frame
         // ids, which are already in page order.
         let boot = Segment::new(
             SegmentId::FRAME_POOL,
@@ -261,12 +261,9 @@ impl Kernel {
         for (page, entry) in boot.resident() {
             frames_table.set_owner(entry.frame, Some((SegmentId::FRAME_POOL, page)));
         }
-        let mut segments = BTreeMap::new();
-        segments.insert(0, boot);
         Kernel {
             frames: frames_table,
-            segments,
-            next_segment: 1,
+            segments: vec![Some(boot)],
             mapping: MappingTable::vpp_default(),
             tlb: Tlb::r3000(),
             clock: Clock::new(),
@@ -437,12 +434,17 @@ impl Kernel {
         page_frames: u64,
         size_pages: u64,
     ) -> Result<SegmentId, KernelError> {
-        let id = SegmentId(self.next_segment);
-        self.next_segment += 1;
-        self.segments.insert(
-            id.0,
-            Segment::new(id, kind, user, manager, page_frames, size_pages),
-        );
+        // Each live or destroyed id holds a table slot, so memory runs out
+        // long before the id space does.
+        let id = SegmentId(u32::try_from(self.segments.len()).expect("segment ids exhausted"));
+        self.segments.push(Some(Segment::new(
+            id,
+            kind,
+            user,
+            manager,
+            page_frames,
+            size_pages,
+        )));
         self.clock.advance(self.costs.segment_ctl);
         Ok(id)
     }
@@ -465,7 +467,7 @@ impl Kernel {
         if let Some((page, _)) = s.resident().next() {
             return Err(KernelError::DestinationOccupied { segment: seg, page });
         }
-        self.segments.remove(&seg.0);
+        self.segments[seg.0 as usize] = None;
         self.mapping.remove_segment(seg);
         self.tlb.invalidate_segment(seg);
         self.clock.advance(self.costs.segment_ctl);
@@ -485,12 +487,7 @@ impl Kernel {
         }
         let s = self.segment(seg)?;
         if size_pages < s.size_pages() {
-            if s.has_resident_in(PageNumber(size_pages), s.size_pages() - size_pages) {
-                let page = s
-                    .resident()
-                    .map(|(p, _)| p)
-                    .find(|p| p.as_u64() >= size_pages)
-                    .expect("has_resident_in was true");
+            if let Some((page, _)) = s.resident_from(PageNumber(size_pages)).next() {
                 return Err(KernelError::DestinationOccupied { segment: seg, page });
             }
             if let Some(r) = s
@@ -529,13 +526,15 @@ impl Kernel {
     /// [`KernelError::UnknownSegment`].
     pub fn segment(&self, seg: SegmentId) -> Result<&Segment, KernelError> {
         self.segments
-            .get(&seg.0)
+            .get(seg.0 as usize)
+            .and_then(Option::as_ref)
             .ok_or(KernelError::UnknownSegment(seg))
     }
 
     fn segment_mut(&mut self, seg: SegmentId) -> Result<&mut Segment, KernelError> {
         self.segments
-            .get_mut(&seg.0)
+            .get_mut(seg.0 as usize)
+            .and_then(Option::as_mut)
             .ok_or(KernelError::UnknownSegment(seg))
     }
 
@@ -550,7 +549,7 @@ impl Kernel {
 
     /// All live segment ids, ascending.
     pub fn segment_ids(&self) -> impl Iterator<Item = SegmentId> + '_ {
-        self.segments.keys().map(|&k| SegmentId(k))
+        self.segments.iter().flatten().map(Segment::id)
     }
 
     /// The physical frame table (read-only; mutation goes through kernel
@@ -852,13 +851,16 @@ impl Kernel {
         // table, walking the segment structures on a hash miss.
         // Statistics only; hits cost no modelled time.
         if !self.tlb.access(seg, page) && self.mapping.lookup(seg, page).is_none() {
-            if let Some(e) = self.segments[&seg.0].entry(page) {
+            if let Some(e) = self
+                .segment(seg)
+                .expect("segment checked by caller")
+                .entry(page)
+            {
                 self.mapping.install(seg, page, e.frame);
             }
         }
         let entry = self
-            .segments
-            .get_mut(&seg.0)
+            .segment_mut(seg)
             .expect("segment checked by caller")
             .entry_mut(page)
             .expect("entry checked by caller");
@@ -887,7 +889,10 @@ impl Kernel {
             FaultKind::CopyOnWrite { .. } => self.stats.faults_cow += 1,
         }
         self.clock.advance(self.costs.trap_entry);
-        let manager = self.segments[&segment.0].manager();
+        let manager = self
+            .segment(segment)
+            .expect("segment checked by caller")
+            .manager();
         self.trace(EventKind::Fault {
             manager: manager.0,
             segment: segment.0 as u64,

@@ -1,14 +1,13 @@
 //! Segments and bound regions.
 //!
 //! A V++ segment is "a variable-size address range of zero or more pages".
-//! Segments hold page frames directly (the `pages` map) and/or forward
+//! Segments hold page frames directly (the `pages` table) and/or forward
 //! ranges of their address space to other segments through *bound regions*
 //! — the mechanism that composes a program's virtual address space out of
 //! code/data/stack segments in Figure 1 of the paper. A binding may be
 //! copy-on-write, in which case the binding segment accumulates private
 //! copies of pages as they are written.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::flags::PageFlags;
@@ -83,7 +82,13 @@ pub struct Segment {
     page_frames: u64,
     /// Current size in pages; references beyond this are range errors.
     size_pages: u64,
-    pages: BTreeMap<u64, PageEntry>,
+    /// The page table, indexed by page number: a slot per page up to the
+    /// highest page ever inserted (which the kernel checks against
+    /// `size_pages` before every insert), `None` where no frame is
+    /// present.
+    pages: Vec<Option<PageEntry>>,
+    /// Number of `Some` slots in `pages`.
+    resident: u64,
     regions: Vec<BoundRegion>,
 }
 
@@ -107,18 +112,22 @@ impl Segment {
             manager,
             page_frames,
             size_pages,
-            pages: BTreeMap::new(),
+            pages: Vec::new(),
+            resident: 0,
             regions: Vec::new(),
         }
     }
 
-    /// Replaces the page map with `entries`, built in bulk rather than one
-    /// insertion at a time (the boot segment's every-frame map).
+    /// Fills the page table with `entries` in one pass, sized for the
+    /// whole segment up front (the boot segment's every-frame map).
     pub(crate) fn with_entries(
         mut self,
         entries: impl IntoIterator<Item = (PageNumber, PageEntry)>,
     ) -> Self {
-        self.pages = entries.into_iter().map(|(p, e)| (p.as_u64(), e)).collect();
+        self.pages.reserve(to_index(self.size_pages));
+        for (page, entry) in entries {
+            self.insert_entry(page, entry);
+        }
         self
     }
 
@@ -172,29 +181,56 @@ impl Segment {
 
     /// The page entry at `page`, if a frame is present.
     pub fn entry(&self, page: PageNumber) -> Option<PageEntry> {
-        self.pages.get(&page.as_u64()).copied()
+        *self.pages.get(to_index(page.as_u64()))?
     }
 
     pub(crate) fn entry_mut(&mut self, page: PageNumber) -> Option<&mut PageEntry> {
-        self.pages.get_mut(&page.as_u64())
+        self.pages.get_mut(to_index(page.as_u64()))?.as_mut()
     }
 
+    /// Installs `entry` at `page`, growing the table to reach it.
     pub(crate) fn insert_entry(&mut self, page: PageNumber, entry: PageEntry) -> Option<PageEntry> {
-        self.pages.insert(page.as_u64(), entry)
+        debug_assert!(self.in_range(page), "{page} inserted past the segment size");
+        let idx = to_index(page.as_u64());
+        if idx >= self.pages.len() {
+            self.pages.resize(idx + 1, None);
+        }
+        let old = self.pages[idx].replace(entry);
+        if old.is_none() {
+            self.resident += 1;
+        }
+        old
     }
 
     pub(crate) fn remove_entry(&mut self, page: PageNumber) -> Option<PageEntry> {
-        self.pages.remove(&page.as_u64())
+        let old = self.pages.get_mut(to_index(page.as_u64()))?.take();
+        if old.is_some() {
+            self.resident -= 1;
+        }
+        old
     }
 
     /// Number of pages with frames present ("resident").
     pub fn resident_pages(&self) -> u64 {
-        self.pages.len() as u64
+        self.resident
     }
 
     /// Iterates over `(page, entry)` for all resident pages in page order.
     pub fn resident(&self) -> impl Iterator<Item = (PageNumber, PageEntry)> + '_ {
-        self.pages.iter().map(|(&p, &e)| (PageNumber(p), e))
+        self.resident_from(PageNumber(0))
+    }
+
+    /// Iterates over `(page, entry)` for the resident pages at or above
+    /// `from`, in page order.
+    pub fn resident_from(
+        &self,
+        from: PageNumber,
+    ) -> impl Iterator<Item = (PageNumber, PageEntry)> + '_ {
+        let start = to_index(from.as_u64()).min(self.pages.len());
+        self.pages[start..]
+            .iter()
+            .zip(start as u64..)
+            .filter_map(|(e, p)| e.map(|e| (PageNumber(p), e)))
     }
 
     /// The bound region containing `page`, if any.
@@ -229,11 +265,17 @@ impl Segment {
 
     /// Whether any resident page lies within `[at, at+pages)`.
     pub fn has_resident_in(&self, at: PageNumber, pages: u64) -> bool {
-        self.pages
-            .range(at.as_u64()..at.as_u64() + pages)
-            .next()
-            .is_some()
+        let len = self.pages.len();
+        let start = to_index(at.as_u64()).min(len);
+        let end = to_index(at.as_u64().saturating_add(pages)).min(len);
+        self.pages[start..end].iter().any(Option::is_some)
     }
+}
+
+/// A page number (or page count) as a page-table index. Saturates on
+/// targets narrower than 64 bits, where no table can reach such a page.
+fn to_index(page: u64) -> usize {
+    usize::try_from(page).unwrap_or(usize::MAX)
 }
 
 impl fmt::Display for Segment {
@@ -244,7 +286,7 @@ impl fmt::Display for Segment {
             self.id,
             self.kind,
             self.size_pages,
-            self.pages.len(),
+            self.resident,
             self.regions.len(),
             self.manager
         )

@@ -275,11 +275,11 @@ pub struct DefaultSegmentManager {
     laundry: BTreeMap<(u32, u64), LaundrySlot>,
     laundry_order: VecDeque<((u32, u64), u64)>,
     laundry_seq: u64,
-    /// Incremental mirror of `laundry.values()` as slot -> entry count,
-    /// so the free-slot picker and the append-run scanner check "is this
-    /// slot keeping laundry alive?" in O(log n) instead of rebuilding a
-    /// set from the whole map on every fault.
-    laundry_slot_counts: BTreeMap<u64, usize>,
+    /// Incremental mirror of `laundry.values()` as a per-slot entry
+    /// count, so the free-slot picker and the append-run scanner check
+    /// "is this slot keeping laundry alive?" in O(1) instead of
+    /// rebuilding a set from the whole map on every fault.
+    laundry_slots: SlotCounts,
     /// Cursor for the sampling sweep.
     sample_cursor: (u32, u64),
     /// Dirty pages pinned in place after their writeback target died:
@@ -301,6 +301,9 @@ pub struct DefaultSegmentManager {
     unclean: BTreeMap<(u32, u64), (TicketId, PageNumber)>,
     /// Reverse index of `unclean` for completion-time lookup.
     unclean_by_ticket: BTreeMap<TicketId, (u32, u64)>,
+    /// Per-slot count of `unclean` entries, so the tier-exchange partner
+    /// pickers skip in-flight slots in O(1).
+    unclean_slots: SlotCounts,
     wb_stats: WritebackStats,
     /// This manager's end of the kernel ABI; every page operation rides
     /// it.
@@ -317,6 +320,36 @@ pub struct DefaultSegmentManager {
     wb_keys: BTreeMap<TicketId, (SegmentId, PageNumber)>,
     promo_stats: PromotionStats,
     tracer: Option<SharedTracer>,
+}
+
+/// Entry counts per free-segment slot, indexed by slot number. Grows to
+/// the highest slot counted, which the free segment's size (the
+/// machine's frame count) bounds.
+#[derive(Debug, Clone, Default)]
+struct SlotCounts(Vec<u32>);
+
+impl SlotCounts {
+    fn hold(&mut self, slot: PageNumber) {
+        let i = usize::try_from(slot.as_u64()).expect("free-pool slots fit the address space");
+        if i >= self.0.len() {
+            self.0.resize(i + 1, 0);
+        }
+        self.0[i] += 1;
+    }
+
+    fn release(&mut self, slot: PageNumber) {
+        let i = usize::try_from(slot.as_u64()).ok();
+        if let Some(n) = i.and_then(|i| self.0.get_mut(i)) {
+            *n = n.saturating_sub(1);
+        }
+    }
+
+    fn holds(&self, slot: PageNumber) -> bool {
+        usize::try_from(slot.as_u64())
+            .ok()
+            .and_then(|i| self.0.get(i))
+            .is_some_and(|&n| n > 0)
+    }
 }
 
 /// One laundry mapping: the free-segment slot holding the data and the
@@ -358,7 +391,7 @@ impl DefaultSegmentManager {
             laundry: BTreeMap::new(),
             laundry_order: VecDeque::new(),
             laundry_seq: 0,
-            laundry_slot_counts: BTreeMap::new(),
+            laundry_slots: SlotCounts::default(),
             sample_cursor: (0, 0),
             quarantined: BTreeSet::new(),
             stats: DefaultManagerStats::default(),
@@ -367,6 +400,7 @@ impl DefaultSegmentManager {
             wb,
             unclean: BTreeMap::new(),
             unclean_by_ticket: BTreeMap::new(),
+            unclean_slots: SlotCounts::default(),
             wb_stats: WritebackStats::default(),
             ring,
             heat: BTreeMap::new(),
@@ -608,10 +642,10 @@ impl DefaultSegmentManager {
         self.laundry_seq += 1;
         let seq = self.laundry_seq;
         if let Some(old) = self.laundry.insert(key, LaundrySlot { slot, seq }) {
-            self.laundry_slot_released(old.slot);
+            self.laundry_slots.release(old.slot);
         }
         self.laundry_order.push_back((key, seq));
-        *self.laundry_slot_counts.entry(slot.as_u64()).or_insert(0) += 1;
+        self.laundry_slots.hold(slot);
     }
 
     /// Removes a laundry entry, keeping the slot-count mirror in sync and
@@ -619,11 +653,19 @@ impl DefaultSegmentManager {
     /// pool's custody; the ticket itself still bills at completion).
     fn laundry_remove(&mut self, key: &(u32, u64)) -> Option<PageNumber> {
         let entry = self.laundry.remove(key)?;
-        self.laundry_slot_released(entry.slot);
-        if let Some((ticket, _)) = self.unclean.remove(key) {
+        self.laundry_slots.release(entry.slot);
+        if let Some(ticket) = self.unclean_remove(key) {
             self.unclean_by_ticket.remove(&ticket);
         }
         Some(entry.slot)
+    }
+
+    /// Clears `key`'s in-flight writeback mark, returning its ticket.
+    /// The reverse index is the caller's to keep.
+    fn unclean_remove(&mut self, key: &(u32, u64)) -> Option<TicketId> {
+        let (ticket, slot) = self.unclean.remove(key)?;
+        self.unclean_slots.release(slot);
+        Some(ticket)
     }
 
     /// The oldest laundry key whose order entry is still live, discarding
@@ -643,19 +685,12 @@ impl DefaultSegmentManager {
     /// its writeback `ticket` is still in flight. A re-evict of the same
     /// key supersedes the old mark (the old ticket still bills).
     fn register_unclean(&mut self, key: (u32, u64), ticket: TicketId, slot: PageNumber) {
-        if let Some((old, _)) = self.unclean.insert(key, (ticket, slot)) {
+        if let Some((old, old_slot)) = self.unclean.insert(key, (ticket, slot)) {
             self.unclean_by_ticket.remove(&old);
+            self.unclean_slots.release(old_slot);
         }
+        self.unclean_slots.hold(slot);
         self.unclean_by_ticket.insert(ticket, key);
-    }
-
-    fn laundry_slot_released(&mut self, slot: PageNumber) {
-        if let Some(n) = self.laundry_slot_counts.get_mut(&slot.as_u64()) {
-            *n -= 1;
-            if *n == 0 {
-                self.laundry_slot_counts.remove(&slot.as_u64());
-            }
-        }
     }
 
     /// Takes one free slot, evicting the oldest laundry entry if every
@@ -668,7 +703,7 @@ impl DefaultSegmentManager {
             .segment(free_seg)?
             .resident()
             .map(|(p, _)| p)
-            .find(|p| !self.laundry_slot_counts.contains_key(&p.as_u64()));
+            .find(|&p| !self.laundry_slots.holds(p));
         if let Some(p) = pick {
             return Ok(p);
         }
@@ -723,7 +758,7 @@ impl DefaultSegmentManager {
         self.wb_stats.billed_us += service.as_micros();
         env.spcm.charge_manager_io(self.id, 1);
         if let Some(key) = self.unclean_by_ticket.remove(&ticket) {
-            self.unclean.remove(&key);
+            self.unclean_remove(&key);
         }
         // Promotion heat from the completion stream: a page that is
         // re-resident below DRAM by the time its writeback completes was
@@ -1002,14 +1037,10 @@ impl DefaultSegmentManager {
             // A slot whose laundry writeback is still in flight is not
             // clobberable without stalling on the disk; prefer any other
             // partner outright.
-            if self
-                .unclean
-                .values()
-                .any(|&(_, s)| s.as_u64() == p.as_u64())
-            {
+            if self.unclean_slots.holds(p) {
                 continue;
             }
-            let laundered = self.laundry_slot_counts.contains_key(&p.as_u64());
+            let laundered = self.laundry_slots.holds(p);
             let score = u32::from(laundered) * 2 + u32::from(tier != MemTier::SlowMem);
             if score == 0 {
                 return Some((p, e.frame, tier));
@@ -1114,6 +1145,9 @@ impl DefaultSegmentManager {
     /// back at reclaim time, so nothing is lost but the no-I/O rescue
     /// opportunity.
     fn drop_slot_laundry(&mut self, env: &mut Env<'_>, slot: PageNumber) {
+        if !self.laundry_slots.holds(slot) {
+            return;
+        }
         let stale: Vec<(u32, u64)> = self
             .laundry
             .iter()
@@ -1143,14 +1177,10 @@ impl DefaultSegmentManager {
             if tiers.tier_of(e.frame) != MemTier::Dram {
                 continue;
             }
-            if self
-                .unclean
-                .values()
-                .any(|&(_, s)| s.as_u64() == p.as_u64())
-            {
+            if self.unclean_slots.holds(p) {
                 continue;
             }
-            if !self.laundry_slot_counts.contains_key(&p.as_u64()) {
+            if !self.laundry_slots.holds(p) {
                 return Some((p, e.frame));
             }
             if fallback.is_none() {
@@ -1595,7 +1625,7 @@ impl DefaultSegmentManager {
                 self.ensure_free(env, want)?;
                 // Prefer a consecutive run of free slots so the batch is a
                 // single MigratePages invocation (the 16 KB append unit).
-                let run = find_free_run(env.kernel, free_seg, want, &self.laundry_slot_counts)?;
+                let run = find_free_run(env.kernel, free_seg, want, &self.laundry_slots)?;
                 match run {
                     Some((start, len)) => {
                         self.op_migrate_pages(
@@ -1729,20 +1759,18 @@ impl DefaultSegmentManager {
             return Ok(());
         }
         let mut remaining = self.config.sample_batch;
-        let seg_ids: Vec<u32> = self.managed.keys().copied().collect();
-        if seg_ids.is_empty() {
+        if self.managed.is_empty() {
             return Ok(());
         }
+        // The sweep resumes at the cursor and runs up to the last managed
+        // segment; segments below the cursor wait for the wrapped sweep.
         let start = self.sample_cursor;
-        for &sid in seg_ids
-            .iter()
-            .cycle()
-            .skip_while(|&&s| s < start.0)
-            .take(seg_ids.len())
-        {
+        let seg_ids: Vec<u32> = self.managed.range(start.0..).map(|(&s, _)| s).collect();
+        for sid in seg_ids {
             if remaining == 0 {
                 break;
             }
+            let from = if sid == start.0 { start.1 } else { 0 };
             let seg = match env.kernel.segment_ids().find(|s| s.as_u32() == sid) {
                 Some(s) => s,
                 None => continue,
@@ -1750,11 +1778,9 @@ impl DefaultSegmentManager {
             let pages: Vec<PageNumber> = env
                 .kernel
                 .segment(seg)?
-                .resident()
-                .filter(|(p, e)| {
-                    e.flags.contains(PageFlags::READ)
-                        && !e.flags.contains(PageFlags::PINNED)
-                        && (sid, p.as_u64()) >= (start.0, if sid == start.0 { start.1 } else { 0 })
+                .resident_from(PageNumber(from))
+                .filter(|(_, e)| {
+                    e.flags.contains(PageFlags::READ) && !e.flags.contains(PageFlags::PINNED)
                 })
                 .map(|(p, _)| p)
                 .take(remaining as usize)
@@ -1790,19 +1816,19 @@ fn find_free_run(
     kernel: &Kernel,
     free_seg: SegmentId,
     want: u64,
-    in_laundry: &BTreeMap<u64, usize>,
+    in_laundry: &SlotCounts,
 ) -> Result<Option<(PageNumber, u64)>, epcm_core::KernelError> {
     let s = kernel.segment(free_seg)?;
     let mut best: Option<(u64, u64)> = None; // (start, len)
     let mut run_start: Option<u64> = None;
     let mut prev: Option<u64> = None;
     for (p, _) in s.resident() {
-        let p = p.as_u64();
-        if in_laundry.contains_key(&p) {
+        if in_laundry.holds(p) {
             run_start = None;
             prev = None;
             continue;
         }
+        let p = p.as_u64();
         match (run_start, prev) {
             (Some(start), Some(q)) if p == q + 1 => {
                 let len = p - start + 1;
@@ -2170,9 +2196,9 @@ mod tests {
         mgr.laundry_insert(b, PageNumber(11));
         // `a` rescued, re-dirtied, reclaimed again into a new slot:
         mgr.laundry_insert(a, PageNumber(12));
-        assert!(!mgr.laundry_slot_counts.contains_key(&10));
-        assert!(mgr.laundry_slot_counts.contains_key(&11));
-        assert!(mgr.laundry_slot_counts.contains_key(&12));
+        assert!(!mgr.laundry_slots.holds(PageNumber(10)));
+        assert!(mgr.laundry_slots.holds(PageNumber(11)));
+        assert!(mgr.laundry_slots.holds(PageNumber(12)));
         // The stale front entry for `a` is a tombstone; the oldest live
         // mapping is `b`, then `a`'s re-insert.
         assert_eq!(mgr.oldest_live_laundry(), Some(b));
@@ -2182,7 +2208,7 @@ mod tests {
         mgr.laundry_order.pop_front();
         assert_eq!(mgr.laundry_remove(&a), Some(PageNumber(12)));
         assert_eq!(mgr.oldest_live_laundry(), None);
-        assert!(mgr.laundry_slot_counts.is_empty());
+        assert!(mgr.laundry_slots.0.iter().all(|&n| n == 0));
     }
 
     /// Overcommits a tiny machine until the free pool is wall-to-wall
@@ -2313,6 +2339,55 @@ mod tests {
     }
 
     #[test]
+    fn slot_counts_mirror_laundry_and_in_flight_writebacks() {
+        // Ticks refill the pool to `target_free` by reclaiming several
+        // dirty pages at once, so laundry and in-flight writebacks
+        // outlive the faults that follow.
+        let config = DefaultManagerConfig {
+            target_free: 8,
+            low_water: 4,
+            refill_batch: 4,
+            async_writeback: true,
+            writeback_window: 2,
+            writeback_servers: 1,
+            ..DefaultManagerConfig::default()
+        };
+        let (mut m, id) = machine_with(config, 24);
+        let seg = m.create_segment(SegmentKind::Anonymous, 64).unwrap();
+        let (mut saw_laundry, mut saw_in_flight) = (false, false);
+        for round in 0..3u8 {
+            for p in 0..40u64 {
+                m.store_bytes(seg, p * BASE_PAGE_SIZE, &[p as u8 ^ round; 16])
+                    .unwrap();
+                m.tick().unwrap();
+                let (laundry, in_flight) = m
+                    .with_manager(id, |mgr, _| {
+                        let d = mgr
+                            .as_any()
+                            .downcast_ref::<DefaultSegmentManager>()
+                            .unwrap();
+                        for slot in 0..64 {
+                            let count = |counts: &SlotCounts| counts.0.get(slot).copied();
+                            let slot = PageNumber(slot as u64);
+                            let laundry = d.laundry.values().filter(|e| e.slot == slot).count();
+                            let unclean = d.unclean.values().filter(|e| e.1 == slot).count();
+                            assert_eq!(count(&d.laundry_slots).unwrap_or(0) as usize, laundry);
+                            assert_eq!(count(&d.unclean_slots).unwrap_or(0) as usize, unclean);
+                        }
+                        Ok((!d.laundry.is_empty(), !d.unclean.is_empty()))
+                    })
+                    .unwrap();
+                saw_laundry |= laundry;
+                saw_in_flight |= in_flight;
+            }
+        }
+        assert!(
+            saw_laundry && saw_in_flight,
+            "run never exercised the mirrors"
+        );
+    }
+
+    #[test]
     fn close_writes_file_pages_back() {
         let (mut m, _) = machine_with(DefaultManagerConfig::default(), 256);
         m.store_mut().create("out", 0);
@@ -2350,6 +2425,34 @@ mod tests {
         // Page 4 still revoked: next touch faults again.
         m.touch(seg, 4, AccessKind::Read).unwrap();
         assert_eq!(m.stats().manager_calls, calls + 1);
+    }
+
+    #[test]
+    fn sampling_sweep_wraps_once_its_cursor_segment_closes() {
+        // Regression: a sweep that stopped inside the highest managed
+        // segment left its cursor there, and once that segment closed
+        // the next sweep spun forever looking for it.
+        let config = DefaultManagerConfig {
+            sample_batch: 4,
+            ..DefaultManagerConfig::default()
+        };
+        let (mut m, _) = machine_with(config, 256);
+        let a = m.create_segment(SegmentKind::Anonymous, 8).unwrap();
+        let b = m.create_segment(SegmentKind::Anonymous, 8).unwrap();
+        for p in 0..2 {
+            m.touch(a, p, AccessKind::Write).unwrap();
+        }
+        for p in 0..8 {
+            m.touch(b, p, AccessKind::Write).unwrap();
+        }
+        m.tick().unwrap(); // revokes a's two pages and b's first two
+        m.touch(a, 0, AccessKind::Read).unwrap(); // restores a's pages
+        m.close_segment(b).unwrap();
+        m.tick().unwrap(); // finds nothing at or past the cursor: wraps
+        m.tick().unwrap(); // sweeps `a` again from its first page
+        let faults = m.kernel_stats().faults_protection;
+        m.touch(a, 0, AccessKind::Read).unwrap();
+        assert_eq!(m.kernel_stats().faults_protection, faults + 1);
     }
 
     #[test]

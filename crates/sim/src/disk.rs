@@ -7,7 +7,6 @@
 //! from here on a fault and write dirty pages back, advancing the virtual
 //! clock by the returned latency.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::clock::Micros;
@@ -364,8 +363,9 @@ impl FaultPlan {
 #[derive(Debug, Clone)]
 pub struct FileStore {
     device: Device,
-    files: HashMap<FileId, FileEntry>,
-    next_id: u32,
+    /// Every file ever created, indexed by its id's number (ids are
+    /// handed out in order and files are never removed).
+    files: Vec<FileEntry>,
     last_block: Option<(FileId, u64)>,
     reads: u64,
     writes: u64,
@@ -388,8 +388,7 @@ impl FileStore {
     pub fn new(device: Device) -> Self {
         FileStore {
             device,
-            files: HashMap::new(),
-            next_id: 0,
+            files: Vec::new(),
             last_block: None,
             reads: 0,
             writes: 0,
@@ -464,24 +463,19 @@ impl FileStore {
 
     /// Creates a file with the given contents.
     pub fn create_with(&mut self, name: &str, data: Vec<u8>) -> FileId {
-        let id = FileId(self.next_id);
-        self.next_id += 1;
-        self.files.insert(
-            id,
-            FileEntry {
-                name: name.to_string(),
-                data,
-            },
-        );
+        let id = FileId(u32::try_from(self.files.len()).expect("fewer than 2^32 files"));
+        self.files.push(FileEntry {
+            name: name.to_string(),
+            data,
+        });
         id
     }
 
-    /// Looks a file up by name.
+    /// Looks a file up by name; of several files with that name, the one
+    /// created first.
     pub fn find(&self, name: &str) -> Option<FileId> {
-        self.files
-            .iter()
-            .find(|(_, e)| e.name == name)
-            .map(|(&id, _)| id)
+        let i = self.files.iter().position(|e| e.name == name)?;
+        Some(FileId(i as u32))
     }
 
     /// The file's size in bytes.
@@ -504,7 +498,7 @@ impl FileStore {
 
     fn entry(&self, file: FileId) -> Result<&FileEntry, FileStoreError> {
         self.files
-            .get(&file)
+            .get(file.0 as usize)
             .ok_or(FileStoreError::UnknownFile(file))
     }
 
@@ -551,14 +545,12 @@ impl FileStore {
         buf: &[u8],
     ) -> Result<Micros, FileStoreError> {
         let len = buf.len() as u64;
-        if !self.files.contains_key(&file) {
-            return Err(FileStoreError::UnknownFile(file));
-        }
+        self.entry(file)?;
         self.inject(true, file, offset, len)?;
         {
             let entry = self
                 .files
-                .get_mut(&file)
+                .get_mut(file.0 as usize)
                 .ok_or(FileStoreError::UnknownFile(file))?;
             let end = (offset + len) as usize;
             if end > entry.data.len() {
@@ -627,6 +619,8 @@ mod tests {
         assert_eq!(s.find("a"), Some(a));
         assert_eq!(s.find("b"), Some(b));
         assert_eq!(s.find("c"), None);
+        s.create("a", 1);
+        assert_eq!(s.find("a"), Some(a), "the first file of a name wins");
     }
 
     #[test]
@@ -645,6 +639,11 @@ mod tests {
         let f = s.create("a", 10);
         let ghost = FileId(99);
         assert_eq!(s.size(ghost), Err(FileStoreError::UnknownFile(ghost)));
+        assert_eq!(
+            s.write(ghost, 0, b"x"),
+            Err(FileStoreError::UnknownFile(ghost))
+        );
+        assert_eq!(s.op_index(), 0, "a write to an unknown file is no I/O");
         let _ = f;
     }
 

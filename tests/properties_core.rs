@@ -469,3 +469,206 @@ proptest! {
         prop_assert!(table.to_string().starts_with(&expected), "{table} vs {expected}");
     }
 }
+
+/// An operation on one segment's page table, driven through the kernel.
+#[derive(Debug, Clone)]
+enum PageOp {
+    /// Moves boot-pool page `from` into the segment at `page`.
+    Insert {
+        page: u64,
+        from: u64,
+    },
+    /// Moves the segment's `page` back into boot-pool slot `to`.
+    Remove {
+        page: u64,
+        to: u64,
+    },
+    Flags {
+        page: u64,
+        set_dirty: bool,
+        clear_write: bool,
+    },
+    Resize {
+        size: u64,
+    },
+}
+
+const PT_FRAMES: u64 = 48;
+/// Page numbers run past every size the segment takes, so out-of-range
+/// inserts and probes beyond the table's end are drawn too.
+const PT_PAGES: u64 = 40;
+
+fn page_op_strategy() -> impl Strategy<Value = PageOp> {
+    // Inserts are drawn twice as often as removals, so tables fill up.
+    prop_oneof![
+        (0..PT_PAGES, 0..PT_FRAMES).prop_map(|(page, from)| PageOp::Insert { page, from }),
+        (0..PT_PAGES, 0..PT_FRAMES).prop_map(|(page, from)| PageOp::Insert { page, from }),
+        (0..PT_PAGES, 0..PT_FRAMES).prop_map(|(page, to)| PageOp::Remove { page, to }),
+        (0..PT_PAGES, any::<bool>(), any::<bool>()).prop_map(|(page, set_dirty, clear_write)| {
+            PageOp::Flags {
+                page,
+                set_dirty,
+                clear_write,
+            }
+        }),
+        (0..PT_PAGES).prop_map(|size| PageOp::Resize { size }),
+    ]
+}
+
+type PageModel = std::collections::BTreeMap<u64, (FrameId, PageFlags)>;
+
+/// Checks one segment's page table against its model through every read
+/// accessor, probing `resident_from` and `has_resident_in` at `(at, len)`.
+fn assert_pages_match(kernel: &Kernel, seg: SegmentId, model: &PageModel, at: u64, len: u64) {
+    let s = kernel.segment(seg).expect("live segment");
+    let flat =
+        |(p, e): (PageNumber, epcm::core::segment::PageEntry)| (p.as_u64(), e.frame, e.flags);
+    let want: Vec<_> = model.iter().map(|(&p, &(f, fl))| (p, f, fl)).collect();
+    prop_assert_eq!(s.resident().map(flat).collect::<Vec<_>>(), want);
+    let want_from: Vec<_> = model.range(at..).map(|(&p, &(f, fl))| (p, f, fl)).collect();
+    prop_assert_eq!(
+        s.resident_from(PageNumber(at))
+            .map(flat)
+            .collect::<Vec<_>>(),
+        want_from
+    );
+    prop_assert_eq!(s.resident_pages(), model.len() as u64);
+    prop_assert_eq!(
+        s.has_resident_in(PageNumber(at), len),
+        model.range(at..at + len).next().is_some()
+    );
+    prop_assert_eq!(
+        s.entry(PageNumber(at)).map(|e| (e.frame, e.flags)),
+        model.get(&at).copied()
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The dense page table agrees with a `BTreeMap` model of the same
+    /// segment, and of the bulk-built boot segment, after every insert,
+    /// removal, flag update and resize, holes and re-inserts included.
+    #[test]
+    fn segment_page_table_matches_btree_model(
+        size in 1..PT_PAGES,
+        ops in proptest::collection::vec(
+            (page_op_strategy(), 0..PT_PAGES + 4, 0..PT_PAGES + 4),
+            1..150,
+        ),
+    ) {
+        let mut kernel = Kernel::new(PT_FRAMES as usize);
+        let seg = kernel
+            .create_segment(SegmentKind::Anonymous, UserId::SYSTEM, epcm::core::ManagerId(1), 1, size)
+            .expect("create segment");
+        let mut boot: PageModel = (0..PT_FRAMES)
+            .map(|i| (i, (kernel.segment(SegmentId::FRAME_POOL).expect("boot").entry(PageNumber(i)).expect("boot page").frame, PageFlags::RW)))
+            .collect();
+        let mut model = PageModel::new();
+        let mut size = size;
+        assert_pages_match(&kernel, SegmentId::FRAME_POOL, &boot, 0, PT_FRAMES);
+        for (op, at, len) in ops {
+            let (set, clear) = (PageFlags::REFERENCED, PageFlags::DIRTY);
+            match op {
+                PageOp::Insert { page, from } => {
+                    let ok = page < size && !model.contains_key(&page) && boot.contains_key(&from);
+                    let r = kernel.migrate_pages(SegmentId::FRAME_POOL, seg, PageNumber(from), PageNumber(page), 1, set, clear);
+                    prop_assert_eq!(r.is_ok(), ok, "{:?}", r);
+                    if ok {
+                        let (f, fl) = boot.remove(&from).expect("checked");
+                        model.insert(page, (f, fl.apply(set, clear)));
+                    }
+                }
+                PageOp::Remove { page, to } => {
+                    let ok = model.contains_key(&page) && !boot.contains_key(&to);
+                    let r = kernel.migrate_pages(seg, SegmentId::FRAME_POOL, PageNumber(page), PageNumber(to), 1, set, clear);
+                    prop_assert_eq!(r.is_ok(), ok, "{:?}", r);
+                    if ok {
+                        let (f, fl) = model.remove(&page).expect("checked");
+                        boot.insert(to, (f, fl.apply(set, clear)));
+                    }
+                }
+                PageOp::Flags { page, set_dirty, clear_write } => {
+                    let set = if set_dirty { PageFlags::DIRTY } else { PageFlags::empty() };
+                    let clear = if clear_write { PageFlags::WRITE } else { PageFlags::empty() };
+                    let r = kernel.modify_page_flags(seg, PageNumber(page), 1, set, clear);
+                    prop_assert_eq!(r.is_ok(), model.contains_key(&page), "{:?}", r);
+                    if let Some((_, fl)) = model.get_mut(&page) {
+                        *fl = fl.apply(set, clear);
+                    }
+                }
+                PageOp::Resize { size: new } => {
+                    let ok = model.range(new..).next().is_none();
+                    let r = kernel.resize_segment(seg, new);
+                    prop_assert_eq!(r.is_ok(), ok, "{:?}", r);
+                    if ok {
+                        size = new;
+                    }
+                }
+            }
+            prop_assert_eq!(kernel.segment(seg).expect("live").size_pages(), size);
+            assert_pages_match(&kernel, seg, &model, at, len);
+            assert_pages_match(&kernel, SegmentId::FRAME_POOL, &boot, at, len);
+        }
+    }
+}
+
+/// Segment ids from a kernel that has handed out `n`, so a smaller
+/// kernel can be asked about ids past the end of its table.
+fn foreign_ids(n: usize) -> Vec<SegmentId> {
+    let mut kernel = Kernel::new(1);
+    (0..n)
+        .map(|_| {
+            kernel
+                .create_segment(
+                    SegmentKind::Anonymous,
+                    UserId::SYSTEM,
+                    epcm::core::ManagerId(1),
+                    1,
+                    1,
+                )
+                .expect("create segment")
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Segment ids are never reused: a destroyed id, or one the kernel
+    /// never handed out, stays `UnknownSegment`, every new id is above
+    /// every earlier one, and `segment_ids()` lists the live ids
+    /// ascending.
+    #[test]
+    fn segment_ids_are_never_reused(ops in proptest::collection::vec((any::<bool>(), 0usize..16), 1..60)) {
+        let mut kernel = Kernel::new(4);
+        let mut live = std::collections::BTreeSet::from([SegmentId::FRAME_POOL]);
+        let mut dead = Vec::new();
+        let mut last = SegmentId::FRAME_POOL;
+        for (create, pick) in ops {
+            if create || live.len() == 1 {
+                let id = kernel
+                    .create_segment(SegmentKind::Anonymous, UserId::SYSTEM, epcm::core::ManagerId(1), 1, 4)
+                    .expect("create segment");
+                prop_assert!(id > last, "{} reused or out of order after {}", id, last);
+                last = id;
+                live.insert(id);
+            } else {
+                let id = *live.iter().skip(1).nth(pick % (live.len() - 1)).expect("a live segment");
+                kernel.destroy_segment(id).expect("destroy empty segment");
+                live.remove(&id);
+                dead.push(id);
+            }
+            prop_assert_eq!(kernel.segment_ids().collect::<Vec<_>>(), live.iter().copied().collect::<Vec<_>>());
+            for &id in &dead {
+                prop_assert_eq!(kernel.segment(id).map(|s| s.id()), Err(KernelError::UnknownSegment(id)));
+                prop_assert_eq!(kernel.destroy_segment(id), Err(KernelError::UnknownSegment(id)));
+            }
+        }
+        let handed_out = last.as_u32() as usize + 1;
+        for id in foreign_ids(handed_out + 3).into_iter().skip(handed_out) {
+            prop_assert_eq!(kernel.segment(id).map(|s| s.id()), Err(KernelError::UnknownSegment(id)));
+            prop_assert_eq!(kernel.resident_pages(id), Err(KernelError::UnknownSegment(id)));
+        }
+    }
+}
