@@ -6,7 +6,7 @@ use epcm_core::flags::PageFlags;
 use epcm_core::kernel::Kernel;
 use epcm_core::tier::TierLayout;
 use epcm_core::translate::MappingTable;
-use epcm_core::types::{AccessKind, FrameId, PageNumber, SegmentId, SegmentKind};
+use epcm_core::types::{AccessKind, FrameId, PageNumber, SegmentId, SegmentKind, BASE_PAGE_SIZE};
 use epcm_managers::default_manager::{DefaultManagerConfig, DefaultSegmentManager};
 use epcm_managers::{Machine, ManagerMode};
 use epcm_workloads::runner::PAPER_FRAMES;
@@ -177,5 +177,42 @@ fn page_tables(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench, construction_and_translation, page_tables);
+/// Host cost of moving page data between the file store and frames: one
+/// default-manager fault per iteration on a 64-frame machine cycling
+/// through a 256-page file, so every fault evicts a page and fills
+/// another from the file. Read touches evict clean pages; write touches
+/// make every victim dirty, adding its writeback to the file.
+fn data_path(c: &mut Criterion) {
+    const FILE_PAGES: u64 = 256;
+    let cycling = |kind: AccessKind| {
+        let mut m = Machine::with_default_manager(64);
+        let data = (0..FILE_PAGES * BASE_PAGE_SIZE)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        m.store_mut().create_with("f", data);
+        let seg = m.open_file("f").unwrap();
+        for p in 0..FILE_PAGES {
+            m.touch(seg, p, kind).unwrap();
+        }
+        let mut p = 0u64;
+        move || {
+            p = (p + 1) % FILE_PAGES;
+            m.touch(seg, p, kind).unwrap()
+        }
+    };
+
+    c.bench_function("fill_from_file_4k", |b| b.iter(cycling(AccessKind::Read)));
+
+    c.bench_function("evict_dirty_writeback_4k", |b| {
+        b.iter(cycling(AccessKind::Write))
+    });
+}
+
+criterion_group!(
+    benches,
+    bench,
+    construction_and_translation,
+    page_tables,
+    data_path
+);
 criterion_main!(benches);

@@ -1,12 +1,20 @@
 //! The physical frame table.
 //!
-//! Frames carry *real* byte contents (lazily allocated; an unallocated
-//! buffer reads as zeros) so that file caching, copy-on-write and the DBMS
-//! index structures operate on actual data. The time cost of zeroing and
-//! copying remains a [`CostModel`](epcm_sim::cost::CostModel) charge — the
-//! simulation's real heap behaviour is not what is being measured.
+//! Frames carry *real* byte contents so that file caching, copy-on-write
+//! and the DBMS index structures operate on actual data. A frame holds an
+//! optional [`Block`], the same copy-on-write 4 KB handle the
+//! [`FileStore`](epcm_sim::disk::FileStore) keeps its files in: no block
+//! reads as zeros, zeroing drops the handle, and a frame-to-frame copy or
+//! a page fill from a file shares the block instead of copying bytes. The
+//! bytes are copied only when a store hits a block another holder still
+//! shares. The time cost of zeroing and copying remains a
+//! [`CostModel`](epcm_sim::cost::CostModel) charge at the call that models
+//! it — the simulation's real heap behaviour is not what is being
+//! measured.
 
 use std::fmt;
+
+use epcm_sim::disk::Block;
 
 use crate::types::{FrameId, PageNumber, SegmentId, UserId, BASE_PAGE_SIZE};
 
@@ -14,7 +22,7 @@ use crate::types::{FrameId, PageNumber, SegmentId, UserId, BASE_PAGE_SIZE};
 #[derive(Debug, Clone, Default)]
 pub struct Frame {
     /// Byte contents; `None` is logically all-zero.
-    data: Option<Box<[u8]>>,
+    data: Option<Block>,
     /// The segment slot currently holding this frame, if any.
     owner: Option<(SegmentId, PageNumber)>,
     /// The last user principal whose data touched this frame, for V++'s
@@ -127,13 +135,13 @@ impl FrameTable {
             buf.len()
         );
         match &self.frames[frame.index()].data {
-            Some(data) => buf.copy_from_slice(&data[offset..offset + buf.len()]),
+            Some(data) => buf.copy_from_slice(&data.as_slice()[offset..offset + buf.len()]),
             None => buf.fill(0),
         }
     }
 
     /// Writes `buf` into the frame at `offset`, materialising the buffer on
-    /// first write.
+    /// first write and copying it first if another holder shares it.
     ///
     /// # Panics
     ///
@@ -146,8 +154,8 @@ impl FrameTable {
         );
         let data = self.frames[frame.index()]
             .data
-            .get_or_insert_with(|| vec![0u8; BASE_PAGE_SIZE as usize].into_boxed_slice());
-        data[offset..offset + buf.len()].copy_from_slice(buf);
+            .get_or_insert_with(Block::zeroed);
+        data.make_mut()[offset..offset + buf.len()].copy_from_slice(buf);
     }
 
     /// Zero-fills the frame (releases the lazily-allocated buffer).
@@ -155,10 +163,25 @@ impl FrameTable {
         self.frames[frame.index()].data = None;
     }
 
-    /// Copies the full 4 KB contents of `src` into `dst`.
+    /// Copies the full 4 KB contents of `src` into `dst` by sharing
+    /// `src`'s block; a later write to either frame copies it apart.
     pub fn copy(&mut self, src: FrameId, dst: FrameId) {
         let data = self.frames[src.index()].data.clone();
         self.frames[dst.index()].data = data;
+    }
+
+    /// A handle to the frame's 4 KB (a shared zero block if the frame was
+    /// never written).
+    pub fn block(&self, frame: FrameId) -> Block {
+        self.frames[frame.index()]
+            .data
+            .clone()
+            .unwrap_or_else(Block::zeroed)
+    }
+
+    /// Makes `block` the frame's contents, sharing it rather than copying.
+    pub fn set_block(&mut self, frame: FrameId, block: Block) {
+        self.frames[frame.index()].data = Some(block);
     }
 
     /// A shared view of one frame.
@@ -235,6 +258,45 @@ mod tests {
         t.write(FrameId(1), 0, b"zzz");
         t.read(FrameId(0), 0, &mut buf);
         assert_eq!(&buf, b"abc", "copy must be by value, not aliased");
+    }
+
+    #[test]
+    fn copy_shares_until_either_side_writes() {
+        let mut t = FrameTable::new(2);
+        t.write(FrameId(0), 0, b"abc");
+        t.copy(FrameId(0), FrameId(1));
+        assert!(Block::ptr_eq(&t.block(FrameId(0)), &t.block(FrameId(1))));
+        t.write(FrameId(0), 0, b"x");
+        assert!(!Block::ptr_eq(&t.block(FrameId(0)), &t.block(FrameId(1))));
+        let mut buf = [0u8; 3];
+        t.read(FrameId(1), 0, &mut buf);
+        assert_eq!(&buf, b"abc", "the source's write must not reach the copy");
+        t.read(FrameId(0), 0, &mut buf);
+        assert_eq!(&buf, b"xbc");
+    }
+
+    #[test]
+    fn set_block_shares_and_a_store_breaks_the_share() {
+        let mut t = FrameTable::new(1);
+        let f = FrameId(0);
+        assert_eq!(t.block(f).as_slice(), &[0u8; 4096][..]);
+        assert!(
+            !t.frame(f).is_materialised(),
+            "reading a block allocates nothing"
+        );
+        let mut outside = Block::zeroed();
+        outside.make_mut()[..4].copy_from_slice(b"page");
+        t.set_block(f, outside.clone());
+        assert!(Block::ptr_eq(&t.block(f), &outside));
+        t.write(f, 0, b"P");
+        assert_eq!(
+            &outside.as_slice()[..4],
+            b"page",
+            "the store must not reach the other holder"
+        );
+        let mut buf = [0u8; 4];
+        t.read(f, 0, &mut buf);
+        assert_eq!(&buf, b"Page");
     }
 
     #[test]

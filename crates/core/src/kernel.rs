@@ -16,6 +16,7 @@
 
 use epcm_sim::clock::{Clock, Micros, Timestamp};
 use epcm_sim::cost::CostModel;
+use epcm_sim::disk::Block;
 use epcm_trace::event::{access, fault_class};
 use epcm_trace::{EventKind, MetricsRegistry, SharedTracer, TraceEvent, TraceSink};
 
@@ -1493,49 +1494,61 @@ impl Kernel {
         self.clock.advance(self.costs.get_page_attributes(count));
         let mut out = Vec::with_capacity(count as usize);
         for i in 0..count {
-            let p = page.offset(i);
-            let resolved = self.resolve(seg, p, false)?;
-            let attr = match resolved {
-                Resolved::Own {
-                    segment, page: op, ..
-                } => match self.segment(segment)?.entry(op) {
-                    Some(e) => PageAttributes {
-                        page: p,
-                        present: true,
-                        flags: e.flags,
-                        frame: Some(e.frame),
-                    },
-                    None => PageAttributes {
-                        page: p,
-                        present: false,
-                        flags: PageFlags::empty(),
-                        frame: None,
-                    },
-                },
-                Resolved::CowPending {
-                    source_segment,
-                    source_page,
-                    ..
-                } => match self.segment(source_segment)?.entry(source_page) {
-                    // Unbroken COW page: report the (read-only view of the)
-                    // source frame.
-                    Some(e) => PageAttributes {
-                        page: p,
-                        present: true,
-                        flags: e.flags - PageFlags::WRITE,
-                        frame: Some(e.frame),
-                    },
-                    None => PageAttributes {
-                        page: p,
-                        present: false,
-                        flags: PageFlags::empty(),
-                        frame: None,
-                    },
-                },
-            };
-            out.push(attr);
+            out.push(self.page_attribute(seg, page.offset(i))?);
         }
         Ok(out)
+    }
+
+    /// `GetPageAttributes` for the single page `page`, returned by value:
+    /// the same charge, crossing and call count as
+    /// [`Kernel::get_page_attributes`] with a count of one, without
+    /// allocating. This is a clock hand's probe.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Kernel::get_page_attributes`].
+    pub fn get_page_attribute(
+        &mut self,
+        seg: SegmentId,
+        page: PageNumber,
+    ) -> Result<PageAttributes, KernelError> {
+        self.stats.crossings += 1;
+        self.stats.get_attr_calls += 1;
+        self.clock.advance(self.costs.get_page_attributes(1));
+        self.page_attribute(seg, page)
+    }
+
+    fn page_attribute(&self, seg: SegmentId, p: PageNumber) -> Result<PageAttributes, KernelError> {
+        let (segment, op, cow) = match self.resolve(seg, p, false)? {
+            Resolved::Own {
+                segment, page: op, ..
+            } => (segment, op, false),
+            Resolved::CowPending {
+                source_segment,
+                source_page,
+                ..
+            } => (source_segment, source_page, true),
+        };
+        Ok(match self.segment(segment)?.entry(op) {
+            // An unbroken COW page reports the (read-only view of the)
+            // source frame.
+            Some(e) => PageAttributes {
+                page: p,
+                present: true,
+                flags: if cow {
+                    e.flags - PageFlags::WRITE
+                } else {
+                    e.flags
+                },
+                frame: Some(e.frame),
+            },
+            None => PageAttributes {
+                page: p,
+                present: false,
+                flags: PageFlags::empty(),
+                frame: None,
+            },
+        })
     }
 
     // ----- data access ---------------------------------------------------------
@@ -1698,26 +1711,25 @@ impl Kernel {
         Ok(())
     }
 
-    /// Reads one resident page's bytes on behalf of its manager,
-    /// regardless of the page's protection flags. A V++ manager has the
-    /// page's frame mapped into its own address space (the free-page
-    /// segment is "mapped into the manager's address space so the manager
-    /// can directly copy data to and from the page frames"), so protection
-    /// aimed at the application does not bind it.
+    /// Reads the first 4 KB of one resident page on behalf of its
+    /// manager, regardless of the page's protection flags, as a shared
+    /// [`Block`] handle rather than a copy. A V++ manager has the page's
+    /// frame mapped into its own address space (the free-page segment is
+    /// "mapped into the manager's address space so the manager can
+    /// directly copy data to and from the page frames"), so protection
+    /// aimed at the application does not bind it. A page reached through
+    /// a bound region (copy-on-write or not) resolves to the region's
+    /// target page, as a load does. No time is charged: the manager
+    /// charges the copy it models.
     ///
     /// # Errors
     ///
     /// [`KernelError::PageNotPresent`] and the usual range errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` is longer than the segment's page size.
-    pub fn manager_read_page(
-        &mut self,
+    pub fn manager_read_block(
+        &self,
         seg: SegmentId,
         page: PageNumber,
-        buf: &mut [u8],
-    ) -> Result<(), KernelError> {
+    ) -> Result<Block, KernelError> {
         let (oseg, opage) = match self.resolve(seg, page, false)? {
             Resolved::Own { segment, page, .. } => (segment, page),
             Resolved::CowPending {
@@ -1726,38 +1738,30 @@ impl Kernel {
                 ..
             } => (source_segment, source_page),
         };
-        let s = self.segment(oseg)?;
-        assert!(
-            buf.len() as u64 <= s.page_size(),
-            "manager read of {} bytes exceeds the {}-byte page",
-            buf.len(),
-            s.page_size()
-        );
-        let pf = s.page_frames();
-        let entry = s.entry(opage).ok_or(KernelError::PageNotPresent {
-            segment: oseg,
-            page: opage,
-        })?;
-        copy_frames_out(&self.frames, entry.frame, pf, 0, buf);
-        Ok(())
+        let entry = self
+            .segment(oseg)?
+            .entry(opage)
+            .ok_or(KernelError::PageNotPresent {
+                segment: oseg,
+                page: opage,
+            })?;
+        Ok(self.frames.block(entry.frame))
     }
 
-    /// Writes one resident page's bytes on behalf of its manager (page
-    /// fill before migration), regardless of protection flags. Does not
-    /// change the page's flags — migration applies the final flags.
+    /// Makes `block` the first 4 KB of one resident page on behalf of its
+    /// manager (page fill before migration), regardless of protection
+    /// flags, by sharing it rather than copying it. The page resolves as
+    /// for [`Kernel::manager_read_block`]. Does not change the page's
+    /// flags — migration applies the final flags. No time is charged.
     ///
     /// # Errors
     ///
     /// [`KernelError::PageNotPresent`] and the usual range errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` is longer than the segment's page size.
-    pub fn manager_write_page(
+    pub fn manager_write_block(
         &mut self,
         seg: SegmentId,
         page: PageNumber,
-        buf: &[u8],
+        block: Block,
     ) -> Result<(), KernelError> {
         let (oseg, opage) = match self.resolve(seg, page, false)? {
             Resolved::Own { segment, page, .. } => (segment, page),
@@ -1765,19 +1769,14 @@ impl Kernel {
                 return Err(KernelError::PageNotPresent { segment: seg, page })
             }
         };
-        let s = self.segment(oseg)?;
-        assert!(
-            buf.len() as u64 <= s.page_size(),
-            "manager write of {} bytes exceeds the {}-byte page",
-            buf.len(),
-            s.page_size()
-        );
-        let pf = s.page_frames();
-        let entry = s.entry(opage).ok_or(KernelError::PageNotPresent {
-            segment: oseg,
-            page: opage,
-        })?;
-        copy_frames_in(&mut self.frames, entry.frame, pf, 0, buf);
+        let entry = self
+            .segment(oseg)?
+            .entry(opage)
+            .ok_or(KernelError::PageNotPresent {
+                segment: oseg,
+                page: opage,
+            })?;
+        self.frames.set_block(entry.frame, block);
         Ok(())
     }
 
@@ -2463,6 +2462,141 @@ mod tests {
         assert!(attrs[1].present);
         assert!(attrs[1].phys_addr().is_some());
         assert!(!attrs[2].present);
+    }
+
+    #[test]
+    fn get_page_attribute_is_a_one_page_scan() {
+        let mut k = kernel();
+        let seg = anon_segment(&mut k, 4);
+        alloc(&mut k, seg, 1, 1);
+        for p in 0..3 {
+            let (t0, s0) = (k.now(), k.stats());
+            let scanned = k.get_page_attributes(seg, PageNumber(p), 1).unwrap()[0];
+            let (t1, s1) = (k.now(), k.stats());
+            let single = k.get_page_attribute(seg, PageNumber(p)).unwrap();
+            let s2 = k.stats();
+            assert_eq!(single, scanned);
+            assert_eq!(k.now().duration_since(t1), t1.duration_since(t0));
+            assert_eq!(s2.crossings - s1.crossings, s1.crossings - s0.crossings);
+            assert_eq!(
+                s2.get_attr_calls - s1.get_attr_calls,
+                s1.get_attr_calls - s0.get_attr_calls
+            );
+        }
+        assert!(matches!(
+            k.get_page_attribute(seg, PageNumber(9)),
+            Err(KernelError::PageOutOfRange { .. })
+        ));
+    }
+
+    #[test]
+    fn manager_block_calls_share_but_never_alias() {
+        let mut k = kernel();
+        let seg = anon_segment(&mut k, 4);
+        alloc(&mut k, seg, 0, 1);
+        assert!(k.store(seg, 0, b"abc").unwrap().is_completed());
+        let before = k.now();
+        let read = k.manager_read_block(seg, PageNumber(0)).unwrap();
+        assert_eq!(&read.as_slice()[..3], b"abc");
+        // A store after the read leaves the manager's handle as it was.
+        assert!(k.store(seg, 0, b"x").unwrap().is_completed());
+        assert_eq!(&read.as_slice()[..3], b"abc");
+        // A written block is shared, and a store breaks the share.
+        let mut outside = Block::zeroed();
+        outside.make_mut()[..4].copy_from_slice(b"fill");
+        k.manager_write_block(seg, PageNumber(0), outside.clone())
+            .unwrap();
+        let mut buf = [0u8; 4];
+        assert!(k.load(seg, 0, &mut buf).unwrap().is_completed());
+        assert_eq!(&buf, b"fill");
+        assert!(k.store(seg, 0, b"F").unwrap().is_completed());
+        assert_eq!(&outside.as_slice()[..4], b"fill");
+        assert_eq!(k.now(), before, "block calls charge nothing");
+        // A missing page is an error either way.
+        assert!(matches!(
+            k.manager_read_block(seg, PageNumber(1)),
+            Err(KernelError::PageNotPresent { .. })
+        ));
+        assert!(matches!(
+            k.manager_write_block(seg, PageNumber(1), Block::zeroed()),
+            Err(KernelError::PageNotPresent { .. })
+        ));
+    }
+
+    #[test]
+    fn manager_block_calls_follow_cow_rules() {
+        let mut k = kernel();
+        let source = anon_segment(&mut k, 2);
+        alloc(&mut k, source, 0, 1);
+        assert!(k.store(source, 0, b"src").unwrap().is_completed());
+        let child = anon_segment(&mut k, 2);
+        k.bind_region(
+            child,
+            PageNumber(0),
+            2,
+            source,
+            PageNumber(0),
+            true,
+            PageFlags::RW,
+        )
+        .unwrap();
+        // An unbroken COW page resolves to its source, as a load does.
+        let read = k.manager_read_block(child, PageNumber(0)).unwrap();
+        assert_eq!(&read.as_slice()[..3], b"src");
+        let mut fill = Block::zeroed();
+        fill.make_mut()[..3].copy_from_slice(b"new");
+        k.manager_write_block(child, PageNumber(0), fill).unwrap();
+        let mut buf = [0u8; 3];
+        assert!(k.load(source, 0, &mut buf).unwrap().is_completed());
+        assert_eq!(&buf, b"new");
+        assert_eq!(
+            &read.as_slice()[..3],
+            b"src",
+            "the earlier read is a snapshot"
+        );
+        assert_eq!(k.stats().cow_copies, 0);
+    }
+
+    #[test]
+    fn cow_break_and_frame_exchange_copy_by_value() {
+        let mut k = kernel();
+        let source = anon_segment(&mut k, 2);
+        alloc(&mut k, source, 0, 1);
+        assert!(k.store(source, 0, b"one").unwrap().is_completed());
+        let child = anon_segment(&mut k, 2);
+        k.bind_region(
+            child,
+            PageNumber(0),
+            1,
+            source,
+            PageNumber(0),
+            true,
+            PageFlags::RW,
+        )
+        .unwrap();
+        alloc(&mut k, child, 0, 1); // the COW break
+        assert_eq!(k.stats().cow_copies, 1);
+        // Source and copy each see only their own stores.
+        assert!(k.store(source, 0, b"SRC").unwrap().is_completed());
+        let mut buf = [0u8; 3];
+        assert!(k.load(child, 0, &mut buf).unwrap().is_completed());
+        assert_eq!(&buf, b"one");
+        assert!(k.store(child, 0, b"CHD").unwrap().is_completed());
+        assert!(k.load(source, 0, &mut buf).unwrap().is_completed());
+        assert_eq!(&buf, b"SRC");
+
+        // MigrateFrame: the page moves to the pool slot's frame, the slot
+        // keeps the old frame, and neither sees the other's stores.
+        let pool = anon_segment(&mut k, 1);
+        alloc(&mut k, pool, 0, 1);
+        let dst = k.segment(pool).unwrap().entry(PageNumber(0)).unwrap().frame;
+        k.migrate_frame(source, PageNumber(0), dst).unwrap();
+        assert!(k.store(source, 0, b"new").unwrap().is_completed());
+        assert!(k.load(pool, 0, &mut buf).unwrap().is_completed());
+        assert_eq!(&buf, b"SRC");
+        assert!(k.store(pool, 0, b"old").unwrap().is_completed());
+        assert!(k.load(source, 0, &mut buf).unwrap().is_completed());
+        assert_eq!(&buf, b"new");
     }
 
     #[test]

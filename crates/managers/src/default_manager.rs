@@ -30,10 +30,11 @@ use epcm_core::fault::{FaultEvent, FaultKind};
 use epcm_core::flags::PageFlags;
 use epcm_core::kernel::Kernel;
 use epcm_core::ring::{RingOp, RingPort, DEFAULT_RING_CAPACITY};
+use epcm_core::segment::PageEntry;
 use epcm_core::tier::MemTier;
 use epcm_core::types::{FrameId, ManagerId, PageNumber, SegmentId, SegmentKind, BASE_PAGE_SIZE};
 use epcm_sim::clock::Micros;
-use epcm_sim::disk::{FileId, FileStore, FileStoreError};
+use epcm_sim::disk::{Block, FileId, FileStore, FileStoreError};
 use epcm_sim::writeback::{TicketId, WritebackPipeline};
 use epcm_trace::{EventKind, MetricsRegistry, SharedTracer, TraceEvent, TraceSink};
 
@@ -873,9 +874,9 @@ impl DefaultSegmentManager {
             let victim = {
                 let kernel = &mut *env.kernel;
                 self.policy.select_victim(&mut |s, p| {
-                    match kernel.get_page_attributes(s, p, 1) {
-                        Ok(attrs) if attrs[0].present => {
-                            let flags = attrs[0].flags;
+                    match kernel.get_page_attribute(s, p) {
+                        Ok(attr) if attr.present => {
+                            let flags = attr.flags;
                             if flags.contains(PageFlags::PINNED) {
                                 Probe::Pinned
                             } else if flags.contains(PageFlags::REFERENCED) {
@@ -909,9 +910,8 @@ impl DefaultSegmentManager {
             if demoted + (deferred.len() as u64) < self.config.demote_batch {
                 let dirty = env
                     .kernel
-                    .get_page_attributes(seg, page, 1)
-                    .ok()
-                    .is_some_and(|a| a[0].present && a[0].flags.contains(PageFlags::DIRTY));
+                    .get_page_attribute(seg, page)
+                    .is_ok_and(|a| a.present && a.flags.contains(PageFlags::DIRTY));
                 if dirty {
                     match self.try_demote(env, free_seg, seg, page)? {
                         Demotion::Done => {
@@ -1084,9 +1084,8 @@ impl DefaultSegmentManager {
         if dst_tier == MemTier::CompressedRam {
             // The refitted compress.rs scheme backs this tier: account
             // the RLE work a real zram device would do on the way in.
-            let mut buf = vec![0u8; BASE_PAGE_SIZE as usize];
-            env.kernel.manager_read_page(seg, page, &mut buf)?;
-            let stored = rle_compress(&buf).len() as u64;
+            let block = env.kernel.manager_read_block(seg, page)?;
+            let stored = rle_compress(block.as_slice()).len() as u64;
             self.zram_stats.compressed += 1;
             self.zram_stats.raw_bytes += BASE_PAGE_SIZE;
             self.zram_stats.stored_bytes += stored;
@@ -1204,28 +1203,38 @@ impl DefaultSegmentManager {
         kernel: &mut Kernel,
     ) -> Option<(SegmentId, PageNumber, FrameId)> {
         let tiers = *kernel.tiers();
-        let mut referenced: Vec<(SegmentId, PageNumber)> = Vec::new();
+        let candidate = |e: &PageEntry| {
+            !e.flags.contains(PageFlags::PINNED) && tiers.tier_of(e.frame) == MemTier::Dram
+        };
         let segs: Vec<SegmentId> = kernel
             .segment_ids()
             .filter(|s| self.managed.contains_key(&s.as_u32()))
             .collect();
-        for seg in segs {
+        for &seg in &segs {
             let Ok(segment) = kernel.segment(seg) else {
                 continue;
             };
-            for (p, e) in segment.resident() {
-                if e.flags.contains(PageFlags::PINNED) || tiers.tier_of(e.frame) != MemTier::Dram {
-                    continue;
-                }
-                if e.flags.contains(PageFlags::REFERENCED) {
-                    referenced.push((seg, p));
-                    continue;
-                }
+            let victim = segment
+                .resident()
+                .find(|(_, e)| candidate(e) && !e.flags.contains(PageFlags::REFERENCED));
+            if let Some((p, e)) = victim {
                 return Some((seg, p, e.frame));
             }
         }
-        for (seg, p) in referenced {
-            let _ = kernel.modify_page_flags(seg, p, 1, PageFlags::empty(), PageFlags::REFERENCED);
+        // Every candidate was referenced: give them all a second chance,
+        // in the order the sweep met them.
+        for seg in segs {
+            let mut from = PageNumber(0);
+            while let Some(p) = kernel.segment(seg).ok().and_then(|segment| {
+                segment
+                    .resident_from(from)
+                    .find(|(_, e)| candidate(e))
+                    .map(|(p, _)| p)
+            }) {
+                let _ =
+                    kernel.modify_page_flags(seg, p, 1, PageFlags::empty(), PageFlags::REFERENCED);
+                from = p.offset(1);
+            }
         }
         None
     }
@@ -1274,13 +1283,12 @@ impl DefaultSegmentManager {
                     self.promo_stats.no_target += 1;
                     return Ok(false);
                 };
-                let mut buf = vec![0u8; BASE_PAGE_SIZE as usize];
-                env.kernel.manager_read_page(vseg, vpage, &mut buf)?;
+                let saved = env.kernel.manager_read_block(vseg, vpage)?;
                 if from == MemTier::CompressedRam {
                     // The victim lands in the zram tier: account the RLE
                     // work a real compressed-RAM device would do, same as
                     // the demotion ladder.
-                    let stored = rle_compress(&buf).len() as u64;
+                    let stored = rle_compress(saved.as_slice()).len() as u64;
                     self.zram_stats.compressed += 1;
                     self.zram_stats.raw_bytes += BASE_PAGE_SIZE;
                     self.zram_stats.stored_bytes += stored;
@@ -1291,7 +1299,7 @@ impl DefaultSegmentManager {
                     dst: vframe,
                 };
                 self.ring.call(env.kernel, op)?;
-                env.kernel.manager_write_page(vseg, vpage, &buf)?;
+                env.kernel.manager_write_block(vseg, vpage, saved)?;
                 env.kernel.charge(env.kernel.costs().page_copy_4k);
                 true
             }
@@ -1421,11 +1429,10 @@ impl DefaultSegmentManager {
         let Some((file, is_anon)) = self.writeback_target(env, seg) else {
             return Ok(None);
         };
-        let mut buf = vec![0u8; BASE_PAGE_SIZE as usize];
-        env.kernel.manager_read_page(seg, page, &mut buf)?;
-        let offset = page.as_u64() * BASE_PAGE_SIZE;
-        let latency =
-            self.store_io_with_retry(env, true, |store| store.write(file, offset, &buf))?;
+        let block = env.kernel.manager_read_block(seg, page)?;
+        let latency = self.store_io_with_retry(env, true, |store| {
+            store.write_block(file, page.as_u64(), &block)
+        })?;
         if is_anon {
             if let Some(ManagedSegment {
                 backing: Backing::Anonymous { swapped, .. },
@@ -1553,17 +1560,15 @@ impl DefaultSegmentManager {
             Some((file, is_swap)) => {
                 env.kernel.charge(env.kernel.costs().manager_alloc);
                 let slot = self.take_free_slot(env)?;
-                let mut buf = vec![0u8; BASE_PAGE_SIZE as usize];
-                let offset = page.as_u64() * BASE_PAGE_SIZE;
+                let mut block = Block::zeroed();
                 let size = env.store.size(file).map_err(epcm_core::KernelError::from)?;
-                let n = (BASE_PAGE_SIZE).min(size.saturating_sub(offset)) as usize;
-                if n > 0 {
+                if page.as_u64() * BASE_PAGE_SIZE < size {
                     let latency = self.store_io_with_retry(env, false, |store| {
-                        store.read(file, offset, &mut buf[..n])
+                        store.read_block(file, page.as_u64(), &mut block)
                     })?;
                     env.kernel.charge(latency);
                 }
-                env.kernel.manager_write_page(free_seg, slot, &buf)?;
+                env.kernel.manager_write_block(free_seg, slot, block)?;
                 env.kernel.charge(env.kernel.costs().page_copy_4k);
                 self.op_migrate_pages(
                     env,

@@ -18,7 +18,8 @@ use epcm_core::fault::{FaultEvent, FaultKind};
 use epcm_core::flags::PageFlags;
 use epcm_core::kernel::Kernel;
 use epcm_core::ring::{RingOp, RingPort, DEFAULT_RING_CAPACITY};
-use epcm_core::types::{ManagerId, PageNumber, SegmentId, SegmentKind, BASE_PAGE_SIZE};
+use epcm_core::types::{ManagerId, PageNumber, SegmentId, SegmentKind};
+use epcm_sim::disk::Block;
 
 use crate::manager::{Env, ManagerError, ManagerMode, SegmentManager};
 use crate::policy::{ClockPolicy, Probe, ReplacementPolicy};
@@ -311,9 +312,9 @@ impl<S: Specialization> GenericManager<S> {
         let victim = {
             let kernel = &mut *env.kernel;
             self.policy
-                .select_victim(&mut |s, p| match kernel.get_page_attributes(s, p, 1) {
-                    Ok(attrs) if attrs[0].present => {
-                        let flags = attrs[0].flags;
+                .select_victim(&mut |s, p| match kernel.get_page_attribute(s, p) {
+                    Ok(attr) if attr.present => {
+                        let flags = attr.flags;
                         if flags.contains(PageFlags::PINNED) {
                             Probe::Pinned
                         } else if flags.contains(PageFlags::REFERENCED) {
@@ -343,10 +344,9 @@ impl<S: Specialization> GenericManager<S> {
         if entry.flags.contains(PageFlags::DIRTY) {
             match self.spec.evict_disposition(seg, page, entry.flags) {
                 Disposition::WriteBack => {
-                    let mut buf = vec![0u8; BASE_PAGE_SIZE as usize];
-                    env.kernel.manager_read_page(seg, page, &mut buf)?;
+                    let block = env.kernel.manager_read_block(seg, page)?;
                     env.kernel.charge(env.kernel.costs().page_copy_4k);
-                    self.spec.write_back(env, seg, page, &buf)?;
+                    self.spec.write_back(env, seg, page, block.as_slice())?;
                     self.stats.writebacks += 1;
                 }
                 Disposition::Discard => {
@@ -460,13 +460,13 @@ impl<S: Specialization + 'static> SegmentManager for GenericManager<S> {
                 let constraint = self.spec.frame_constraint(seg, page);
                 let free_seg = self.free_seg(env)?;
                 let slot = self.take_free_slot(env, constraint)?;
-                let mut buf = vec![0u8; BASE_PAGE_SIZE as usize];
-                match self.spec.fill(env, seg, page, &mut buf)? {
+                let mut block = Block::zeroed();
+                match self.spec.fill(env, seg, page, block.make_mut())? {
                     Fill::Minimal => {
                         self.stats.minimal_faults += 1;
                     }
                     Fill::Filled => {
-                        env.kernel.manager_write_page(free_seg, slot, &buf)?;
+                        env.kernel.manager_write_block(free_seg, slot, block)?;
                         env.kernel.charge(env.kernel.costs().page_copy_4k);
                         self.stats.fills += 1;
                     }
@@ -557,9 +557,8 @@ impl<S: Specialization + 'static> SegmentManager for GenericManager<S> {
             if flags.contains(PageFlags::DIRTY)
                 && self.spec.evict_disposition(segment, p, flags) == Disposition::WriteBack
             {
-                let mut buf = vec![0u8; BASE_PAGE_SIZE as usize];
-                env.kernel.manager_read_page(segment, p, &mut buf)?;
-                self.spec.write_back(env, segment, p, &buf)?;
+                let block = env.kernel.manager_read_block(segment, p)?;
+                self.spec.write_back(env, segment, p, block.as_slice())?;
                 self.stats.writebacks += 1;
             }
             let slot = first_empty(env.kernel, free_seg)?;
@@ -604,7 +603,7 @@ impl<S: Specialization + 'static> SegmentManager for GenericManager<S> {
 mod tests {
     use super::*;
     use crate::machine::Machine;
-    use epcm_core::types::{AccessKind, UserId};
+    use epcm_core::types::{AccessKind, UserId, BASE_PAGE_SIZE};
 
     /// A fill hook that stamps every page with its page number.
     #[derive(Debug, Default)]

@@ -856,12 +856,10 @@ impl Machine {
         page: PageNumber,
         file: FileId,
     ) -> Result<bool, MachineError> {
-        let mut buf = vec![0u8; BASE_PAGE_SIZE as usize];
-        self.kernel.manager_read_page(seg, page, &mut buf)?;
-        let offset = page.as_u64() * BASE_PAGE_SIZE;
+        let block = self.kernel.manager_read_block(seg, page)?;
         let mut attempt = 0u32;
         loop {
-            match self.store.write(file, offset, &buf) {
+            match self.store.write_block(file, page.as_u64(), &block) {
                 Ok(latency) => {
                     self.kernel.charge(latency);
                     return Ok(true);

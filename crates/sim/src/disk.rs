@@ -2,12 +2,22 @@
 //!
 //! The paper's V++ machine was diskless (files served by a DECstation 3100
 //! over the network); the Ultrix machine had a local disk. Both are modelled
-//! as a [`FileStore`] — named byte arrays with real contents — fronted by a
+//! as a [`FileStore`] — named files with real contents — fronted by a
 //! [`Device`] that prices each 4 KB block transfer. Managers fetch page data
 //! from here on a fault and write dirty pages back, advancing the virtual
 //! clock by the returned latency.
+//!
+//! Page data is held in [`Block`]s: cheaply cloned, copy-on-write handles
+//! to 4 KB windows of reference-counted buffers. A file is its length plus
+//! one optional block per 4 KB; the frame table holds the same type, so a
+//! page fill or a writeback moves a handle instead of 4 KB of bytes
+//! ([`FileStore::read_block`], [`FileStore::write_block`]). A block is
+//! copied only when one of its holders writes to it while it is shared.
+//! The virtual clock is not affected: the modelled page copy is charged by
+//! the caller exactly as before.
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use crate::clock::Micros;
 use crate::rng::Rng;
@@ -343,6 +353,95 @@ impl FaultPlan {
     }
 }
 
+/// Block size used for latency accounting (matches the 4 KB page size).
+pub const BLOCK_SIZE: u64 = 4096;
+
+const BLOCK_BYTES: usize = BLOCK_SIZE as usize;
+
+/// One 4 KB block of page data: a cheaply cloned handle to a 4 KB window
+/// of a reference-counted buffer.
+///
+/// The buffer is either a standalone page or the contents a file adopted
+/// in [`FileStore::create_with`] (one buffer, one window per block).
+/// Cloning shares the window; [`Block::make_mut`] copies it into a
+/// standalone page only while another handle shares the buffer, so no
+/// holder ever sees another holder's writes. One live window keeps its
+/// whole buffer alive.
+///
+/// # Example
+///
+/// ```
+/// use epcm_sim::disk::Block;
+///
+/// let mut a = Block::zeroed();
+/// a.make_mut()[0] = 7;
+/// let mut b = a.clone(); // shares the 4 KB, copies nothing
+/// assert!(Block::ptr_eq(&a, &b));
+/// b.make_mut()[0] = 9; // b is shared: it gets its own copy first
+/// assert_eq!((a.as_slice()[0], b.as_slice()[0]), (7, 9));
+/// ```
+#[derive(Clone)]
+pub struct Block {
+    buf: Arc<Vec<u8>>,
+    /// Byte offset of the window within `buf`.
+    start: usize,
+}
+
+/// The process-wide all-zero page every [`Block::zeroed`] shares. It
+/// always has at least this one holder, so it is never written in place.
+fn zero_page() -> &'static Arc<Vec<u8>> {
+    static ZERO: OnceLock<Arc<Vec<u8>>> = OnceLock::new();
+    ZERO.get_or_init(|| Arc::new(vec![0; BLOCK_BYTES]))
+}
+
+impl Block {
+    /// An all-zero block. Allocates nothing: every zeroed block shares one
+    /// page until it is written.
+    pub fn zeroed() -> Block {
+        Block {
+            buf: Arc::clone(zero_page()),
+            start: 0,
+        }
+    }
+
+    /// The block's 4 KB.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf[self.start..self.start + BLOCK_BYTES]
+    }
+
+    /// The block's 4 KB, writable. Copies them into a standalone page
+    /// first if any other handle shares the buffer.
+    pub fn make_mut(&mut self) -> &mut [u8] {
+        if Arc::get_mut(&mut self.buf).is_none() {
+            let page = if Arc::ptr_eq(&self.buf, zero_page()) {
+                vec![0; BLOCK_BYTES]
+            } else {
+                self.as_slice().to_vec()
+            };
+            self.buf = Arc::new(page);
+            self.start = 0;
+        }
+        let start = self.start;
+        let buf = Arc::get_mut(&mut self.buf).expect("an unshared buffer is writable");
+        &mut buf[start..start + BLOCK_BYTES]
+    }
+
+    /// Whether `a` and `b` share the same 4 KB (not merely equal bytes).
+    pub fn ptr_eq(a: &Block, b: &Block) -> bool {
+        Arc::ptr_eq(&a.buf, &b.buf) && a.start == b.start
+    }
+}
+
+impl fmt::Debug for Block {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Block")
+            .field("start", &self.start)
+            .field("extent", &self.buf.len())
+            .field("holders", &Arc::strong_count(&self.buf))
+            .finish()
+    }
+}
+
 /// Named files with real byte contents behind a latency [`Device`].
 ///
 /// # Example
@@ -377,11 +476,56 @@ pub struct FileStore {
 #[derive(Debug, Clone)]
 struct FileEntry {
     name: String,
-    data: Vec<u8>,
+    /// Size in bytes.
+    len: u64,
+    /// Block `i` holds bytes `[i * 4 KB, (i + 1) * 4 KB)`. A `None` slot,
+    /// or one past the end of the vector, reads as zeros; bytes past `len`
+    /// are always zero.
+    blocks: Vec<Option<Block>>,
 }
 
-/// Block size used for latency accounting (matches the 4 KB page size).
-pub const BLOCK_SIZE: u64 = 4096;
+impl FileEntry {
+    fn copy_out(&self, offset: u64, buf: &mut [u8]) {
+        let mut done = 0;
+        while done < buf.len() {
+            let (index, within, chunk) = block_span(offset, done, buf.len());
+            let dst = &mut buf[done..done + chunk];
+            match self.blocks.get(index).and_then(Option::as_ref) {
+                Some(block) => dst.copy_from_slice(&block.as_slice()[within..within + chunk]),
+                None => dst.fill(0),
+            }
+            done += chunk;
+        }
+    }
+
+    fn copy_in(&mut self, offset: u64, buf: &[u8]) {
+        let mut done = 0;
+        while done < buf.len() {
+            let (index, within, chunk) = block_span(offset, done, buf.len());
+            let block = self.slot(index).get_or_insert_with(Block::zeroed);
+            block.make_mut()[within..within + chunk].copy_from_slice(&buf[done..done + chunk]);
+            done += chunk;
+        }
+    }
+
+    /// Block `index`'s slot, growing the vector to reach it.
+    fn slot(&mut self, index: usize) -> &mut Option<Block> {
+        if index >= self.blocks.len() {
+            self.blocks.resize(index + 1, None);
+        }
+        &mut self.blocks[index]
+    }
+}
+
+/// The block index, offset within it, and length of the piece of a byte
+/// transfer at `offset` that starts `done` bytes in, for a transfer of
+/// `total` bytes.
+fn block_span(offset: u64, done: usize, total: usize) -> (usize, usize, usize) {
+    let at = offset + done as u64;
+    let within = (at % BLOCK_SIZE) as usize;
+    let chunk = (BLOCK_BYTES - within).min(total - done);
+    ((at / BLOCK_SIZE) as usize, within, chunk)
+}
 
 impl FileStore {
     /// Creates an empty store on the given device.
@@ -456,17 +600,43 @@ impl FileStore {
         Ok(())
     }
 
-    /// Creates a zero-filled file of `size` bytes and returns its id.
+    /// Creates a zero-filled file of `size` bytes and returns its id. No
+    /// block is allocated until one is written.
     pub fn create(&mut self, name: &str, size: usize) -> FileId {
-        self.create_with(name, vec![0; size])
+        self.push(name, size as u64, Vec::new())
     }
 
-    /// Creates a file with the given contents.
+    /// Creates a file with the given contents. The file adopts `data`
+    /// without copying it: each whole 4 KB of it becomes a block sharing
+    /// the one buffer, and only a partial last block is copied (into a
+    /// zero-padded page).
     pub fn create_with(&mut self, name: &str, data: Vec<u8>) -> FileId {
+        let len = data.len();
+        let whole = len / BLOCK_BYTES;
+        let mut blocks = Vec::with_capacity(len.div_ceil(BLOCK_BYTES));
+        let tail = (whole * BLOCK_BYTES < len).then(|| {
+            let mut tail = Block::zeroed();
+            tail.make_mut()[..len - whole * BLOCK_BYTES]
+                .copy_from_slice(&data[whole * BLOCK_BYTES..]);
+            tail
+        });
+        let buf = Arc::new(data);
+        blocks.extend((0..whole).map(|i| {
+            Some(Block {
+                buf: Arc::clone(&buf),
+                start: i * BLOCK_BYTES,
+            })
+        }));
+        blocks.extend(tail.map(Some));
+        self.push(name, len as u64, blocks)
+    }
+
+    fn push(&mut self, name: &str, len: u64, blocks: Vec<Option<Block>>) -> FileId {
         let id = FileId(u32::try_from(self.files.len()).expect("fewer than 2^32 files"));
         self.files.push(FileEntry {
             name: name.to_string(),
-            data,
+            len,
+            blocks,
         });
         id
     }
@@ -484,7 +654,7 @@ impl FileStore {
     ///
     /// Returns [`FileStoreError::UnknownFile`] for an unknown id.
     pub fn size(&self, file: FileId) -> Result<u64, FileStoreError> {
-        self.entry(file).map(|e| e.data.len() as u64)
+        self.entry(file).map(|e| e.len)
     }
 
     /// The file's name.
@@ -502,6 +672,33 @@ impl FileStore {
             .ok_or(FileStoreError::UnknownFile(file))
     }
 
+    fn entry_mut(&mut self, file: FileId) -> Result<&mut FileEntry, FileStoreError> {
+        self.files
+            .get_mut(file.0 as usize)
+            .ok_or(FileStoreError::UnknownFile(file))
+    }
+
+    /// The end of `[offset, offset + len)`; [`FileStoreError::OutOfRange`]
+    /// if it overflows, or if `in_file` and it passes the end of the file.
+    fn range_end(
+        &self,
+        file: FileId,
+        offset: u64,
+        len: u64,
+        in_file: bool,
+    ) -> Result<u64, FileStoreError> {
+        let size = self.entry(file)?.len;
+        match offset.checked_add(len) {
+            Some(end) if !in_file || end <= size => Ok(end),
+            _ => Err(FileStoreError::OutOfRange {
+                file,
+                offset,
+                len,
+                size,
+            }),
+        }
+    }
+
     /// Reads `buf.len()` bytes at `offset`, returning the device latency the
     /// caller should charge to the virtual clock.
     ///
@@ -516,18 +713,9 @@ impl FileStore {
         buf: &mut [u8],
     ) -> Result<Micros, FileStoreError> {
         let len = buf.len() as u64;
-        let size = self.entry(file)?.data.len() as u64;
-        if offset + len > size {
-            return Err(FileStoreError::OutOfRange {
-                file,
-                offset,
-                len,
-                size,
-            });
-        }
+        self.range_end(file, offset, len, true)?;
         self.inject(false, file, offset, len)?;
-        let entry = self.entry(file)?;
-        buf.copy_from_slice(&entry.data[offset as usize..(offset + len) as usize]);
+        self.entry(file)?.copy_out(offset, buf);
         self.reads += 1;
         Ok(self.charge(file, offset, len))
     }
@@ -537,7 +725,8 @@ impl FileStore {
     ///
     /// # Errors
     ///
-    /// Returns [`FileStoreError::UnknownFile`] for an unknown id.
+    /// Returns [`FileStoreError::UnknownFile`] for an unknown id, or
+    /// [`FileStoreError::OutOfRange`] if the end overflows a `u64`.
     pub fn write(
         &mut self,
         file: FileId,
@@ -545,21 +734,75 @@ impl FileStore {
         buf: &[u8],
     ) -> Result<Micros, FileStoreError> {
         let len = buf.len() as u64;
-        self.entry(file)?;
+        let end = self.range_end(file, offset, len, false)?;
         self.inject(true, file, offset, len)?;
-        {
-            let entry = self
-                .files
-                .get_mut(file.0 as usize)
-                .ok_or(FileStoreError::UnknownFile(file))?;
-            let end = (offset + len) as usize;
-            if end > entry.data.len() {
-                entry.data.resize(end, 0);
-            }
-            entry.data[offset as usize..end].copy_from_slice(buf);
-        }
+        let entry = self.entry_mut(file)?;
+        entry.copy_in(offset, buf);
+        entry.len = entry.len.max(end);
         self.writes += 1;
         Ok(self.charge(file, offset, len))
+    }
+
+    /// Reads block `index` into `block` by sharing it, not copying it.
+    /// The block's bytes past the end of the file are zero. Counts, fault
+    /// injection and latency are those of a byte [`FileStore::read`] of
+    /// the block's bytes within the file.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FileStoreError::UnknownFile`], or
+    /// [`FileStoreError::OutOfRange`] (with `len` a whole block) if the
+    /// block starts at or past the end of the file.
+    pub fn read_block(
+        &mut self,
+        file: FileId,
+        index: u64,
+        block: &mut Block,
+    ) -> Result<Micros, FileStoreError> {
+        let size = self.entry(file)?.len;
+        let offset = index.saturating_mul(BLOCK_SIZE);
+        if offset >= size {
+            return Err(FileStoreError::OutOfRange {
+                file,
+                offset,
+                len: BLOCK_SIZE,
+                size,
+            });
+        }
+        let len = BLOCK_SIZE.min(size - offset);
+        self.inject(false, file, offset, len)?;
+        let entry = self.entry(file)?;
+        *block = entry
+            .blocks
+            .get(index as usize)
+            .cloned()
+            .flatten()
+            .unwrap_or_else(Block::zeroed);
+        self.reads += 1;
+        Ok(self.charge(file, offset, len))
+    }
+
+    /// Writes `block` as block `index` by sharing it, not copying it,
+    /// growing the file to cover the whole block. Counts, fault injection
+    /// and latency are those of a byte [`FileStore::write`] of its 4 KB.
+    ///
+    /// # Errors
+    ///
+    /// As for [`FileStore::write`].
+    pub fn write_block(
+        &mut self,
+        file: FileId,
+        index: u64,
+        block: &Block,
+    ) -> Result<Micros, FileStoreError> {
+        let offset = index.saturating_mul(BLOCK_SIZE);
+        let end = self.range_end(file, offset, BLOCK_SIZE, false)?;
+        self.inject(true, file, offset, BLOCK_SIZE)?;
+        let entry = self.entry_mut(file)?;
+        *entry.slot(index as usize) = Some(block.clone());
+        entry.len = entry.len.max(end);
+        self.writes += 1;
+        Ok(self.charge(file, offset, BLOCK_SIZE))
     }
 
     fn charge(&mut self, file: FileId, offset: u64, len: u64) -> Micros {
@@ -800,6 +1043,85 @@ mod tests {
         let mut buf = [0u8; 4];
         s.read(f, 0, &mut buf).unwrap();
         assert_eq!(&buf, b"keep");
+    }
+
+    #[test]
+    fn create_with_adopts_the_buffer() {
+        let mut s = FileStore::new(Device::Instant);
+        let data: Vec<u8> = (0..2 * BLOCK_SIZE + 10).map(|i| i as u8).collect();
+        let base = data.as_ptr();
+        let f = s.create_with("a", data);
+        let mut block = Block::zeroed();
+        s.read_block(f, 1, &mut block).unwrap();
+        assert_eq!(
+            block.as_slice().as_ptr(),
+            base.wrapping_add(BLOCK_BYTES),
+            "whole blocks are windows of the caller's buffer"
+        );
+        // The partial tail is a zero-padded copy.
+        s.read_block(f, 2, &mut block).unwrap();
+        let expect: Vec<u8> = (2 * BLOCK_SIZE..2 * BLOCK_SIZE + 10)
+            .map(|i| i as u8)
+            .collect();
+        assert_eq!(&block.as_slice()[..10], &expect[..]);
+        assert!(block.as_slice()[10..].iter().all(|&b| b == 0));
+        assert_eq!(s.size(f).unwrap(), 2 * BLOCK_SIZE + 10);
+    }
+
+    #[test]
+    fn read_block_shares_and_a_later_write_does_not_reach_it() {
+        let mut s = FileStore::new(Device::Instant);
+        let f = s.create("a", 2 * BLOCK_BYTES);
+        s.write(f, 5, b"old").unwrap();
+        let (mut first, mut second) = (Block::zeroed(), Block::zeroed());
+        s.read_block(f, 0, &mut first).unwrap();
+        s.read_block(f, 0, &mut second).unwrap();
+        assert!(Block::ptr_eq(&first, &second));
+        s.write(f, 5, b"new").unwrap();
+        assert_eq!(&first.as_slice()[5..8], b"old");
+        // A never-written block reads as the shared zero page.
+        s.read_block(f, 1, &mut first).unwrap();
+        assert!(Block::ptr_eq(&first, &Block::zeroed()));
+    }
+
+    #[test]
+    fn write_block_shares_and_the_writer_cannot_reach_the_file() {
+        let mut s = FileStore::new(Device::Instant);
+        let f = s.create("a", 0);
+        let mut block = Block::zeroed();
+        block.make_mut()[..4].copy_from_slice(b"page");
+        s.write_block(f, 3, &block).unwrap();
+        assert_eq!(s.size(f).unwrap(), 4 * BLOCK_SIZE);
+        let mut stored = Block::zeroed();
+        s.read_block(f, 3, &mut stored).unwrap();
+        assert!(Block::ptr_eq(&stored, &block));
+        block.make_mut()[0] = b'P';
+        let mut buf = [0u8; 4];
+        s.read(f, 3 * BLOCK_SIZE, &mut buf).unwrap();
+        assert_eq!(&buf, b"page");
+        s.read(f, 0, &mut buf).unwrap();
+        assert_eq!(buf, [0; 4], "the skipped blocks read as zeros");
+    }
+
+    #[test]
+    fn read_block_at_or_past_the_end_is_out_of_range() {
+        let mut s = FileStore::new(Device::Instant);
+        let f = s.create("a", BLOCK_BYTES);
+        let mut block = Block::zeroed();
+        for index in [1, u64::MAX] {
+            assert!(matches!(
+                s.read_block(f, index, &mut block),
+                Err(FileStoreError::OutOfRange {
+                    len: BLOCK_SIZE,
+                    ..
+                })
+            ));
+        }
+        assert_eq!(s.op_index(), 0, "a rejected read is no I/O");
+        assert!(matches!(
+            s.write(f, u64::MAX, b"x"),
+            Err(FileStoreError::OutOfRange { .. })
+        ));
     }
 
     #[test]

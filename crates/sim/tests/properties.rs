@@ -1,6 +1,7 @@
 //! Property-based tests for the simulation substrate.
 
 use epcm_sim::clock::{Micros, Timestamp};
+use epcm_sim::disk::{Block, Device, FaultPlan, FileId, FileStore, FileStoreError, BLOCK_SIZE};
 use epcm_sim::events::{EventQueue, ExtendError, MultiServer, ShardedEventQueue};
 use epcm_sim::rng::Rng;
 use epcm_sim::stats::{Histogram, Summary};
@@ -304,5 +305,278 @@ proptest! {
         let db: Vec<(Timestamp, usize)> =
             qb.drain_merged().into_iter().map(|(_, t, e)| (t, e)).collect();
         prop_assert_eq!(da, db);
+    }
+}
+
+/// One operation on a [`FileStore`] and its flat reference model.
+#[derive(Debug, Clone)]
+enum StoreOp {
+    Create {
+        size: u64,
+    },
+    CreateWith {
+        size: u64,
+        seed: u8,
+    },
+    Read {
+        file: usize,
+        offset: u64,
+        len: u64,
+    },
+    Write {
+        file: usize,
+        offset: u64,
+        len: u64,
+        seed: u8,
+    },
+    ReadBlock {
+        file: usize,
+        index: u64,
+    },
+    WriteBlock {
+        file: usize,
+        index: u64,
+        seed: u8,
+    },
+}
+
+/// A byte position near the first few blocks, biased to block edges.
+fn position() -> impl Strategy<Value = u64> {
+    (
+        0u64..6,
+        prop_oneof![Just(0u64), Just(1), Just(BLOCK_SIZE - 1), 0..BLOCK_SIZE],
+    )
+        .prop_map(|(block, within)| block * BLOCK_SIZE + within)
+}
+
+/// A transfer length: empty, one block, or anything up to two blocks.
+fn length() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), Just(BLOCK_SIZE), 0..2 * BLOCK_SIZE + 100]
+}
+
+fn store_op() -> impl Strategy<Value = StoreOp> {
+    prop_oneof![
+        position().prop_map(|size| StoreOp::Create { size }),
+        (position(), any::<u8>()).prop_map(|(size, seed)| StoreOp::CreateWith { size, seed }),
+        (0usize..8, position(), length()).prop_map(|(file, offset, len)| StoreOp::Read {
+            file,
+            offset,
+            len
+        }),
+        (0usize..8, position(), length(), any::<u8>()).prop_map(|(file, offset, len, seed)| {
+            StoreOp::Write {
+                file,
+                offset,
+                len,
+                seed,
+            }
+        }),
+        (0usize..8, 0u64..7).prop_map(|(file, index)| StoreOp::ReadBlock { file, index }),
+        (0usize..8, 0u64..7, any::<u8>()).prop_map(|(file, index, seed)| StoreOp::WriteBlock {
+            file,
+            index,
+            seed
+        }),
+    ]
+}
+
+fn pattern(seed: u8, len: u64) -> Vec<u8> {
+    (0..len)
+        .map(|i| seed.wrapping_add((i % 251) as u8))
+        .collect()
+}
+
+fn block_of(bytes: &[u8]) -> Block {
+    let mut block = Block::zeroed();
+    block.make_mut()[..bytes.len()].copy_from_slice(bytes);
+    block
+}
+
+/// Files as flat byte vectors, with the store's counters and a
+/// from-scratch rendering of its per-block latency rule.
+struct FlatModel {
+    device: Device,
+    files: Vec<Vec<u8>>,
+    last_block: Option<(usize, u64)>,
+    reads: u64,
+    writes: u64,
+    ops: u64,
+}
+
+impl FlatModel {
+    fn latency(&mut self, file: usize, offset: u64, len: u64) -> Micros {
+        let mut total = Micros::ZERO;
+        if len == 0 {
+            return total;
+        }
+        for block in offset / BLOCK_SIZE..=(offset + len - 1) / BLOCK_SIZE {
+            let prev = self.last_block.filter(|&(f, _)| f == file).map(|(_, b)| b);
+            total += self.device.block_latency(block, prev);
+            self.last_block = Some((file, block));
+        }
+        total
+    }
+
+    fn read(
+        &mut self,
+        id: FileId,
+        file: usize,
+        offset: u64,
+        len: u64,
+    ) -> Result<(Vec<u8>, Micros), FileStoreError> {
+        let size = self.files[file].len() as u64;
+        if offset + len > size {
+            return Err(FileStoreError::OutOfRange {
+                file: id,
+                offset,
+                len,
+                size,
+            });
+        }
+        self.ops += 1;
+        self.reads += 1;
+        let bytes = self.files[file][offset as usize..(offset + len) as usize].to_vec();
+        Ok((bytes, self.latency(file, offset, len)))
+    }
+
+    fn write(&mut self, file: usize, offset: u64, bytes: &[u8]) -> Micros {
+        self.ops += 1;
+        self.writes += 1;
+        let data = &mut self.files[file];
+        let end = offset as usize + bytes.len();
+        if end > data.len() {
+            data.resize(end, 0);
+        }
+        data[offset as usize..end].copy_from_slice(bytes);
+        self.latency(file, offset, bytes.len() as u64)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The block-backed store behaves exactly like flat byte vectors:
+    /// bytes, sizes, counters, operation indices, latencies and range
+    /// errors, for byte and block calls alike.
+    #[test]
+    fn file_store_matches_flat_model(ops in proptest::collection::vec(store_op(), 1..60)) {
+        let device = Device::disk_1992();
+        let mut store = FileStore::new(device);
+        let mut model = FlatModel {
+            device,
+            files: Vec::new(),
+            last_block: None,
+            reads: 0,
+            writes: 0,
+            ops: 0,
+        };
+        let mut ids = vec![store.create("first", 3 * BLOCK_SIZE as usize + 7)];
+        model.files.push(vec![0; 3 * BLOCK_SIZE as usize + 7]);
+        for op in ops {
+            let pick = |file: usize| file % ids.len();
+            match op {
+                StoreOp::Create { size } => {
+                    ids.push(store.create("f", size as usize));
+                    model.files.push(vec![0; size as usize]);
+                }
+                StoreOp::CreateWith { size, seed } => {
+                    ids.push(store.create_with("f", pattern(seed, size)));
+                    model.files.push(pattern(seed, size));
+                }
+                StoreOp::Read { file, offset, len } => {
+                    let f = pick(file);
+                    let mut buf = vec![0xAA; len as usize];
+                    let got = store.read(ids[f], offset, &mut buf).map(|lat| (buf, lat));
+                    prop_assert_eq!(got, model.read(ids[f], f, offset, len));
+                }
+                StoreOp::Write { file, offset, len, seed } => {
+                    let f = pick(file);
+                    let bytes = pattern(seed, len);
+                    let got = store.write(ids[f], offset, &bytes);
+                    prop_assert_eq!(got, Ok(model.write(f, offset, &bytes)));
+                }
+                StoreOp::ReadBlock { file, index } => {
+                    let f = pick(file);
+                    let offset = index * BLOCK_SIZE;
+                    let size = model.files[f].len() as u64;
+                    let mut block = block_of(b"stale");
+                    let got = store.read_block(ids[f], index, &mut block);
+                    if offset >= size {
+                        prop_assert_eq!(got, Err(FileStoreError::OutOfRange {
+                            file: ids[f],
+                            offset,
+                            len: BLOCK_SIZE,
+                            size,
+                        }));
+                    } else {
+                        let (bytes, latency) = model
+                            .read(ids[f], f, offset, BLOCK_SIZE.min(size - offset))
+                            .expect("in range");
+                        prop_assert_eq!(got, Ok(latency));
+                        prop_assert_eq!(block.as_slice(), block_of(&bytes).as_slice());
+                    }
+                }
+                StoreOp::WriteBlock { file, index, seed } => {
+                    let f = pick(file);
+                    let bytes = pattern(seed, BLOCK_SIZE);
+                    let got = store.write_block(ids[f], index, &block_of(&bytes));
+                    prop_assert_eq!(got, Ok(model.write(f, index * BLOCK_SIZE, &bytes)));
+                }
+            }
+            prop_assert_eq!(store.read_count(), model.reads);
+            prop_assert_eq!(store.write_count(), model.writes);
+            prop_assert_eq!(store.op_index(), model.ops);
+        }
+        for (f, &id) in ids.iter().enumerate() {
+            let expect = &model.files[f];
+            prop_assert_eq!(store.size(id), Ok(expect.len() as u64));
+            let mut buf = vec![0xAA; expect.len()];
+            store.read(id, 0, &mut buf).expect("whole file");
+            prop_assert_eq!(&buf, expect);
+        }
+    }
+
+    /// A block call rolls the fault plan, counts and charges exactly as
+    /// the byte call over the same range does on an identical store.
+    #[test]
+    fn block_calls_roll_faults_like_byte_calls(
+        seed in any::<u64>(),
+        size in position(),
+        ops in proptest::collection::vec((any::<bool>(), 0u64..7, any::<u8>()), 1..60),
+    ) {
+        let device = Device::disk_1992();
+        let mut blocks = FileStore::new(device);
+        let mut bytes = FileStore::new(device);
+        let a = blocks.create_with("f", pattern(3, size));
+        let b = bytes.create_with("f", pattern(3, size));
+        blocks.set_fault_plan(FaultPlan::hostile(seed, 0.3));
+        bytes.set_fault_plan(FaultPlan::hostile(seed, 0.3));
+        for (write, index, fill) in ops {
+            let offset = index * BLOCK_SIZE;
+            if write {
+                let data = pattern(fill, BLOCK_SIZE);
+                let got = blocks.write_block(a, index, &block_of(&data));
+                prop_assert_eq!(got, bytes.write(b, offset, &data));
+            } else {
+                let size = bytes.size(b).expect("file");
+                let mut block = Block::zeroed();
+                let got = blocks.read_block(a, index, &mut block);
+                if offset < size {
+                    let mut buf = vec![0; BLOCK_SIZE.min(size - offset) as usize];
+                    let want = bytes.read(b, offset, &mut buf);
+                    prop_assert_eq!(got, want);
+                    if got.is_ok() {
+                        prop_assert_eq!(block.as_slice(), block_of(&buf).as_slice());
+                    }
+                } else {
+                    prop_assert!(matches!(got, Err(FileStoreError::OutOfRange { .. })));
+                }
+            }
+            prop_assert_eq!(blocks.op_index(), bytes.op_index());
+            prop_assert_eq!(blocks.fault_count(), bytes.fault_count());
+            prop_assert_eq!(blocks.read_count(), bytes.read_count());
+            prop_assert_eq!(blocks.write_count(), bytes.write_count());
+            prop_assert_eq!(blocks.size(a), bytes.size(b));
+        }
     }
 }

@@ -180,6 +180,36 @@ fn multi_block_uio_faults_pagewise() {
     assert_eq!(m.stats().manager_calls, calls);
 }
 
+/// A file fill shares the file's block with the frame instead of copying
+/// it, yet neither side ever sees the other's writes until a writeback
+/// hands the frame's bytes back to the file.
+#[test]
+fn file_fills_share_blocks_without_aliasing() {
+    let mut m = Machine::with_default_manager(256);
+    let content: Vec<u8> = (0..8192u32).map(|i| (i % 199) as u8).collect();
+    let f = m.store_mut().create_with("f", content.clone());
+    let seg = m.open_file("f").unwrap();
+    let mut buf = vec![0u8; content.len()];
+    m.uio_read(seg, 0, &mut buf).unwrap();
+    assert_eq!(buf, content);
+
+    // A store to the filled frame leaves the file unchanged.
+    m.uio_write(seg, 0, b"frame").unwrap();
+    let mut head = [0u8; 5];
+    m.store_mut().read(f, 0, &mut head).unwrap();
+    assert_eq!(head, content[..5]);
+
+    // A file write after the fill leaves the frame unchanged.
+    m.store_mut().write(f, 4096, b"file!").unwrap();
+    m.uio_read(seg, 4096, &mut head).unwrap();
+    assert_eq!(head, content[4096..4101]);
+
+    // Closing writes the dirty page back: the file now holds the store.
+    m.close_segment(seg).unwrap();
+    m.store_mut().read(f, 0, &mut head).unwrap();
+    assert_eq!(&head, b"frame");
+}
+
 /// Protection mask composition: the most restrictive protection along a
 /// binding chain governs.
 #[test]
