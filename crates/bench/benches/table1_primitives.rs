@@ -1,7 +1,9 @@
 //! Regenerates Table 1 (printed before timing) and benchmarks the real
 //! wall-clock cost of the underlying kernel primitives.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::cell::RefCell;
+
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use epcm_core::flags::PageFlags;
 use epcm_core::kernel::Kernel;
 use epcm_core::tier::TierLayout;
@@ -141,6 +143,30 @@ fn page_tables(c: &mut Criterion) {
             p = (p + 7919) % PAPER_FRAMES as u64;
             boot.entry(black_box(PageNumber(p)))
         });
+    });
+
+    // Closing a 1024-page file segment whose every page is dirty, on a
+    // paper-sized machine: each page is written back and migrated into
+    // the first vacant slot of the manager's free pool. Only the close is
+    // timed; opening and dirtying the segment is the per-iteration set-up.
+    c.bench_function("segment_close_1k", |b| {
+        const PAGES: u64 = 1024;
+        let m = RefCell::new(Machine::with_default_manager(PAPER_FRAMES));
+        m.borrow_mut()
+            .store_mut()
+            .create("f", (PAGES * BASE_PAGE_SIZE) as usize);
+        b.iter_batched(
+            || {
+                let mut m = m.borrow_mut();
+                let seg = m.open_file("f").unwrap();
+                for p in 0..PAGES {
+                    m.touch(seg, p, AccessKind::Write).unwrap();
+                }
+                seg
+            },
+            |seg| m.borrow_mut().close_segment(seg).unwrap(),
+            BatchSize::PerIteration,
+        );
     });
 
     // One default-manager tick on the benchmark's 512/2048/512 tiered

@@ -3,8 +3,9 @@
 //! The workspace's `cargo bench` targets were written against criterion,
 //! which cannot be fetched in network-restricted environments (see README
 //! "Offline builds"). This crate implements the surface those benches use
-//! — [`Criterion::bench_function`], [`Bencher::iter`], [`criterion_group!`]
-//! and [`criterion_main!`] — with a simple calibrated wall-clock timer:
+//! — [`Criterion::bench_function`], [`Bencher::iter`],
+//! [`Bencher::iter_batched`], [`criterion_group!`] and [`criterion_main!`]
+//! — with a simple calibrated wall-clock timer:
 //! each benchmark is warmed up, then timed over enough iterations to fill a
 //! short measurement window, and the mean ns/iteration is printed.
 //!
@@ -103,6 +104,43 @@ impl Bencher {
         }
         self.report = Some((target, start.elapsed()));
     }
+
+    /// Times `routine` on inputs built by `setup`, leaving the set-up out
+    /// of the measurement. Every routine call gets a fresh input and is
+    /// timed on its own; the iteration count is sized by the cost of
+    /// set-up and routine together.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        let mut timed = |iters: Option<u64>, window: Duration| {
+            let start = Instant::now();
+            let (mut n, mut busy) = (0u64, Duration::ZERO);
+            while iters.map_or(start.elapsed() < window, |target| n < target) {
+                let input = setup();
+                let t = Instant::now();
+                black_box(routine(input));
+                busy += t.elapsed();
+                n += 1;
+            }
+            (n, busy, start.elapsed())
+        };
+        let (warm_iters, _, warm_total) = timed(None, self.warmup);
+        let per_iter = warm_total.as_secs_f64() / warm_iters.max(1) as f64;
+        let target =
+            ((self.measurement.as_secs_f64() / per_iter.max(1e-9)) as u64).clamp(1, 1 << 24);
+        let (iters, busy, _) = timed(Some(target), Duration::ZERO);
+        self.report = Some((iters, busy));
+    }
+}
+
+/// How many inputs [`Bencher::iter_batched`] builds per batch; the shim
+/// has criterion's one-per-iteration size only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSize {
+    /// One input per routine call.
+    PerIteration,
 }
 
 /// Declares a benchmark group function, mirroring criterion's macro.
@@ -142,6 +180,28 @@ mod tests {
             b.iter(|| black_box(1 + 1));
         });
         assert!(ran);
+    }
+
+    #[test]
+    fn iter_batched_times_only_the_routine() {
+        let mut c = Criterion {
+            warmup: Duration::from_millis(5),
+            measurement: Duration::from_millis(10),
+        };
+        let (mut built, mut used) = (0u64, 0u64);
+        c.bench_function("batched", |b| {
+            b.iter_batched(
+                || {
+                    built += 1;
+                    std::thread::sleep(Duration::from_micros(200));
+                },
+                |()| used += 1,
+                BatchSize::PerIteration,
+            );
+            let (iters, busy) = b.report.expect("measured");
+            assert!(busy < Duration::from_micros(100) * iters as u32);
+        });
+        assert_eq!(built, used);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use epcm_core::fault::{FaultEvent, FaultKind};
 use epcm_core::flags::PageFlags;
 use epcm_core::kernel::Kernel;
 use epcm_core::ring::{RingOp, RingPort, DEFAULT_RING_CAPACITY};
-use epcm_core::segment::PageEntry;
+use epcm_core::segment::{PageEntry, Segment};
 use epcm_core::tier::MemTier;
 use epcm_core::types::{FrameId, ManagerId, PageNumber, SegmentId, SegmentKind, BASE_PAGE_SIZE};
 use epcm_sim::clock::Micros;
@@ -58,6 +58,7 @@ enum Backing {
 
 #[derive(Debug, Clone)]
 struct ManagedSegment {
+    id: SegmentId,
     backing: Backing,
 }
 
@@ -309,12 +310,12 @@ pub struct DefaultSegmentManager {
     /// This manager's end of the kernel ABI; every page operation rides
     /// it.
     ring: RingPort,
-    /// Access heat per non-DRAM-resident page, `(segment, page) ->
-    /// count`, fed by fault-time re-references, sampling-window hits and
-    /// writeback completions. Empty (never written) with the promotion
-    /// ladder off. Entries for pages that leave residency or reach DRAM
-    /// on their own are pruned lazily during the tick scan.
-    heat: BTreeMap<(u32, u64), u64>,
+    /// Access heat per non-DRAM-resident page, fed by fault-time
+    /// re-references, sampling-window hits and writeback completions.
+    /// Empty (never written) with the promotion ladder off. Entries for
+    /// pages that leave residency or reach DRAM on their own are pruned
+    /// lazily during the tick scan.
+    heat: HeatTable,
     /// Ticket -> page map for in-flight writebacks, maintained only with
     /// the promotion ladder on, so a completion can heat its page even
     /// after a laundry rescue cleared the `unclean` mark.
@@ -327,29 +328,119 @@ pub struct DefaultSegmentManager {
 /// the highest slot counted, which the free segment's size (the
 /// machine's frame count) bounds.
 #[derive(Debug, Clone, Default)]
-struct SlotCounts(Vec<u32>);
+struct SlotCounts {
+    counts: Vec<u32>,
+    /// Bit `i % 64` of word `i / 64` is set exactly when `counts[i] > 0`:
+    /// the word view the free-slot pickers mask the pool's residency
+    /// bitmap with.
+    held: Vec<u64>,
+}
 
 impl SlotCounts {
     fn hold(&mut self, slot: PageNumber) {
         let i = usize::try_from(slot.as_u64()).expect("free-pool slots fit the address space");
-        if i >= self.0.len() {
-            self.0.resize(i + 1, 0);
+        if i >= self.counts.len() {
+            self.counts.resize(i + 1, 0);
+            self.held.resize(i / 64 + 1, 0);
         }
-        self.0[i] += 1;
+        self.counts[i] += 1;
+        self.held[i / 64] |= 1 << (i % 64);
     }
 
     fn release(&mut self, slot: PageNumber) {
-        let i = usize::try_from(slot.as_u64()).ok();
-        if let Some(n) = i.and_then(|i| self.0.get_mut(i)) {
+        let Ok(i) = usize::try_from(slot.as_u64()) else {
+            return;
+        };
+        if let Some(n) = self.counts.get_mut(i) {
             *n = n.saturating_sub(1);
+            if *n == 0 {
+                self.held[i / 64] &= !(1 << (i % 64));
+            }
         }
     }
 
     fn holds(&self, slot: PageNumber) -> bool {
         usize::try_from(slot.as_u64())
             .ok()
-            .and_then(|i| self.0.get(i))
+            .and_then(|i| self.counts.get(i))
             .is_some_and(|&n| n > 0)
+    }
+
+    /// Word `w` of the held-slot bitmap.
+    fn held_word(&self, w: usize) -> u64 {
+        self.held.get(w).copied().unwrap_or(0)
+    }
+}
+
+/// Access heat per page, indexed by segment id and then page number,
+/// beside the list of keys whose heat is non-zero, so the tick walks
+/// only heated pages. A slot's top bit records that its key is in
+/// `live`; zeroing a key's heat leaves it listed until [`Self::prune`].
+#[derive(Debug, Default)]
+struct HeatTable {
+    rows: Vec<Vec<u64>>,
+    live: Vec<(u32, u64)>,
+}
+
+const LISTED: u64 = 1 << 63;
+
+impl HeatTable {
+    fn slot_mut(&mut self, (seg, page): (u32, u64)) -> &mut u64 {
+        let s = seg as usize;
+        if s >= self.rows.len() {
+            self.rows.resize_with(s + 1, Vec::new);
+        }
+        let row = &mut self.rows[s];
+        let p = usize::try_from(page).expect("heated pages fit the address space");
+        if p >= row.len() {
+            row.resize(p + 1, 0);
+        }
+        &mut row[p]
+    }
+
+    /// The heat of `key`, 0 if none.
+    fn get(&self, (seg, page): (u32, u64)) -> u64 {
+        self.rows
+            .get(seg as usize)
+            .and_then(|row| row.get(usize::try_from(page).ok()?))
+            .map_or(0, |&h| h & !LISTED)
+    }
+
+    /// Adds one unit of heat to `key`.
+    fn bump(&mut self, key: (u32, u64)) {
+        let slot = self.slot_mut(key);
+        let listed = *slot & LISTED != 0;
+        *slot = (*slot + 1) | LISTED;
+        if !listed {
+            self.live.push(key);
+        }
+    }
+
+    /// Zeroes `key`'s heat.
+    fn clear(&mut self, key: (u32, u64)) {
+        if self.get(key) != 0 {
+            *self.slot_mut(key) = LISTED;
+        }
+    }
+
+    /// Unlists every key whose heat is zero.
+    fn prune(&mut self) {
+        let rows = &mut self.rows;
+        self.live.retain(|&(seg, page)| {
+            let slot = &mut rows[seg as usize][page as usize];
+            if *slot == LISTED {
+                *slot = 0;
+                false
+            } else {
+                true
+            }
+        });
+    }
+
+    /// Whether no key has heat. Exact between ticks, which end with a
+    /// prune.
+    fn is_empty(&self) -> bool {
+        self.live.is_empty()
     }
 }
 
@@ -404,7 +495,7 @@ impl DefaultSegmentManager {
             unclean_slots: SlotCounts::default(),
             wb_stats: WritebackStats::default(),
             ring,
-            heat: BTreeMap::new(),
+            heat: HeatTable::default(),
             wb_keys: BTreeMap::new(),
             promo_stats: PromotionStats::default(),
             tracer: None,
@@ -486,7 +577,7 @@ impl DefaultSegmentManager {
         if tiers.tier_of(entry.frame) == MemTier::Dram {
             return;
         }
-        *self.heat.entry((seg.as_u32(), page.as_u64())).or_insert(0) += 1;
+        self.heat.bump((seg.as_u32(), page.as_u64()));
         self.promo_stats.heat_events += 1;
     }
 
@@ -699,12 +790,7 @@ impl DefaultSegmentManager {
     fn take_free_slot(&mut self, env: &mut Env<'_>) -> Result<PageNumber, ManagerError> {
         let free_seg = self.free_seg(env)?;
         self.ensure_free(env, 1)?;
-        let pick = env
-            .kernel
-            .segment(free_seg)?
-            .resident()
-            .map(|(p, _)| p)
-            .find(|&p| !self.laundry_slots.holds(p));
+        let pick = clean_slots(env.kernel.segment(free_seg)?, &self.laundry_slots).next();
         if let Some(p) = pick {
             return Ok(p);
         }
@@ -995,7 +1081,7 @@ impl DefaultSegmentManager {
             self.wb_stats.dirty_victim_us += env.kernel.now().duration_since(before).as_micros();
         }
         // Destination: first empty slot in the free segment.
-        let slot = first_empty_slot(env.kernel, free_seg)?;
+        let slot = env.kernel.segment(free_seg)?.first_vacant();
         self.op_migrate_pages(
             env,
             seg,
@@ -1106,11 +1192,7 @@ impl DefaultSegmentManager {
         }
         let free_seg = self.free_seg(env)?;
         let tiers = *env.kernel.tiers();
-        let segs: Vec<SegmentId> = env
-            .kernel
-            .segment_ids()
-            .filter(|s| self.managed.contains_key(&s.as_u32()))
-            .collect();
+        let segs: Vec<SegmentId> = self.managed.values().map(|m| m.id).collect();
         let mut demoted = 0;
         'segments: for seg in segs {
             let candidates: Vec<PageNumber> = match env.kernel.segment(seg) {
@@ -1206,11 +1288,7 @@ impl DefaultSegmentManager {
         let candidate = |e: &PageEntry| {
             !e.flags.contains(PageFlags::PINNED) && tiers.tier_of(e.frame) == MemTier::Dram
         };
-        let segs: Vec<SegmentId> = kernel
-            .segment_ids()
-            .filter(|s| self.managed.contains_key(&s.as_u32()))
-            .collect();
-        for &seg in &segs {
+        for seg in self.managed.values().map(|m| m.id) {
             let Ok(segment) = kernel.segment(seg) else {
                 continue;
             };
@@ -1223,7 +1301,7 @@ impl DefaultSegmentManager {
         }
         // Every candidate was referenced: give them all a second chance,
         // in the order the sweep met them.
-        for seg in segs {
+        for seg in self.managed.values().map(|m| m.id) {
             let mut from = PageNumber(0);
             while let Some(p) = kernel.segment(seg).ok().and_then(|segment| {
                 segment
@@ -1348,17 +1426,15 @@ impl DefaultSegmentManager {
             return Ok(0);
         }
         let tiers = *env.kernel.tiers();
-        let segs: BTreeMap<u32, SegmentId> = env
-            .kernel
-            .segment_ids()
-            .filter(|s| self.managed.contains_key(&s.as_u32()))
-            .map(|s| (s.as_u32(), s))
-            .collect();
         let threshold = self.config.promotion_threshold.max(1);
         let mut stale: Vec<(u32, u64)> = Vec::new();
         let mut cands: Vec<(u64, (u32, u64))> = Vec::new();
-        for (&key, &heat) in &self.heat {
-            let Some(&seg) = segs.get(&key.0) else {
+        for &key in &self.heat.live {
+            let heat = self.heat.get(key);
+            if heat == 0 {
+                continue; // cleared, awaiting the prune
+            }
+            let Some(seg) = self.managed.get(&key.0).map(|m| m.id) else {
                 stale.push(key); // segment closed or unmanaged
                 continue;
             };
@@ -1378,20 +1454,20 @@ impl DefaultSegmentManager {
             }
         }
         for key in stale {
-            self.heat.remove(&key);
+            self.heat.clear(key);
         }
-        cands.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        cands.truncate(self.config.promotion_budget as usize);
+        top_k(&mut cands, self.config.promotion_budget as usize);
         let mut promoted = 0;
         for (heat, key) in cands {
-            let Some(&seg) = segs.get(&key.0) else {
+            let Some(seg) = self.managed.get(&key.0).map(|m| m.id) else {
                 continue;
             };
             if self.promote_page(env, seg, PageNumber(key.1), heat)? {
-                self.heat.remove(&key);
+                self.heat.clear(key);
                 promoted += 1;
             }
         }
+        self.heat.prune();
         Ok(promoted)
     }
 
@@ -1436,6 +1512,7 @@ impl DefaultSegmentManager {
         if is_anon {
             if let Some(ManagedSegment {
                 backing: Backing::Anonymous { swapped, .. },
+                ..
             }) = self.managed.get_mut(&seg.as_u32())
             {
                 swapped.insert(page.as_u64());
@@ -1602,7 +1679,8 @@ impl DefaultSegmentManager {
                 let is_file = matches!(
                     self.managed.get(&seg.as_u32()),
                     Some(ManagedSegment {
-                        backing: Backing::File(_)
+                        backing: Backing::File(_),
+                        ..
                     })
                 );
                 let batch = if is_file {
@@ -1630,7 +1708,7 @@ impl DefaultSegmentManager {
                 self.ensure_free(env, want)?;
                 // Prefer a consecutive run of free slots so the batch is a
                 // single MigratePages invocation (the 16 KB append unit).
-                let run = find_free_run(env.kernel, free_seg, want, &self.laundry_slots)?;
+                let run = find_free_run(env.kernel.segment(free_seg)?, want, &self.laundry_slots);
                 match run {
                     Some((start, len)) => {
                         self.op_migrate_pages(
@@ -1770,19 +1848,17 @@ impl DefaultSegmentManager {
         // The sweep resumes at the cursor and runs up to the last managed
         // segment; segments below the cursor wait for the wrapped sweep.
         let start = self.sample_cursor;
-        let seg_ids: Vec<u32> = self.managed.range(start.0..).map(|(&s, _)| s).collect();
-        for sid in seg_ids {
+        let segs: Vec<SegmentId> = self.managed.range(start.0..).map(|(_, m)| m.id).collect();
+        for seg in segs {
             if remaining == 0 {
                 break;
             }
+            let sid = seg.as_u32();
             let from = if sid == start.0 { start.1 } else { 0 };
-            let seg = match env.kernel.segment_ids().find(|s| s.as_u32() == sid) {
-                Some(s) => s,
-                None => continue,
+            let Ok(segment) = env.kernel.segment(seg) else {
+                continue;
             };
-            let pages: Vec<PageNumber> = env
-                .kernel
-                .segment(seg)?
+            let pages: Vec<PageNumber> = segment
                 .resident_from(PageNumber(from))
                 .filter(|(_, e)| {
                     e.flags.contains(PageFlags::READ) && !e.flags.contains(PageFlags::PINNED)
@@ -1814,59 +1890,69 @@ impl DefaultSegmentManager {
     }
 }
 
+/// Free-segment slots holding a frame but no laundry, in slot order: the
+/// set bits of the pool's residency bitmap masked by the laundry's.
+fn clean_slots<'a>(
+    pool: &'a Segment,
+    in_laundry: &'a SlotCounts,
+) -> impl Iterator<Item = PageNumber> + 'a {
+    pool.resident_bits()
+        .iter()
+        .enumerate()
+        .flat_map(move |(w, &bits)| {
+            let mut word = bits & !in_laundry.held_word(w);
+            std::iter::from_fn(move || {
+                let bit = word.trailing_zeros();
+                (word != 0).then(|| {
+                    word &= word - 1;
+                    PageNumber(w as u64 * 64 + u64::from(bit))
+                })
+            })
+        })
+}
+
 /// Longest run (up to `want`) of consecutive free-segment slots holding
 /// frames, avoiding slots that are keeping laundry data alive. Returns
 /// `(start, len)` with `len >= 1`, or `None` if only laundry slots remain.
-fn find_free_run(
-    kernel: &Kernel,
-    free_seg: SegmentId,
-    want: u64,
-    in_laundry: &SlotCounts,
-) -> Result<Option<(PageNumber, u64)>, epcm_core::KernelError> {
-    let s = kernel.segment(free_seg)?;
+fn find_free_run(pool: &Segment, want: u64, in_laundry: &SlotCounts) -> Option<(PageNumber, u64)> {
     let mut best: Option<(u64, u64)> = None; // (start, len)
-    let mut run_start: Option<u64> = None;
-    let mut prev: Option<u64> = None;
-    for (p, _) in s.resident() {
-        if in_laundry.holds(p) {
-            run_start = None;
-            prev = None;
-            continue;
-        }
+    let mut run: Option<(u64, u64)> = None; // (start, last)
+    for p in clean_slots(pool, in_laundry) {
         let p = p.as_u64();
-        match (run_start, prev) {
-            (Some(start), Some(q)) if p == q + 1 => {
+        match run {
+            Some((start, last)) if p == last + 1 => {
                 let len = p - start + 1;
                 if best.is_none_or(|(_, bl)| len > bl) {
                     best = Some((start, len));
                 }
                 if len >= want {
-                    return Ok(Some((PageNumber(start), want)));
+                    return Some((PageNumber(start), want));
                 }
+                run = Some((start, p));
             }
             _ => {
-                run_start = Some(p);
+                run = Some((p, p));
                 if best.is_none() {
                     best = Some((p, 1));
                 }
             }
         }
-        prev = Some(p);
     }
-    Ok(best.map(|(start, len)| (PageNumber(start), len.min(want))))
+    best.map(|(start, len)| (PageNumber(start), len.min(want)))
 }
 
-/// First page slot in `seg` holding no frame.
-fn first_empty_slot(kernel: &Kernel, seg: SegmentId) -> Result<PageNumber, epcm_core::KernelError> {
-    let s = kernel.segment(seg)?;
-    let mut expected = 0u64;
-    for (p, _) in s.resident() {
-        if p.as_u64() != expected {
-            return Ok(PageNumber(expected));
+/// Sorts the `k` largest candidates to the front of `cands` — heat
+/// descending, then `(segment, page)` ascending, a total order — and
+/// drops the rest. Selection first, so only the kept `k` are sorted.
+fn top_k(cands: &mut Vec<(u64, (u32, u64))>, k: usize) {
+    let order = |a: &(u64, (u32, u64)), b: &(u64, (u32, u64))| b.0.cmp(&a.0).then(a.1.cmp(&b.1));
+    if k < cands.len() {
+        if k > 0 {
+            cands.select_nth_unstable_by(k - 1, order);
         }
-        expected += 1;
+        cands.truncate(k);
     }
-    Ok(PageNumber(expected))
+    cands.sort_unstable_by(order);
 }
 
 impl SegmentManager for DefaultSegmentManager {
@@ -1900,8 +1986,13 @@ impl SegmentManager for DefaultSegmentManager {
             },
         };
         env.kernel.set_segment_manager(segment, self.id)?;
-        self.managed
-            .insert(segment.as_u32(), ManagedSegment { backing });
+        self.managed.insert(
+            segment.as_u32(),
+            ManagedSegment {
+                id: segment,
+                backing,
+            },
+        );
         // Seed policy with already-resident pages (ownership assumption of
         // an existing segment, §2.2).
         let resident: Vec<PageNumber> = env
@@ -1984,7 +2075,8 @@ impl SegmentManager for DefaultSegmentManager {
         let is_file = matches!(
             self.managed.get(&segment.as_u32()),
             Some(ManagedSegment {
-                backing: Backing::File(_)
+                backing: Backing::File(_),
+                ..
             })
         );
         for (p, flags) in pages {
@@ -1993,7 +2085,7 @@ impl SegmentManager for DefaultSegmentManager {
             if is_file && flags.contains(PageFlags::DIRTY) {
                 self.writeback(env, segment, p)?;
             }
-            let slot = first_empty_slot(env.kernel, free_seg)?;
+            let slot = env.kernel.segment(free_seg)?.first_vacant();
             self.op_migrate_pages(
                 env,
                 segment,
@@ -2213,7 +2305,8 @@ mod tests {
         mgr.laundry_order.pop_front();
         assert_eq!(mgr.laundry_remove(&a), Some(PageNumber(12)));
         assert_eq!(mgr.oldest_live_laundry(), None);
-        assert!(mgr.laundry_slots.0.iter().all(|&n| n == 0));
+        assert!(mgr.laundry_slots.counts.iter().all(|&n| n == 0));
+        assert!(mgr.laundry_slots.held.iter().all(|&w| w == 0));
     }
 
     /// Overcommits a tiny machine until the free pool is wall-to-wall
@@ -2372,12 +2465,17 @@ mod tests {
                             .downcast_ref::<DefaultSegmentManager>()
                             .unwrap();
                         for slot in 0..64 {
-                            let count = |counts: &SlotCounts| counts.0.get(slot).copied();
+                            let count = |counts: &SlotCounts| counts.counts.get(slot).copied();
+                            let held = |counts: &SlotCounts| {
+                                counts.held_word(slot / 64) >> (slot % 64) & 1 == 1
+                            };
                             let slot = PageNumber(slot as u64);
                             let laundry = d.laundry.values().filter(|e| e.slot == slot).count();
                             let unclean = d.unclean.values().filter(|e| e.1 == slot).count();
                             assert_eq!(count(&d.laundry_slots).unwrap_or(0) as usize, laundry);
                             assert_eq!(count(&d.unclean_slots).unwrap_or(0) as usize, unclean);
+                            assert_eq!(held(&d.laundry_slots), laundry > 0);
+                            assert_eq!(held(&d.unclean_slots), unclean > 0);
                         }
                         Ok((!d.laundry.is_empty(), !d.unclean.is_empty()))
                     })
@@ -2390,6 +2488,28 @@ mod tests {
             saw_laundry && saw_in_flight,
             "run never exercised the mirrors"
         );
+    }
+
+    #[test]
+    fn top_k_matches_full_sort_and_truncate() {
+        let mut rng = epcm_sim::rng::Rng::seed_from(16);
+        for round in 0..400 {
+            // Few distinct heats and keys, so ties on heat are common.
+            let n = rng.index(40);
+            let mut cands: Vec<(u64, (u32, u64))> = Vec::new();
+            while cands.len() < n {
+                let key = (rng.index(4) as u32, rng.index(16) as u64);
+                if cands.iter().all(|c| c.1 != key) {
+                    cands.push((rng.index(5) as u64, key));
+                }
+            }
+            let k = rng.index(20);
+            let mut want = cands.clone();
+            want.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+            want.truncate(k);
+            top_k(&mut cands, k);
+            assert_eq!(cands, want, "round {round}, k {k}");
+        }
     }
 
     #[test]

@@ -354,7 +354,7 @@ impl<S: Specialization> GenericManager<S> {
                 }
             }
         }
-        let slot = first_empty(env.kernel, free_seg)?;
+        let slot = env.kernel.segment(free_seg)?.first_vacant();
         self.op_migrate_pages(
             env,
             seg,
@@ -396,18 +396,6 @@ fn find_slot(
         .resident()
         .find(|(_, e)| constraint.admits(e.frame, &tiers))
         .map(|(p, _)| p))
-}
-
-fn first_empty(kernel: &Kernel, seg: SegmentId) -> Result<PageNumber, ManagerError> {
-    let s = kernel.segment(seg)?;
-    let mut expected = 0u64;
-    for (p, _) in s.resident() {
-        if p.as_u64() != expected {
-            return Ok(PageNumber(expected));
-        }
-        expected += 1;
-    }
-    Ok(PageNumber(expected))
 }
 
 impl<S: Specialization + 'static> SegmentManager for GenericManager<S> {
@@ -561,7 +549,7 @@ impl<S: Specialization + 'static> SegmentManager for GenericManager<S> {
                 self.spec.write_back(env, segment, p, block.as_slice())?;
                 self.stats.writebacks += 1;
             }
-            let slot = first_empty(env.kernel, free_seg)?;
+            let slot = env.kernel.segment(free_seg)?.first_vacant();
             self.op_migrate_pages(
                 env,
                 segment,

@@ -9,7 +9,7 @@
 //! bits, pins) through the probe callback, keeping the policies
 //! independent of the kernel and directly unit-testable.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use epcm_core::types::{PageNumber, SegmentId};
@@ -64,33 +64,99 @@ pub trait ReplacementPolicy: fmt::Debug {
     }
 }
 
-/// Multiset mirror of a lazy-deletion ring: O(log n) membership checks
-/// on the fault path instead of O(n) `VecDeque::contains` scans. Counts
-/// (rather than a plain set) keep the mirror exact even if a key is ever
-/// enqueued twice.
+/// Per-page bookkeeping for a lazy-deletion queue, shared by the
+/// policies: how many copies of each key the queue holds (a count, so
+/// the mirror stays exact even if a key is enqueued twice) and whether
+/// the key is dead — removed, but not yet swept out of the queue. Every
+/// check on the fault path is an index, not a search: rows are indexed
+/// by segment id and slots by page number, like the kernel's page
+/// tables, and a row's storage is freed once none of its keys remain.
+/// A dead key always has at least one copy queued.
 #[derive(Debug, Default)]
-struct RingIndex {
-    counts: BTreeMap<Key, usize>,
+struct KeyTable {
+    rows: Vec<KeyRow>,
+    /// Number of dead keys.
+    dead: usize,
 }
 
-impl RingIndex {
-    fn contains(&self, key: &Key) -> bool {
-        self.counts.contains_key(key)
+#[derive(Debug, Default)]
+struct KeyRow {
+    /// Per page: queued copies in the high bits, the dead flag in bit 0.
+    slots: Vec<u32>,
+    /// Non-zero entries of `slots`.
+    used: usize,
+}
+
+const DEAD: u32 = 1;
+const COPY: u32 = 2;
+
+impl KeyTable {
+    fn slot(&self, (seg, page): Key) -> u32 {
+        self.rows
+            .get(seg.as_u32() as usize)
+            .and_then(|row| row.slots.get(usize::try_from(page.as_u64()).ok()?))
+            .copied()
+            .unwrap_or(0)
     }
 
-    /// One copy of `key` entered the ring.
-    fn added(&mut self, key: Key) {
-        *self.counts.entry(key).or_insert(0) += 1;
-    }
-
-    /// One copy of `key` permanently left the ring.
-    fn dropped(&mut self, key: &Key) {
-        if let Some(n) = self.counts.get_mut(key) {
-            *n -= 1;
-            if *n == 0 {
-                self.counts.remove(key);
-            }
+    fn set(&mut self, (seg, page): Key, value: u32) {
+        let s = seg.as_u32() as usize;
+        if s >= self.rows.len() {
+            self.rows.resize_with(s + 1, KeyRow::default);
         }
+        let row = &mut self.rows[s];
+        let p = usize::try_from(page.as_u64()).expect("policy pages fit the address space");
+        if p >= row.slots.len() {
+            row.slots.resize(p + 1, 0);
+        }
+        let old = std::mem::replace(&mut row.slots[p], value);
+        match (old == 0, value == 0) {
+            (true, false) => row.used += 1,
+            (false, true) => {
+                row.used -= 1;
+                if row.used == 0 {
+                    row.slots = Vec::new();
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn contains(&self, key: Key) -> bool {
+        self.slot(key) >= COPY
+    }
+
+    /// One copy of `key` entered the queue.
+    fn added(&mut self, key: Key) {
+        self.set(key, self.slot(key) + COPY);
+    }
+
+    /// One copy of `key` permanently left the queue.
+    fn dropped(&mut self, key: Key) {
+        let slot = self.slot(key);
+        if slot >= COPY {
+            self.set(key, slot - COPY);
+        }
+    }
+
+    /// Marks a queued key dead; a no-op for keys not queued.
+    fn kill(&mut self, key: Key) {
+        let slot = self.slot(key);
+        if slot >= COPY && slot & DEAD == 0 {
+            self.set(key, slot | DEAD);
+            self.dead += 1;
+        }
+    }
+
+    /// Clears `key`'s dead mark, returning whether it was dead.
+    fn revive(&mut self, key: Key) -> bool {
+        let slot = self.slot(key);
+        if slot & DEAD == 0 {
+            return false;
+        }
+        self.set(key, slot & !DEAD);
+        self.dead -= 1;
+        true
     }
 }
 
@@ -98,8 +164,7 @@ impl RingIndex {
 #[derive(Debug, Default)]
 pub struct ClockPolicy {
     ring: VecDeque<Key>,
-    dead: BTreeSet<Key>,
-    index: RingIndex,
+    keys: KeyTable,
 }
 
 impl ClockPolicy {
@@ -109,7 +174,7 @@ impl ClockPolicy {
     }
 
     fn live_len(&self) -> usize {
-        self.ring.len() - self.dead.len()
+        self.ring.len() - self.keys.dead
     }
 }
 
@@ -118,18 +183,15 @@ impl ReplacementPolicy for ClockPolicy {
         let key = (seg, page);
         // A dead entry still sits in the ring (lazy deletion); reviving it
         // just clears the tombstone. Otherwise enqueue it.
-        let was_dead = self.dead.remove(&key);
-        if !was_dead || !self.index.contains(&key) {
+        if !self.keys.revive(key) {
             self.ring.push_back(key);
-            self.index.added(key);
+            self.keys.added(key);
         }
     }
 
     fn note_removed(&mut self, seg: SegmentId, page: PageNumber) {
         // Lazy deletion: the hand skips dead entries.
-        if self.index.contains(&(seg, page)) {
-            self.dead.insert((seg, page));
-        }
+        self.keys.kill((seg, page));
     }
 
     fn note_referenced(&mut self, _seg: SegmentId, _page: PageNumber) {
@@ -147,18 +209,18 @@ impl ReplacementPolicy for ClockPolicy {
         while budget > 0 {
             budget -= 1;
             let key = self.ring.pop_front()?;
-            if self.dead.remove(&key) {
-                self.index.dropped(&key);
+            if self.keys.revive(key) {
+                self.keys.dropped(key);
                 continue;
             }
             match probe(key.0, key.1) {
                 Probe::Referenced | Probe::Pinned => self.ring.push_back(key),
                 Probe::NotReferenced => {
-                    self.index.dropped(&key);
+                    self.keys.dropped(key);
                     return Some(key);
                 }
                 Probe::Gone => {
-                    self.index.dropped(&key);
+                    self.keys.dropped(key);
                 }
             }
         }
@@ -174,8 +236,7 @@ impl ReplacementPolicy for ClockPolicy {
 #[derive(Debug, Default)]
 pub struct FifoPolicy {
     queue: VecDeque<Key>,
-    dead: BTreeSet<Key>,
-    index: RingIndex,
+    keys: KeyTable,
 }
 
 impl FifoPolicy {
@@ -187,17 +248,15 @@ impl FifoPolicy {
 
 impl ReplacementPolicy for FifoPolicy {
     fn note_resident(&mut self, seg: SegmentId, page: PageNumber) {
-        self.dead.remove(&(seg, page));
-        if !self.index.contains(&(seg, page)) {
+        self.keys.revive((seg, page));
+        if !self.keys.contains((seg, page)) {
             self.queue.push_back((seg, page));
-            self.index.added((seg, page));
+            self.keys.added((seg, page));
         }
     }
 
     fn note_removed(&mut self, seg: SegmentId, page: PageNumber) {
-        if self.index.contains(&(seg, page)) {
-            self.dead.insert((seg, page));
-        }
+        self.keys.kill((seg, page));
     }
 
     fn note_referenced(&mut self, _seg: SegmentId, _page: PageNumber) {}
@@ -210,18 +269,18 @@ impl ReplacementPolicy for FifoPolicy {
         while budget > 0 {
             budget -= 1;
             let key = self.queue.pop_front()?;
-            if self.dead.remove(&key) {
-                self.index.dropped(&key);
+            if self.keys.revive(key) {
+                self.keys.dropped(key);
                 continue;
             }
             match probe(key.0, key.1) {
                 Probe::Pinned => self.queue.push_back(key),
                 Probe::Gone => {
-                    self.index.dropped(&key);
+                    self.keys.dropped(key);
                 }
                 // FIFO ignores the reference bit.
                 Probe::Referenced | Probe::NotReferenced => {
-                    self.index.dropped(&key);
+                    self.keys.dropped(key);
                     return Some(key);
                 }
             }
@@ -230,7 +289,7 @@ impl ReplacementPolicy for FifoPolicy {
     }
 
     fn len(&self) -> usize {
-        self.queue.len() - self.dead.len()
+        self.queue.len() - self.keys.dead
     }
 }
 
@@ -240,8 +299,7 @@ impl ReplacementPolicy for FifoPolicy {
 pub struct LruPolicy {
     // Front = least recently used.
     order: VecDeque<Key>,
-    dead: BTreeSet<Key>,
-    index: RingIndex,
+    keys: KeyTable,
 }
 
 impl LruPolicy {
@@ -253,17 +311,15 @@ impl LruPolicy {
 
 impl ReplacementPolicy for LruPolicy {
     fn note_resident(&mut self, seg: SegmentId, page: PageNumber) {
-        self.dead.remove(&(seg, page));
-        if !self.index.contains(&(seg, page)) {
+        self.keys.revive((seg, page));
+        if !self.keys.contains((seg, page)) {
             self.order.push_back((seg, page));
-            self.index.added((seg, page));
+            self.keys.added((seg, page));
         }
     }
 
     fn note_removed(&mut self, seg: SegmentId, page: PageNumber) {
-        if self.index.contains(&(seg, page)) {
-            self.dead.insert((seg, page));
-        }
+        self.keys.kill((seg, page));
     }
 
     fn note_referenced(&mut self, seg: SegmentId, page: PageNumber) {
@@ -282,17 +338,17 @@ impl ReplacementPolicy for LruPolicy {
         while budget > 0 {
             budget -= 1;
             let key = self.order.pop_front()?;
-            if self.dead.remove(&key) {
-                self.index.dropped(&key);
+            if self.keys.revive(key) {
+                self.keys.dropped(key);
                 continue;
             }
             match probe(key.0, key.1) {
                 Probe::Pinned => self.order.push_back(key),
                 Probe::Gone => {
-                    self.index.dropped(&key);
+                    self.keys.dropped(key);
                 }
                 Probe::Referenced | Probe::NotReferenced => {
-                    self.index.dropped(&key);
+                    self.keys.dropped(key);
                     return Some(key);
                 }
             }
@@ -301,7 +357,7 @@ impl ReplacementPolicy for LruPolicy {
     }
 
     fn len(&self) -> usize {
-        self.order.len() - self.dead.len()
+        self.order.len() - self.keys.dead
     }
 }
 
@@ -309,7 +365,7 @@ impl ReplacementPolicy for LruPolicy {
 #[derive(Debug)]
 pub struct RandomPolicy {
     pages: Vec<Key>,
-    index: RingIndex,
+    keys: KeyTable,
     rng: Rng,
 }
 
@@ -318,7 +374,7 @@ impl RandomPolicy {
     pub fn new(seed: u64) -> Self {
         RandomPolicy {
             pages: Vec::new(),
-            index: RingIndex::default(),
+            keys: KeyTable::default(),
             rng: Rng::seed_from(seed),
         }
     }
@@ -326,16 +382,16 @@ impl RandomPolicy {
 
 impl ReplacementPolicy for RandomPolicy {
     fn note_resident(&mut self, seg: SegmentId, page: PageNumber) {
-        if !self.index.contains(&(seg, page)) {
+        if !self.keys.contains((seg, page)) {
             self.pages.push((seg, page));
-            self.index.added((seg, page));
+            self.keys.added((seg, page));
         }
     }
 
     fn note_removed(&mut self, seg: SegmentId, page: PageNumber) {
-        if self.index.contains(&(seg, page)) {
+        if self.keys.contains((seg, page)) {
             self.pages.retain(|&k| k != (seg, page));
-            self.index.dropped(&(seg, page));
+            self.keys.dropped((seg, page));
         }
     }
 
@@ -354,11 +410,11 @@ impl ReplacementPolicy for RandomPolicy {
                 Probe::Pinned => {}
                 Probe::Gone => {
                     self.pages.swap_remove(idx);
-                    self.index.dropped(&key);
+                    self.keys.dropped(key);
                 }
                 Probe::Referenced | Probe::NotReferenced => {
                     self.pages.swap_remove(idx);
-                    self.index.dropped(&key);
+                    self.keys.dropped(key);
                     return Some(key);
                 }
             }

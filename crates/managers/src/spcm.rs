@@ -523,22 +523,11 @@ impl SystemPageCacheManager {
         }
 
         // Find empty destination slots.
-        let dst_seg = kernel.segment(dst)?;
-        let dst_size = dst_seg.size_pages();
-        let occupied: Vec<u64> = dst_seg.resident().map(|(p, _)| p.as_u64()).collect();
-        let mut occ = occupied.iter().copied().peekable();
-        let mut free_slots = Vec::with_capacity(picks.len());
-        for p in 0..dst_size {
-            if free_slots.len() == picks.len() {
-                break;
-            }
-            match occ.peek() {
-                Some(&o) if o == p => {
-                    occ.next();
-                }
-                _ => free_slots.push(PageNumber(p)),
-            }
-        }
+        let free_slots: Vec<PageNumber> = kernel
+            .segment(dst)?
+            .vacant_from(PageNumber(0))
+            .take(picks.len())
+            .collect();
         let n = free_slots.len().min(picks.len());
         // Migrate maximal runs where both source and destination pages are
         // consecutive, so a 64-frame grant is a handful of MigratePages

@@ -518,7 +518,8 @@ fn page_op_strategy() -> impl Strategy<Value = PageOp> {
 type PageModel = std::collections::BTreeMap<u64, (FrameId, PageFlags)>;
 
 /// Checks one segment's page table against its model through every read
-/// accessor, probing `resident_from` and `has_resident_in` at `(at, len)`.
+/// accessor, probing `resident_from`, `has_resident_in` and `vacant_from`
+/// at `(at, len)`.
 fn assert_pages_match(kernel: &Kernel, seg: SegmentId, model: &PageModel, at: u64, len: u64) {
     let s = kernel.segment(seg).expect("live segment");
     let flat =
@@ -541,14 +542,36 @@ fn assert_pages_match(kernel: &Kernel, seg: SegmentId, model: &PageModel, at: u6
         s.entry(PageNumber(at)).map(|e| (e.frame, e.flags)),
         model.get(&at).copied()
     );
+    // The residency bitmap: one set bit per modelled page, none past it.
+    let bits = s.resident_bits();
+    let words = bits.len() as u64;
+    for p in 0..words * 64 + 64 {
+        let bit = bits
+            .get((p / 64) as usize)
+            .is_some_and(|w| w >> (p % 64) & 1 == 1);
+        prop_assert_eq!(bit, model.contains_key(&p), "bit {}", p);
+    }
+    let first = (0..)
+        .find(|p| !model.contains_key(p))
+        .expect("a vacant page");
+    prop_assert_eq!(s.first_vacant(), PageNumber(first));
+    let size = s.size_pages();
+    let want_vacant: Vec<u64> = (at..size).filter(|p| !model.contains_key(p)).collect();
+    prop_assert_eq!(
+        s.vacant_from(PageNumber(at))
+            .map(|p| p.as_u64())
+            .collect::<Vec<_>>(),
+        want_vacant
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The dense page table agrees with a `BTreeMap` model of the same
-    /// segment, and of the bulk-built boot segment, after every insert,
-    /// removal, flag update and resize, holes and re-inserts included.
+    /// The dense page table and its residency bitmap agree with a
+    /// `BTreeMap` model of the same segment, and of the bulk-built boot
+    /// segment, after every insert, removal, flag update and resize,
+    /// holes and re-inserts included.
     #[test]
     fn segment_page_table_matches_btree_model(
         size in 1..PT_PAGES,

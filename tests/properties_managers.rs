@@ -582,3 +582,271 @@ proptest! {
         );
     }
 }
+
+/// The replacement policies as they were before their per-page
+/// bookkeeping went dense: a `BTreeMap` multiset of queued keys and a
+/// `BTreeSet` of dead ones. The oracle for `policies_match_btree_reference`.
+mod reference {
+    use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+    use epcm::core::{PageNumber, SegmentId};
+    use epcm::managers::policy::{Probe, ReplacementPolicy};
+    use epcm::sim::rng::Rng;
+
+    type Key = (SegmentId, PageNumber);
+
+    #[derive(Debug, Default)]
+    struct RingIndex {
+        counts: BTreeMap<Key, usize>,
+    }
+
+    impl RingIndex {
+        fn contains(&self, key: &Key) -> bool {
+            self.counts.contains_key(key)
+        }
+
+        fn added(&mut self, key: Key) {
+            *self.counts.entry(key).or_insert(0) += 1;
+        }
+
+        fn dropped(&mut self, key: &Key) {
+            if let Some(n) = self.counts.get_mut(key) {
+                *n -= 1;
+                if *n == 0 {
+                    self.counts.remove(key);
+                }
+            }
+        }
+    }
+
+    /// Clock when `clock` is set, else FIFO or (with `lru`) LRU: the
+    /// three lazy-deletion queues differ only in these switches.
+    #[derive(Debug, Default)]
+    pub struct Queue {
+        clock: bool,
+        lru: bool,
+        ring: VecDeque<Key>,
+        dead: BTreeSet<Key>,
+        index: RingIndex,
+    }
+
+    impl Queue {
+        pub fn clock() -> Self {
+            Queue {
+                clock: true,
+                ..Queue::default()
+            }
+        }
+
+        pub fn fifo() -> Self {
+            Queue::default()
+        }
+
+        pub fn lru() -> Self {
+            Queue {
+                lru: true,
+                ..Queue::default()
+            }
+        }
+    }
+
+    impl ReplacementPolicy for Queue {
+        fn note_resident(&mut self, seg: SegmentId, page: PageNumber) {
+            let key = (seg, page);
+            let was_dead = self.dead.remove(&key);
+            let enqueue = if self.clock {
+                !was_dead || !self.index.contains(&key)
+            } else {
+                !self.index.contains(&key)
+            };
+            if enqueue {
+                self.ring.push_back(key);
+                self.index.added(key);
+            }
+        }
+
+        fn note_removed(&mut self, seg: SegmentId, page: PageNumber) {
+            if self.index.contains(&(seg, page)) {
+                self.dead.insert((seg, page));
+            }
+        }
+
+        fn note_referenced(&mut self, seg: SegmentId, page: PageNumber) {
+            let key = (seg, page);
+            if let (true, Some(pos)) = (self.lru, self.ring.iter().position(|&k| k == key)) {
+                self.ring.remove(pos);
+                self.ring.push_back(key);
+            }
+        }
+
+        fn select_victim(
+            &mut self,
+            probe: &mut dyn FnMut(SegmentId, PageNumber) -> Probe,
+        ) -> Option<Key> {
+            let mut budget = if self.clock { 2 } else { 1 } * self.ring.len();
+            while budget > 0 {
+                budget -= 1;
+                let key = self.ring.pop_front()?;
+                if self.dead.remove(&key) {
+                    self.index.dropped(&key);
+                    continue;
+                }
+                match (probe(key.0, key.1), self.clock) {
+                    (Probe::Pinned, _) | (Probe::Referenced, true) => self.ring.push_back(key),
+                    (Probe::Gone, _) => self.index.dropped(&key),
+                    (Probe::NotReferenced, _) | (Probe::Referenced, false) => {
+                        self.index.dropped(&key);
+                        return Some(key);
+                    }
+                }
+            }
+            None
+        }
+
+        fn len(&self) -> usize {
+            self.ring.len() - self.dead.len()
+        }
+    }
+
+    #[derive(Debug)]
+    pub struct Random {
+        pages: Vec<Key>,
+        index: RingIndex,
+        rng: Rng,
+    }
+
+    impl Random {
+        pub fn new(seed: u64) -> Self {
+            Random {
+                pages: Vec::new(),
+                index: RingIndex::default(),
+                rng: Rng::seed_from(seed),
+            }
+        }
+    }
+
+    impl ReplacementPolicy for Random {
+        fn note_resident(&mut self, seg: SegmentId, page: PageNumber) {
+            if !self.index.contains(&(seg, page)) {
+                self.pages.push((seg, page));
+                self.index.added((seg, page));
+            }
+        }
+
+        fn note_removed(&mut self, seg: SegmentId, page: PageNumber) {
+            if self.index.contains(&(seg, page)) {
+                self.pages.retain(|&k| k != (seg, page));
+                self.index.dropped(&(seg, page));
+            }
+        }
+
+        fn note_referenced(&mut self, _seg: SegmentId, _page: PageNumber) {}
+
+        fn select_victim(
+            &mut self,
+            probe: &mut dyn FnMut(SegmentId, PageNumber) -> Probe,
+        ) -> Option<Key> {
+            let mut attempts = self.pages.len() * 2;
+            while !self.pages.is_empty() && attempts > 0 {
+                attempts -= 1;
+                let idx = self.rng.index(self.pages.len());
+                let key = self.pages[idx];
+                match probe(key.0, key.1) {
+                    Probe::Pinned => {}
+                    Probe::Gone => {
+                        self.pages.swap_remove(idx);
+                        self.index.dropped(&key);
+                    }
+                    Probe::Referenced | Probe::NotReferenced => {
+                        self.pages.swap_remove(idx);
+                        self.index.dropped(&key);
+                        return Some(key);
+                    }
+                }
+            }
+            None
+        }
+
+        fn len(&self) -> usize {
+            self.pages.len()
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every replacement policy picks the same victims, probes the same
+    /// pages in the same order and reports the same `len()` as the
+    /// `BTreeMap` reference, on random streams of residency changes,
+    /// references and victim searches across several segments. Pages
+    /// are few, so removed keys are often revived while their dead
+    /// entries still sit in the queue.
+    #[test]
+    fn policies_match_btree_reference(
+        ops in proptest::collection::vec((0u8..8, 0usize..3, 0u64..10, any::<u64>()), 1..200),
+    ) {
+        use epcm::core::kernel::Kernel;
+        use epcm::core::{PageNumber, UserId};
+        use epcm::managers::policy::{
+            ClockPolicy, FifoPolicy, LruPolicy, Probe, RandomPolicy, ReplacementPolicy,
+        };
+
+        let mut kernel = Kernel::new(4);
+        let segs: Vec<SegmentId> = (0..3)
+            .map(|_| {
+                kernel
+                    .create_segment(SegmentKind::Anonymous, UserId::SYSTEM, ManagerId(1), 1, 16)
+                    .expect("create segment")
+            })
+            .collect();
+        let pairs: Vec<(Box<dyn ReplacementPolicy>, Box<dyn ReplacementPolicy>)> = vec![
+            (Box::new(ClockPolicy::new()), Box::new(reference::Queue::clock())),
+            (Box::new(FifoPolicy::new()), Box::new(reference::Queue::fifo())),
+            (Box::new(LruPolicy::new()), Box::new(reference::Queue::lru())),
+            (Box::new(RandomPolicy::new(7)), Box::new(reference::Random::new(7))),
+        ];
+        for (mut dense, mut model) in pairs {
+            for &(kind, seg, page, seed) in &ops {
+                let (seg, page) = (segs[seg], PageNumber(page));
+                match kind {
+                    0..=2 => {
+                        dense.note_resident(seg, page);
+                        model.note_resident(seg, page);
+                    }
+                    3 | 4 => {
+                        dense.note_removed(seg, page);
+                        model.note_removed(seg, page);
+                    }
+                    5 => {
+                        dense.note_referenced(seg, page);
+                        model.note_referenced(seg, page);
+                    }
+                    _ => {
+                        // The probe's answer is a function of the seed, the
+                        // probed key and the probe's position in the search.
+                        let search = |policy: &mut Box<dyn ReplacementPolicy>| {
+                            let mut probed = Vec::new();
+                            let victim = policy.select_victim(&mut |s, p| {
+                                let mix = seed
+                                    ^ (u64::from(s.as_u32()) << 40)
+                                    ^ (p.as_u64() << 20)
+                                    ^ probed.len() as u64;
+                                probed.push((s, p));
+                                match mix.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 62 {
+                                    0 => Probe::Referenced,
+                                    1 => Probe::Pinned,
+                                    2 => Probe::Gone,
+                                    _ => Probe::NotReferenced,
+                                }
+                            });
+                            (victim, probed)
+                        };
+                        prop_assert_eq!(search(&mut dense), search(&mut model));
+                    }
+                }
+                prop_assert_eq!(dense.len(), model.len(), "{:?}", dense);
+            }
+        }
+    }
+}
