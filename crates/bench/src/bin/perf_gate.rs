@@ -6,8 +6,7 @@
 //!
 //! Compares every phase timing in the committed baseline against the
 //! fresh run and exits non-zero when any phase regressed by more than
-//! the tolerance (default 25%, overridable by `--tolerance` or the
-//! `EPCM_PERF_TOLERANCE` environment variable).
+//! the tolerance (default 25%, overridable by `--tolerance`).
 //!
 //! Absolute wall-clock numbers are not portable across machines, so
 //! both documents carry a `calibration_ms` field — the time of one
@@ -62,15 +61,11 @@ fn read(path: &str) -> Result<String, String> {
 }
 
 fn tolerance(args: &[String]) -> f64 {
-    let from_flag = args
-        .iter()
+    args.iter()
         .position(|a| a == "--tolerance")
         .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
-    let from_env = std::env::var("EPCM_PERF_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    from_flag.or(from_env).unwrap_or(DEFAULT_TOLERANCE)
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(DEFAULT_TOLERANCE)
 }
 
 fn gate(fresh: &str, baseline: &str, tol: f64) -> Result<(), String> {

@@ -1,81 +1,41 @@
 //! Regenerates every table of the paper's evaluation, printing
-//! paper-vs-measured rows, plus (with `--ablations`) the design-choice
+//! paper-vs-measured rows, plus the sections of the scenario registry
+//! ([`epcm_bench::scenario`]) and (with `--ablations`) the design-choice
 //! sweeps from DESIGN.md.
 //!
 //! ```text
-//! reproduce                  # Tables 1-4
-//! reproduce --table 4        # one table
-//! reproduce --quick          # Table 4 at reduced transaction count
-//! reproduce --json           # also write BENCH_*.json result files
-//! reproduce --ablations      # ablation sweeps only (full DBMS sweep)
-//! reproduce --jobs 8         # fan independent scenarios over 8 workers
-//! reproduce --wall-clock     # time each phase, write BENCH_timings.json
-//! reproduce --tiers dram:64,slow:256,zram:64
-//!                            # add the tiered-memory sweep
-//!                            # (BENCH_tiers.json with --json)
-//! reproduce --promotion      # add the hot-page promotion ablation:
-//!                            # the tiers workload with the manager's
-//!                            # promotion stage off and on
-//!                            # (BENCH_promotion.json with --json);
-//!                            # byte-identical across --shards/--jobs
-//! reproduce --async-writeback
-//!                            # add the sync-vs-async laundry ablation
-//!                            # (BENCH_writeback.json with --json)
-//! reproduce --batched-abi    # add the batched-ABI crossing-collapse
-//!                            # row and rerun Tables 2-4 on the
-//!                            # submission/completion rings
-//!                            # (BENCH_ring.json with --json)
-//! reproduce --shards 4       # add the sharded multi-tenant run on 4
-//!                            # worker threads (BENCH_shards.json with
-//!                            # --json); output is byte-identical for
-//!                            # every shard count
-//! reproduce --chaos 7:0.5    # add the chaos-injection run: seeded
-//!                            # manager crash/hang/byzantine events at
-//!                            # the given per-epoch rate, plus tenant
-//!                            # churn (BENCH_chaos.json with --json);
-//!                            # byte-identical across --shards/--jobs
-//! reproduce --economy both   # add the memory-market scenarios
-//!                            # (quick, stress or both): market-funded
-//!                            # tenant classes over a tiered machine
-//!                            # with dynamic price discovery
-//!                            # (BENCH_economy.json with --json);
-//!                            # byte-identical across --shards/--jobs
+//! reproduce                    # Tables 1-4
+//! reproduce --table N          # one paper table (1-4)
+//! reproduce --quick            # Table 4 at reduced transaction count
+//! reproduce --json             # also write each section's BENCH_*.json
+//! reproduce --jobs N           # fan independent scenarios over N workers
+//! reproduce --wall-clock       # time each section, write BENCH_timings.json
+//! reproduce --ablations        # ablation sweeps only (full DBMS sweep)
+//! reproduce --tiers dram:64,slow:256,zram:64   # + tier sweep (or dram:ALL)
+//! reproduce --promotion        # + hot-page promotion ablation, off vs on
+//! reproduce --async-writeback  # + sync-vs-async laundry ablation
+//! reproduce --batched-abi      # + ring crossing collapse, Tables 2-4 on rings
+//! reproduce --shards N         # + sharded run; N workers for it, chaos, economy
+//! reproduce --chaos SEED:RATE  # + chaos-injection run with tenant churn
+//! reproduce --economy quick|stress|both        # + memory-market scenarios
 //! ```
 //!
-//! `--tiers dram:ALL` runs the sweep around the single-tier degenerate
-//! layout; the tables are unaffected by `--tiers` in any form and stay
-//! byte-identical to a run without it.
-//!
-//! `--json` writes one machine-readable document per table into the
-//! current directory (`BENCH_table1.json`, `BENCH_tables23.json`,
-//! `BENCH_table4.json`) plus `BENCH_metrics.json`, the full unified
-//! metrics snapshot of a traced application run. CI archives these as
-//! build artifacts.
-//!
-//! `--jobs N` runs independent scenarios on a [`ScenarioPool`]; every
-//! table, trace and JSON document is byte-identical to `--jobs 1`
-//! (pinned by `tests/parallel_determinism.rs`). `--wall-clock` writes
-//! `BENCH_timings.json` — the one intentionally run-dependent document,
-//! carrying per-phase wall-clock milliseconds plus a calibration run
-//! that lets the CI perf gate normalise numbers across machines.
+//! Sections run in registry order and print their tables; with `--json`
+//! each writes its `BENCH_*.json` documents into the current directory.
+//! Every output byte is the same for any `--jobs`/`--shards` split
+//! (pinned by `tests/scenarios.rs`), except `BENCH_timings.json`: the
+//! per-section wall-clock milliseconds plus a calibration run that lets
+//! `perf_gate` normalise numbers across machines. After the last
+//! section every gate is checked: a failed gate exits 1, and an unknown
+//! flag or an unparsable value exits 2 with the flag list.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
-use epcm_bench::json_report::WallClockEntry;
+use epcm_bench::json_report::{self, WallClockEntry};
 use epcm_bench::pool::ScenarioPool;
-use epcm_bench::{
-    ablations, chaos, economy, json_report, promotion, ring, shards, table1, table23, table4,
-    tiers, writeback,
-};
-use epcm_core::shard::ShardSpec;
-use epcm_core::tier::{TierLayout, TierSpec};
+use epcm_bench::{ablations, scenario};
 use epcm_dbms::config::{DbmsConfig, IndexStrategy};
-use epcm_economy::EconomyConfig;
-use epcm_sim::chaos::ChaosPlan;
-
-/// Total frame budget of the tier sweep when `--tiers dram:ALL` leaves
-/// the split unspecified — matches the issue's 64/256/64 example.
-const DEFAULT_TIER_FRAMES: u64 = 384;
 
 fn write_json(path: &str, json: &str) {
     let mut contents = json.to_string();
@@ -155,178 +115,47 @@ impl WallClock {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let arg_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
+    let opts = match scenario::parse_args(&args) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("error: {e}\n\n{}", scenario::usage());
+            return ExitCode::from(2);
+        }
     };
-    let only_table: Option<u32> = arg_value("--table").and_then(|v| v.parse().ok());
-    let tiers_spec: Option<TierSpec> = arg_value("--tiers").map(|v| match TierSpec::parse(v) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("error: --tiers {v}: {e}");
-            std::process::exit(2);
-        }
-    });
-    let shard_spec: Option<ShardSpec> = arg_value("--shards").map(|v| match ShardSpec::parse(v) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("error: --shards {v}: {e}");
-            std::process::exit(2);
-        }
-    });
-    let chaos_plan: Option<ChaosPlan> = arg_value("--chaos").map(|v| match ChaosPlan::parse(v) {
-        Ok(plan) => plan,
-        Err(e) => {
-            eprintln!("error: --chaos {v}: {e}");
-            std::process::exit(2);
-        }
-    });
-    let economy_cfgs: Option<Vec<EconomyConfig>> =
-        arg_value("--economy").map(|v| match EconomyConfig::parse(v) {
-            Ok(cfgs) => cfgs,
-            Err(e) => {
-                eprintln!("error: --economy {v}: {e}");
-                std::process::exit(2);
-            }
-        });
-    let jobs: usize = arg_value("--jobs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let pool = ScenarioPool::new(jobs);
-    let mut wall = WallClock::new(args.iter().any(|a| a == "--wall-clock"));
+    let pool = ScenarioPool::new(opts.jobs);
+    let mut wall = WallClock::new(opts.wall_clock);
     if wall.enabled {
         wall.time("calibration", calibration_ms);
     }
-    if args.iter().any(|a| a == "--ablations") {
+    if opts.ablations {
         let report = wall.time("ablations", || {
             ablations::render_with(&pool, ablations::SweepScale::Paper)
         });
         print!("{report}");
         wall.finish(pool.jobs());
-        return;
+        return ExitCode::SUCCESS;
     }
-    let want = |n: u32| only_table.is_none() || only_table == Some(n);
-    if want(1) {
-        print!("{}", wall.time("table1", table1::render));
-        if json {
-            write_json("BENCH_table1.json", &json_report::table1_json());
-        }
-    }
-    if want(2) || want(3) {
-        if json {
-            // Traced runs produce the same reports plus event counts.
-            let traced = wall.time("tables23", || json_report::traced_results_with(&pool));
-            let results: Vec<table23::AppResult> =
-                traced.iter().map(|t| t.result.clone()).collect();
-            if want(2) {
-                print!("{}", table23::render_table2(&results));
-            }
-            if want(3) {
-                print!("{}", table23::render_table3(&results));
-            }
-            write_json("BENCH_tables23.json", &json_report::tables23_json(&traced));
-            write_json("BENCH_metrics.json", &json_report::metrics_json(&traced[0]));
-        } else {
-            let results = wall.time("tables23", || table23::results_with(&pool));
-            if want(2) {
-                print!("{}", table23::render_table2(&results));
-            }
-            if want(3) {
-                print!("{}", table23::render_table3(&results));
+    let mut failures = Vec::new();
+    for s in scenario::SCENARIOS.iter().filter(|s| (s.selected)(&opts)) {
+        let out = wall.time(s.name, || (s.run)(&opts, &pool));
+        print!("{}", out.text);
+        if opts.json {
+            for (file, json) in &out.files {
+                write_json(file, json);
             }
         }
-    }
-    if want(4) {
-        let results = wall.time("table4", || {
-            if quick {
-                table4::quick_results_with(&pool)
-            } else {
-                table4::results_with(&pool)
-            }
-        });
-        print!("{}", table4::render(&results));
-        if json {
-            write_json(
-                "BENCH_table4.json",
-                &json_report::table4_json(&results, quick),
-            );
-        }
-    }
-    if let Some(spec) = tiers_spec {
-        let requested = match spec {
-            TierSpec::DramAll => TierLayout::dram_only(DEFAULT_TIER_FRAMES),
-            TierSpec::Layout(layout) => layout,
-        };
-        let points = wall.time("tiers", || tiers::results_with(&pool, requested));
-        print!("{}", tiers::render(&points));
-        if json {
-            write_json("BENCH_tiers.json", &tiers::tiers_json(requested, &points));
-        }
-    }
-    if args.iter().any(|a| a == "--promotion") {
-        // The promotion ablation reuses the tier sweep's frame budget:
-        // a --tiers layout steers it, otherwise the default split.
-        let requested = match tiers_spec {
-            Some(TierSpec::Layout(layout)) => layout,
-            _ => TierLayout::new(64, 256, 64),
-        };
-        let pairs = wall.time("promotion", || promotion::results_with(&pool, requested));
-        print!("{}", promotion::render(&pairs));
-        if json {
-            write_json(
-                "BENCH_promotion.json",
-                &promotion::promotion_json(requested, &pairs),
-            );
-        }
-    }
-    if args.iter().any(|a| a == "--async-writeback") {
-        let points = wall.time("writeback", || writeback::results_with(&pool));
-        print!("{}", writeback::render(&points));
-        if json {
-            write_json("BENCH_writeback.json", &writeback::writeback_json(&points));
-        }
-    }
-    if args.iter().any(|a| a == "--batched-abi") {
-        let report = wall.time("ring", || ring::results_with(&pool));
-        print!("{}", ring::render(&report));
-        if json {
-            write_json("BENCH_ring.json", &ring::ring_json(&report));
-        }
-    }
-    if let Some(spec) = &shard_spec {
-        let report = wall.time("shards", || shards::run_report(spec.count()));
-        print!("{}", shards::render(&report));
-        if json {
-            write_json("BENCH_shards.json", &shards::shards_json(&report));
-        }
-    }
-    if let Some(plan) = chaos_plan {
-        // The worker count is presentation-free: any --shards value
-        // produces the identical report (pinned by the chaos-smoke CI
-        // job, which cmp's the JSON across shard counts).
-        let workers = shard_spec.as_ref().map_or(1, |s| s.count());
-        let report = wall.time("chaos", || chaos::run_report(plan.clone(), workers));
-        print!("{}", chaos::render(&plan, &report));
-        if json {
-            write_json("BENCH_chaos.json", &chaos::chaos_json(&plan, &report));
-        }
-    }
-    if let Some(cfgs) = economy_cfgs {
-        // As with --chaos, the worker count is presentation-free: any
-        // --shards value produces the identical report (pinned by the
-        // economy-smoke CI job, which cmp's the JSON across counts).
-        let workers = shard_spec.as_ref().map_or(1, |s| s.count());
-        let reports = wall.time("economy", || economy::run_reports(&cfgs, workers));
-        print!("{}", economy::render(&reports));
-        if json {
-            write_json("BENCH_economy.json", &economy::economy_json(&reports));
-        }
+        failures.extend(out.failures.iter().map(|f| format!("{}: {f}", s.name)));
     }
     wall.finish(pool.jobs());
     println!("\n(Figures 1 and 2 are architecture diagrams; run `cargo run --example address_space` and `cargo run --example fault_walkthrough` for their executable equivalents.)");
+    for f in &failures {
+        eprintln!("gate failed: {f}");
+    }
+    if failures.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -13,7 +13,7 @@
 //! Like `BENCH_shards.json`, the document carries no worker count and
 //! no wall-clock data: the bytes are a pure function of the chaos seed
 //! and rate, byte-identical across `--shards N` and `--jobs M` (pinned
-//! by `tests/chaos_determinism.rs` and the `chaos-smoke` CI job).
+//! by `tests/chaos_determinism.rs` and `tests/scenarios.rs`).
 
 use epcm_managers::shard::{self, ShardEngineConfig, ShardRunReport};
 use epcm_sim::chaos::ChaosPlan;

@@ -10,7 +10,7 @@
 //! scenario document, the rendered text and the JSON bytes are a pure
 //! function of the scenario configs: any `--shards`/`--jobs` split
 //! produces identical output (pinned by `tests/economy_determinism.rs`
-//! and the `economy-smoke` CI job).
+//! and `tests/scenarios.rs`).
 
 use epcm_core::tier::MemTier;
 use epcm_economy::{EconomyConfig, EconomyReport, IncomeClass};
@@ -27,7 +27,7 @@ pub fn run_reports(cfgs: &[EconomyConfig], workers: u32) -> Vec<EconomyReport> {
 }
 
 /// True when every scenario's premium p99 is no worse than its spot
-/// p99 — the class-ordering property the CI smoke job gates on.
+/// p99 — the class-ordering property the economy section gates on.
 pub fn tail_order_ok(reports: &[EconomyReport]) -> bool {
     reports.iter().all(|r| {
         let premium = r.class(IncomeClass::Premium);

@@ -37,6 +37,9 @@
 //!   of market-funded tenants in premium/standard/spot income classes
 //!   over a tiered machine with dynamic per-tier price discovery, as
 //!   `BENCH_economy.json` — byte-identical for every worker count.
+//! * [`scenario`] — the registry of every `reproduce` section: its flag,
+//!   run function and gates. `reproduce` and `tests/scenarios.rs`
+//!   iterate over it.
 //! * [`json_report`] — the same tables as machine-readable `BENCH_*.json`
 //!   documents (with per-run event counts) for CI archival.
 //! * [`pool`] — the deterministic worker pool that fans independent
@@ -53,6 +56,7 @@ pub mod json_report;
 pub mod pool;
 pub mod promotion;
 pub mod ring;
+pub mod scenario;
 pub mod shards;
 pub mod table1;
 pub mod table23;

@@ -9,8 +9,7 @@
 //! guarantees it structurally: results are joined **in declared order**,
 //! regardless of which worker finished first. The rendered tables,
 //! traces and `BENCH_*.json` documents are byte-identical for
-//! `--jobs 1`, `--jobs 2` and `--jobs 8` (pinned by
-//! `tests/parallel_determinism.rs`).
+//! every `--jobs` value (pinned by `tests/scenarios.rs`).
 //!
 //! The scheduling discipline is a single shared atomic cursor over the
 //! declared job list: each worker claims the next unclaimed index,

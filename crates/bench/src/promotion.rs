@@ -16,7 +16,7 @@
 //!
 //! Every point owns its whole machine, so points fan out over the
 //! [`ScenarioPool`] and the report is byte-identical for any worker
-//! count and shard split (pinned by the promotion-smoke CI job).
+//! count and shard split (pinned by `tests/scenarios.rs`).
 
 use epcm_core::tier::{MemTier, TierLayout};
 use epcm_core::types::{AccessKind, PageNumber, SegmentKind};
@@ -230,7 +230,7 @@ pub fn results_with(pool: &ScenarioPool, requested: TierLayout) -> Vec<Promotion
 }
 
 /// True when every pair's promotion-on hot pass is strictly cheaper
-/// than its off baseline — the property the CI smoke job gates on.
+/// than its off baseline — one of the promotion section's gates.
 pub fn promotion_wins(pairs: &[PromotionPair]) -> bool {
     pairs
         .iter()

@@ -15,7 +15,7 @@
 //!
 //! Every point owns its whole machine, so points fan out over the
 //! [`ScenarioPool`] and the report is byte-identical for any worker or
-//! shard count (pinned by `tests/ring_determinism.rs`).
+//! shard count (pinned by `tests/scenarios.rs`).
 
 use epcm_core::types::{AccessKind, SegmentKind};
 use epcm_dbms::config::{DbmsConfig, IndexStrategy};

@@ -7,8 +7,8 @@
 //! tenant workload from `epcm-workloads`. The report, the rendered
 //! table, the merged trace and the JSON document are all byte-identical
 //! for **any** worker count: none of them so much as mentions the shard
-//! count, and `tests/shard_determinism.rs` plus the `shard-smoke` CI
-//! job compare the emitted bytes across `--shards 1/2/4/8`.
+//! count, and `tests/scenarios.rs` compares the emitted bytes across
+//! `--shards 1/2/4/8`.
 
 use epcm_managers::shard::{self, ShardEngineConfig, ShardRunReport};
 use epcm_trace::json::{JsonArray, JsonObject};

@@ -13,7 +13,7 @@
 //!
 //! Every point owns its whole machine, so points fan out over the
 //! [`ScenarioPool`] and the report is byte-identical for any worker
-//! count (pinned by `tests/parallel_determinism.rs`).
+//! count (pinned by `tests/scenarios.rs`).
 
 use epcm_managers::default_manager::DefaultSegmentManager;
 use epcm_managers::{DefaultManagerConfig, Machine, ManagerMode};

@@ -63,7 +63,7 @@ pub struct EconomyConfig {
 impl EconomyConfig {
     /// The quick scenario: ~150 tenants, enough rent pressure that spot
     /// lanes go bankrupt within the run while premium lanes stay
-    /// solvent. Used by `reproduce --economy quick` and CI smoke.
+    /// solvent. Used by `reproduce --economy quick`.
     pub fn quick() -> EconomyConfig {
         EconomyConfig {
             name: "quick",
@@ -91,8 +91,8 @@ impl EconomyConfig {
     /// The stress scenario: several hundred tenants over more epochs
     /// with thinner spot funding, so the price schedule climbs further
     /// and the enforcement ladder (demotion before revocation) carries
-    /// real weight. Used by `reproduce --economy stress` and the CI
-    /// tail-latency gate.
+    /// real weight. Used by `reproduce --economy stress`, whose economy
+    /// section gates the tail latency on it.
     pub fn stress() -> EconomyConfig {
         EconomyConfig {
             name: "stress",

@@ -19,7 +19,7 @@
 //!
 //! Everything is deterministic: the engine report is byte-identical
 //! for any `--shards`/`--jobs` split (pinned by
-//! `tests/economy_determinism.rs` and the `economy-smoke` CI job), so
+//! `tests/economy_determinism.rs` and `tests/scenarios.rs`), so
 //! the aggregated report and the `BENCH_economy.json` bytes are too.
 
 #![warn(missing_docs)]

@@ -28,7 +28,6 @@
 //! * [`batch`] — the §2.4 batch-program lifecycle: save drams, run a
 //!   timeslice, swap out.
 //! * [`compress`] — compressed swap (real RLE over real page bytes).
-//! * [`replicate`] — replicated writeback surviving a store failure.
 //!
 //! # Quickstart
 //!
@@ -63,7 +62,6 @@ pub mod market;
 pub mod pinning;
 pub mod policy;
 pub mod prefetch;
-pub mod replicate;
 pub mod shard;
 pub mod spcm;
 

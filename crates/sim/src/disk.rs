@@ -328,8 +328,9 @@ impl FaultPlan {
         self
     }
 
-    /// The standard hostile preset used by CI's `fault-smoke` job: every
-    /// read and write fails transiently with probability `rate`.
+    /// The standard hostile preset of the fault and writeback smoke
+    /// tests: every read and write fails transiently with probability
+    /// `rate`.
     pub fn hostile(seed: u64, rate: f64) -> Self {
         FaultPlan::new(seed).with_rule(FaultRule::transient(rate))
     }

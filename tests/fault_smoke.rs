@@ -1,10 +1,9 @@
-//! CI fault-smoke: drive a real file workload under a hostile store and
+//! Fault smoke: drive a real file workload under a hostile store and
 //! prove the machine absorbs the faults, then emit the evidence as
 //! artifacts (`FAULT_SMOKE_trace.txt`, `FAULT_SMOKE_metrics.json`).
 //!
-//! The injected-error rate defaults to 10% transient failures and can be
-//! raised or lowered from the environment with `EPCM_FAULT_RATE`; the
-//! seed is fixed so any given rate is fully deterministic.
+//! The store injects 10% transient failures from a fixed seed, so the
+//! run is fully deterministic.
 
 use epcm::managers::default_manager::DefaultSegmentManager;
 use epcm::managers::Machine;
@@ -15,23 +14,19 @@ use epcm::trace::json::JsonObject;
 const SEED: u64 = 7;
 const PAGE: usize = 4096;
 
-fn fault_rate() -> f64 {
-    std::env::var("EPCM_FAULT_RATE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .map(|r| r.clamp(0.0, 0.5))
-        .unwrap_or(0.10)
-}
+/// Probability of a transient injected error per store operation.
+const FAULT_RATE: f64 = 0.10;
 
 /// One pass over a cached file with periodic dirtying and billing ticks,
 /// entirely under the fault plan. Returns the bytes read back.
-fn run_workload(m: &mut Machine, rate: f64) -> Vec<u8> {
+fn run_workload(m: &mut Machine) -> Vec<u8> {
     let content: Vec<u8> = (0..200_000u32)
         .map(|i| (i.wrapping_mul(31) % 251) as u8)
         .collect();
     m.store_mut().create_with("smoke", content.clone());
     let seg = m.open_file("smoke").unwrap();
-    m.store_mut().set_fault_plan(FaultPlan::hostile(SEED, rate));
+    m.store_mut()
+        .set_fault_plan(FaultPlan::hostile(SEED, FAULT_RATE));
 
     let mut buf = vec![0u8; content.len()];
     for (i, chunk) in buf.chunks_mut(8 * PAGE).enumerate() {
@@ -51,7 +46,6 @@ fn run_workload(m: &mut Machine, rate: f64) -> Vec<u8> {
 
 #[test]
 fn fault_smoke_survives_hostile_store_and_emits_artifacts() {
-    let rate = fault_rate();
     let mut m = Machine::with_default_manager(96);
     let tracer = m.enable_event_tracing(65536);
 
@@ -67,8 +61,11 @@ fn fault_smoke_survives_hostile_store_and_emits_artifacts() {
         }
         e
     };
-    let got = run_workload(&mut m, rate);
-    assert_eq!(got, expected, "data corrupted under {rate:.0e} fault rate");
+    let got = run_workload(&mut m);
+    assert_eq!(
+        got, expected,
+        "data corrupted under {FAULT_RATE:.0e} fault rate"
+    );
 
     // Nothing gave up: every injected fault was absorbed by a retry.
     let default = m.default_manager().unwrap();
@@ -84,12 +81,10 @@ fn fault_smoke_survives_hostile_store_and_emits_artifacts() {
         "manager gave up under transient faults: {io:?}"
     );
     let counts = tracer.kind_counts();
-    if rate > 0.0 {
-        assert!(
-            counts.get("fault_injected").copied().unwrap_or(0) > 0,
-            "hostile plan at rate {rate} injected nothing"
-        );
-    }
+    assert!(
+        counts.get("fault_injected").copied().unwrap_or(0) > 0,
+        "hostile plan at rate {FAULT_RATE} injected nothing"
+    );
 
     // Artifacts for the CI job (workspace root = cargo test cwd).
     let mut trace_txt = String::new();
@@ -102,7 +97,7 @@ fn fault_smoke_survives_hostile_store_and_emits_artifacts() {
     let metrics = m.metrics().snapshot();
     let json = JsonObject::new()
         .string("suite", "fault_smoke")
-        .f64("fault_rate", rate)
+        .f64("fault_rate", FAULT_RATE)
         .u64("faults_injected", m.store().fault_count())
         .u64("io_retries", io.retries)
         .u64("io_gave_up", io.gave_up)

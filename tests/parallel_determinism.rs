@@ -1,96 +1,72 @@
-//! Byte-identity of parallel benchmark fan-out.
+//! Byte-identity of parallel benchmark fan-out, one registry section at
+//! a time.
 //!
 //! The `ScenarioPool` claims jobs with an atomic cursor but joins results
-//! in declared order, so every rendered table, trace, and JSON document
-//! must be byte-for-byte identical no matter how many workers ran it.
-//! These tests pin that contract across `--jobs 1`, `2`, and `8`.
+//! in declared order, so every rendered table and JSON document must be
+//! byte-for-byte identical no matter how many workers ran it. Each test
+//! runs one entry of `epcm_bench::scenario::SCENARIOS` alone at `--jobs`
+//! 1, 2, 4 and 8, so a divergence names its section directly;
+//! `tests/scenarios.rs` runs the whole registry together.
 
-use epcm_bench::ablations::{self, SweepScale};
-use epcm_bench::json_report::{metrics_json, table4_json, tables23_json, traced_results_with};
 use epcm_bench::pool::ScenarioPool;
-use epcm_bench::{table23, table4, tiers, writeback};
-use epcm_core::tier::TierLayout;
+use epcm_bench::scenario::{parse_args, Output, SCENARIOS};
 
-const JOB_COUNTS: [usize; 3] = [1, 2, 8];
+const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Runs `f` under pools of 1, 2, and 8 workers and asserts every output
-/// is byte-identical to the serial one.
-fn assert_byte_identical<F>(what: &str, f: F)
+/// Runs the registry section `name` under `args` at `jobs` workers.
+fn section(name: &str, args: &str, jobs: usize) -> Output {
+    let line = format!("{args} --jobs {jobs}");
+    let opts = parse_args(&line.split_whitespace().collect::<Vec<_>>()).expect("valid flags");
+    let scenario = SCENARIOS
+        .iter()
+        .find(|s| s.name == name)
+        .expect("a registered section");
+    assert!((scenario.selected)(&opts), "{name}: `{args}` leaves it out");
+    (scenario.run)(&opts, &ScenarioPool::new(opts.jobs))
+}
+
+/// Asserts that `pick` of section `name` is byte-identical at every job
+/// count to the serial run.
+fn assert_jobs_invariant<T, F>(name: &str, args: &str, pick: F)
 where
-    F: Fn(&ScenarioPool) -> String,
+    T: PartialEq + std::fmt::Debug,
+    F: Fn(Output) -> T,
 {
-    let serial = f(&ScenarioPool::new(JOB_COUNTS[0]));
+    let serial = pick(section(name, args, JOB_COUNTS[0]));
     for &jobs in &JOB_COUNTS[1..] {
-        let parallel = f(&ScenarioPool::new(jobs));
         assert_eq!(
-            serial, parallel,
-            "{what}: --jobs {jobs} diverged from --jobs 1"
+            serial,
+            pick(section(name, args, jobs)),
+            "{name}: --jobs {jobs} diverged from --jobs 1"
         );
     }
 }
 
 #[test]
 fn table4_quick_render_is_jobs_invariant() {
-    assert_byte_identical("table4 render", |pool| {
-        table4::render(&table4::quick_results_with(pool))
-    });
+    assert_jobs_invariant("table4", "--quick", |out| out.text);
 }
 
 #[test]
 fn table4_quick_json_is_jobs_invariant() {
-    assert_byte_identical("table4 json", |pool| {
-        table4_json(&table4::quick_results_with(pool), true)
-    });
+    assert_jobs_invariant("table4", "--quick", |out| out.files);
 }
 
 #[test]
 fn tables23_render_and_json_are_jobs_invariant() {
-    assert_byte_identical("tables 2/3", |pool| {
-        let results = table23::results_with(pool);
-        let mut out = table23::render_table2(&results);
-        out.push_str(&table23::render_table3(&results));
-        out
-    });
-}
-
-#[test]
-fn traced_results_json_is_jobs_invariant() {
-    assert_byte_identical("traced tables23 + metrics json", |pool| {
-        let traced = traced_results_with(pool);
-        let apps: Vec<_> = traced.iter().map(|t| t.result.clone()).collect();
-        let mut out = tables23_json(&traced);
-        for app in &traced {
-            out.push_str(&metrics_json(app));
-        }
-        out.push_str(&table23::render_table2(&apps));
-        out
-    });
-}
-
-#[test]
-fn ablations_render_is_jobs_invariant() {
-    assert_byte_identical("ablations render", |pool| {
-        ablations::render_with(pool, SweepScale::Quick)
-    });
+    assert_jobs_invariant("tables23", "", |out| (out.text, out.files));
 }
 
 #[test]
 fn tiers_sweep_render_and_json_are_jobs_invariant() {
-    let requested = TierLayout::new(16, 64, 16);
-    assert_byte_identical("tiers sweep", |pool| {
-        let points = tiers::results_with(pool, requested);
-        let mut out = tiers::render(&points);
-        out.push_str(&tiers::tiers_json(requested, &points));
-        out
+    assert_jobs_invariant("tiers", "--tiers dram:16,slow:64,zram:16", |out| {
+        (out.text, out.files)
     });
 }
 
 #[test]
 fn writeback_ablation_render_and_json_are_jobs_invariant() {
-    assert_byte_identical("writeback ablation", |pool| {
-        let points = writeback::results_with(pool);
-        let mut out = writeback::render(&points);
-        out.push_str(&writeback::writeback_json(&points));
-        out
+    assert_jobs_invariant("writeback", "--async-writeback", |out| {
+        (out.text, out.files)
     });
 }

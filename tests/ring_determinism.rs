@@ -1,14 +1,12 @@
-//! Determinism of the batched-ABI benchmark (`reproduce --batched-abi`).
+//! Invariants of the batched-ABI benchmark (`reproduce --batched-abi`).
 //!
-//! `BENCH_ring.json` must be byte-identical regardless of the
-//! `--jobs`/`--shards` worker counts (every point owns its machine; the
-//! [`ScenarioPool`] joins in declared order, and the ring section never
-//! reads the shard spec at all). And with the flag *off*, the seed
-//! benchmark documents must be untouched: `BENCH_table1.json`,
-//! `BENCH_tables23.json` and `BENCH_table4.json` stay byte-identical to
-//! the last `reproduce --quick --json` run whether or not the ring
-//! section also ran. The golden test pins the Table 2/3 figures and the
-//! collapse row to constants, so a fresh checkout checks them too.
+//! Running the ring section must not perturb the seed benchmark
+//! documents: `BENCH_table1.json`, `BENCH_tables23.json` and
+//! `BENCH_table4.json` come out byte-identical before and after a ring
+//! run in the same process. The golden test pins the Table 2/3 figures
+//! and the collapse row to constants. And the ring report must be
+//! byte-identical regardless of the `--jobs` worker count (every point
+//! owns its machine; the [`ScenarioPool`] joins in declared order).
 
 use epcm::managers::default_manager::DefaultSegmentManager;
 use epcm::managers::Machine;
@@ -40,36 +38,28 @@ fn ring_report_is_jobs_invariant() {
     }
 }
 
-/// Reads a benchmark document from the repository root, if a previous
-/// `reproduce --quick --json` run left one (they are gitignored build
-/// artifacts; on a fresh checkout the comparison is skipped).
-fn last_written(name: &str) -> Option<String> {
-    let path = format!("{}/{}", env!("CARGO_MANIFEST_DIR"), name);
-    std::fs::read_to_string(path).ok()
+/// The three seed documents, rendered in-process.
+fn seed_documents() -> [String; 3] {
+    let pool = ScenarioPool::serial();
+    [
+        table1_json(),
+        tables23_json(&traced_results_with(&pool)),
+        table4_json(&table4::quick_results_with(&pool), true),
+    ]
 }
 
-fn assert_matches_last_run(name: &str, json: &str) {
-    match last_written(name) {
-        Some(on_disk) => assert_eq!(
-            format!("{json}\n"),
-            on_disk,
-            "{name} drifted after the ring section ran"
-        ),
-        None => eprintln!("{name} not present (fresh checkout); skipping byte comparison"),
-    }
-}
-
-/// Running the ring section must not perturb the seed tables: regenerate
-/// all three documents *after* a full ring run in the same process and
-/// compare them byte-for-byte with the last reproduce run's files.
+/// Running the ring section must not perturb the seed tables: render
+/// all three documents before and after a full ring run in the same
+/// process and compare them byte for byte.
 #[test]
 fn batched_off_tables_are_untouched_by_a_ring_run() {
+    let before = seed_documents();
     let _ = ring::results_with(&ScenarioPool::serial());
-    assert_matches_last_run("BENCH_table1.json", &table1_json());
-    let traced = traced_results_with(&ScenarioPool::serial());
-    assert_matches_last_run("BENCH_tables23.json", &tables23_json(&traced));
-    let results = table4::quick_results_with(&ScenarioPool::serial());
-    assert_matches_last_run("BENCH_table4.json", &table4_json(&results, true));
+    let after = seed_documents();
+    let names = ["table1", "tables23", "table4"];
+    for ((name, a), b) in names.iter().zip(&before).zip(&after) {
+        assert_eq!(a, b, "BENCH_{name}.json drifted after the ring section ran");
+    }
 }
 
 /// The direct-mode rows of the ring report reproduce the seed cost

@@ -1,0 +1,96 @@
+//! The scenario registry's contract: every `reproduce` section produces
+//! byte-identical text and `BENCH_*.json` documents at every worker
+//! configuration, and every section's gates pass.
+//!
+//! One test runs the whole registry (`epcm_bench::scenario::SCENARIOS`)
+//! under the same command line CI's `scenarios` job uses, at `--jobs`
+//! and `--shards` 1, 2, 4 and 8. A section added to the registry is
+//! run here too; the test fails until its flag joins the command line
+//! below (and CI's).
+
+use epcm_bench::ablations::{self, SweepScale};
+use epcm_bench::json_report::{metrics_json, traced_results_with};
+use epcm_bench::pool::ScenarioPool;
+use epcm_bench::scenario::{parse_args, Output, SCENARIOS};
+
+/// Every section on, as in CI's `scenarios` job, minus the worker flags.
+const EVERY_SECTION: &str = "--quick --json --tiers dram:64,slow:256,zram:64 --promotion \
+     --async-writeback --batched-abi --chaos 3405691582:0.5 --economy both";
+
+/// Worker counts exercised, each as both `--jobs` and `--shards`.
+const WORKERS: [usize; 4] = [1, 2, 4, 8];
+
+/// Runs every selected section at `workers` jobs and shards.
+fn run_registry(workers: usize) -> Vec<Output> {
+    let line = format!("{EVERY_SECTION} --jobs {workers} --shards {workers}");
+    let opts = parse_args(&line.split_whitespace().collect::<Vec<_>>()).expect("valid flags");
+    assert!(
+        SCENARIOS.iter().all(|s| (s.selected)(&opts)),
+        "the command line leaves a registered section out"
+    );
+    let pool = ScenarioPool::new(opts.jobs);
+    SCENARIOS.iter().map(|s| (s.run)(&opts, &pool)).collect()
+}
+
+#[test]
+fn every_scenario_is_worker_invariant_and_passes_its_gates() {
+    let serial = run_registry(WORKERS[0]);
+    for (s, out) in SCENARIOS.iter().zip(&serial) {
+        assert!(
+            out.failures.is_empty(),
+            "{}: gates failed: {:?}",
+            s.name,
+            out.failures
+        );
+        assert!(!out.text.is_empty(), "{}: rendered nothing", s.name);
+        assert!(!out.files.is_empty(), "{}: wrote no document", s.name);
+    }
+    for &workers in &WORKERS[1..] {
+        for ((s, a), b) in SCENARIOS.iter().zip(&serial).zip(run_registry(workers)) {
+            assert_eq!(
+                a.text, b.text,
+                "{}: text at {workers} workers diverged from serial",
+                s.name
+            );
+            assert_eq!(
+                a.files, b.files,
+                "{}: BENCH files at {workers} workers diverged from serial",
+                s.name
+            );
+            assert_eq!(a.failures, b.failures, "{}: gates diverged", s.name);
+        }
+    }
+}
+
+/// `--ablations` returns before the registry runs, so its jobs
+/// invariance is pinned here separately (at the reduced sweep scale).
+#[test]
+fn ablations_render_is_jobs_invariant() {
+    let serial = ablations::render_with(&ScenarioPool::serial(), SweepScale::Quick);
+    for jobs in [2, 8] {
+        assert_eq!(
+            serial,
+            ablations::render_with(&ScenarioPool::new(jobs), SweepScale::Quick),
+            "ablations render: --jobs {jobs} diverged from --jobs 1"
+        );
+    }
+}
+
+/// The tables23 section writes the metrics snapshot of the first traced
+/// application only; the other applications' snapshots must be jobs
+/// invariant too.
+#[test]
+fn traced_metrics_are_jobs_invariant() {
+    let snapshots = |jobs| -> Vec<String> {
+        let traced = traced_results_with(&ScenarioPool::new(jobs));
+        traced.iter().map(metrics_json).collect()
+    };
+    let serial = snapshots(1);
+    for jobs in [2, 8] {
+        assert_eq!(
+            serial,
+            snapshots(jobs),
+            "--jobs {jobs} diverged from --jobs 1"
+        );
+    }
+}

@@ -5,9 +5,11 @@
 //! tables, merged traces, and `BENCH_shards.json` documents. Workers
 //! only group lanes; every cross-shard effect (spill-frame leases,
 //! market billing, trace emission) flows through the coordinator's
-//! deterministic merge. These tests pin that contract, the spill-pool
-//! frame-conservation invariant behind cross-shard migration, and the
-//! market ledger staying balanced under the sharded billing schedule.
+//! deterministic merge. These tests pin that contract (for the quick
+//! preset down to the raw merged trace, for arbitrary small engines and
+//! for the stress preset), the spill-pool frame-conservation invariant
+//! behind cross-shard migration, and the market ledger staying balanced
+//! under the sharded billing schedule.
 
 use epcm::managers::shard::{self, ShardEngineConfig};
 use epcm::managers::SpillPool;
@@ -84,11 +86,11 @@ fn oversubscribed_shard_count_clamps_to_lanes() {
 }
 
 /// ~20 release-mode repetitions of the stress configuration, 1 worker
-/// vs 4, every repetition byte-compared. Run by the CI `shard-stress`
-/// step: `cargo test --release --test shard_determinism -- --ignored stress`.
+/// vs 4, every repetition byte-compared. Run by the CI `scenarios`
+/// job: `cargo test --release --test shard_determinism -- --ignored stress`.
 /// Ignored by default: it is deliberately heavy.
 #[test]
-#[ignore = "heavy; exercised by the CI shard-stress step"]
+#[ignore = "heavy; exercised by the CI scenarios job"]
 fn stress() {
     let cfg = ShardEngineConfig::stress();
     for rep in 0..20 {

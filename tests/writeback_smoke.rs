@@ -1,11 +1,10 @@
-//! CI writeback-smoke: drive the asynchronous laundry pipeline under a
+//! Writeback smoke: drive the asynchronous laundry pipeline under a
 //! hostile store and prove the retry/quarantine machinery converges when
 //! scheduled completions race with injected I/O errors, then emit the
 //! evidence as `WRITEBACK_SMOKE_metrics.json`.
 //!
-//! The injected-error rate defaults to 10% transient failures and can be
-//! raised or lowered from the environment with `EPCM_FAULT_RATE`; the
-//! seed is fixed so any given rate is fully deterministic.
+//! The store injects 10% transient failures from a fixed seed, so the
+//! run is fully deterministic.
 
 use epcm::core::{SegmentKind, BASE_PAGE_SIZE};
 use epcm::managers::default_manager::{DefaultManagerConfig, DefaultSegmentManager};
@@ -18,13 +17,8 @@ const SEED: u64 = 11;
 const FRAMES: usize = 64;
 const PAGES: u64 = 96;
 
-fn fault_rate() -> f64 {
-    std::env::var("EPCM_FAULT_RATE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .map(|r| r.clamp(0.0, 0.5))
-        .unwrap_or(0.10)
-}
+/// Probability of a transient injected error per store operation.
+const FAULT_RATE: f64 = 0.10;
 
 fn pattern(page: u64, round: u64) -> u8 {
     (page.wrapping_mul(37).wrapping_add(round.wrapping_mul(101)) % 251) as u8
@@ -32,7 +26,6 @@ fn pattern(page: u64, round: u64) -> u8 {
 
 #[test]
 fn writeback_smoke_converges_under_hostile_store() {
-    let rate = fault_rate();
     let mut m = Machine::new(FRAMES);
     let id = m.register_manager(Box::new(DefaultSegmentManager::with_config(
         ManagerMode::Server,
@@ -49,7 +42,8 @@ fn writeback_smoke_converges_under_hostile_store() {
     m.set_default_manager(id);
     let tracer = m.enable_event_tracing(65536);
     let seg = m.create_segment(SegmentKind::Anonymous, PAGES).unwrap();
-    m.store_mut().set_fault_plan(FaultPlan::hostile(SEED, rate));
+    m.store_mut()
+        .set_fault_plan(FaultPlan::hostile(SEED, FAULT_RATE));
 
     // Overcommit 96 dirty pages onto 64 frames across several rounds so
     // eviction writebacks — and their injected failures and retries —
@@ -71,7 +65,7 @@ fn writeback_smoke_converges_under_hostile_store() {
         assert_eq!(
             buf[0],
             pattern(page, rounds - 1),
-            "page {page} corrupted under {rate:.0e} fault rate"
+            "page {page} corrupted under {FAULT_RATE:.0e} fault rate"
         );
     }
 
@@ -102,16 +96,14 @@ fn writeback_smoke_converges_under_hostile_store() {
     let completed = counts.get("writeback_completed").copied().unwrap_or(0);
     assert!(issued > 0, "async mode issued nothing through the pipeline");
     assert_eq!(issued, completed, "issued writebacks never completed");
-    if rate > 0.0 {
-        assert!(
-            counts.get("fault_injected").copied().unwrap_or(0) > 0,
-            "hostile plan at rate {rate} injected nothing"
-        );
-    }
+    assert!(
+        counts.get("fault_injected").copied().unwrap_or(0) > 0,
+        "hostile plan at rate {FAULT_RATE} injected nothing"
+    );
 
     let json = JsonObject::new()
         .string("suite", "writeback_smoke")
-        .f64("fault_rate", rate)
+        .f64("fault_rate", FAULT_RATE)
         .u64("faults_injected", m.store().fault_count())
         .u64("io_retries", io.retries)
         .u64("io_gave_up", io.gave_up)
