@@ -2,10 +2,12 @@
 //! speed; run the `reproduce` binary for paper scale) and benchmarks the
 //! transaction engine and lock manager.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use std::cell::{Cell, RefCell};
+
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use epcm_dbms::config::{DbmsConfig, IndexStrategy};
 use epcm_dbms::engine::run;
-use epcm_dbms::lock::{LockManager, LockMode, Resource, TxnId};
+use epcm_dbms::lock::{Acquire, LockManager, LockMode, Resource, TxnId};
 
 fn bench(c: &mut Criterion) {
     println!(
@@ -37,6 +39,31 @@ fn bench(c: &mut Criterion) {
             lm.acquire(txn, Resource::Page(1, t % 1024), LockMode::Exclusive);
             lm.release_all(txn);
         });
+    });
+
+    // The grant path: a waiter queued behind an X holder, granted by the
+    // holder's `release_all_into`. Only the release is timed; the granted
+    // waiter becomes the holder the next waiter queues behind.
+    c.bench_function("lock_contended_grant", |b| {
+        let page = Resource::Page(1, 0);
+        let lm = RefCell::new(LockManager::new());
+        lm.borrow_mut().acquire(TxnId(0), page, LockMode::Exclusive);
+        let holder = Cell::new(TxnId(0));
+        let granted = RefCell::new(Vec::new());
+        b.iter_batched(
+            || {
+                let waiter = TxnId(holder.get().0 + 1);
+                let queued = lm.borrow_mut().acquire(waiter, page, LockMode::Exclusive);
+                assert_eq!(queued, Acquire::Waiting);
+            },
+            |()| {
+                let mut granted = granted.borrow_mut();
+                granted.clear();
+                lm.borrow_mut().release_all_into(holder.get(), &mut granted);
+                holder.set(granted[0].0);
+            },
+            BatchSize::PerIteration,
+        );
     });
 }
 

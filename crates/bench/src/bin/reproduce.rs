@@ -29,13 +29,13 @@
 //! section every gate is checked: a failed gate exits 1, and an unknown
 //! flag or an unparsable value exits 2 with the flag list.
 
+use std::collections::{BTreeMap, BinaryHeap};
 use std::process::ExitCode;
 use std::time::Instant;
 
 use epcm_bench::json_report::{self, WallClockEntry};
 use epcm_bench::pool::ScenarioPool;
 use epcm_bench::{ablations, scenario};
-use epcm_dbms::config::{DbmsConfig, IndexStrategy};
 
 fn write_json(path: &str, json: &str) {
     let mut contents = json.to_string();
@@ -49,18 +49,47 @@ fn write_json(path: &str, json: &str) {
     }
 }
 
-/// Fixed deterministic workload timed on every `--wall-clock` run: a
-/// reduced-scale in-memory DBMS run. The perf gate divides a fresh
-/// calibration by the baseline's to estimate the machine-speed ratio.
+/// Fixed deterministic workload timed on every `--wall-clock` run. The
+/// perf gate divides a fresh calibration by the baseline's to estimate
+/// the machine-speed ratio, so the workload shares no code with the
+/// phases it normalises: ordered-map updates, a binary heap, sorting and
+/// 4 KB page copies on plain `std` collections. (Were it simulator code,
+/// a change to that code would scale the calibration and the phase alike
+/// and cancel out of the gate.)
 fn calibration_ms() -> f64 {
     let t0 = Instant::now();
-    let report = epcm_dbms::engine::run(&DbmsConfig::quick(IndexStrategy::InMemory));
-    let elapsed = t0.elapsed().as_secs_f64() * 1e3;
-    assert!(
-        report.average_ms() > 0.0,
-        "calibration run produced no work"
-    );
-    elapsed
+    let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+    let mut map = BTreeMap::new();
+    let mut heap = BinaryHeap::new();
+    let mut keys = Vec::with_capacity(4096);
+    let mut pages: Vec<Box<[u8; 4096]>> = Vec::new();
+    for i in 0..20_000u64 {
+        // xorshift64: a fixed pseudo-random stream.
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        map.insert(x % 4096, i);
+        if i % 2 == 0 {
+            map.remove(&((x >> 20) % 4096));
+        }
+        heap.push(x >> 32);
+        if heap.len() > 128 {
+            heap.pop();
+        }
+        keys.push(x);
+        if keys.len() == keys.capacity() {
+            keys.sort_unstable();
+            keys.clear();
+        }
+        if i % 32 == 0 {
+            pages.push(Box::new([i as u8; 4096]));
+            if pages.len() > 256 {
+                pages.swap_remove((x % 256) as usize);
+            }
+        }
+    }
+    std::hint::black_box((map.len(), heap.len(), keys.len(), pages.len()));
+    t0.elapsed().as_secs_f64() * 1e3
 }
 
 struct WallClock {

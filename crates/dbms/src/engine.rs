@@ -44,7 +44,7 @@ enum Kind {
 }
 
 /// Every transaction shape takes exactly this many locks, so the lock
-/// list is a fixed array — no per-transaction heap allocation.
+/// list is a fixed array inside the recycled transaction slot.
 const LOCKS_PER_TXN: usize = 5;
 
 #[derive(Debug)]
@@ -116,7 +116,12 @@ struct Engine<'a> {
     rng: Rng,
     now: Timestamp,
     events: EventQueue<Ev>,
+    /// Transaction slots, indexed by `TxnId`. A slot goes on `free_txns`
+    /// only at the end of `on_cpu_done`, after its `release_all`, and a
+    /// committed transaction never has a queued request — so a reused
+    /// slot's id holds no lock and no pending event names it.
     txns: Vec<Txn>,
+    free_txns: Vec<usize>,
     locks: LockManager,
     busy_cpus: usize,
     ready: VecDeque<usize>,
@@ -143,7 +148,8 @@ impl<'a> Engine<'a> {
             rng: Rng::seed_from(config.seed),
             now: Timestamp::ZERO,
             events: EventQueue::with_capacity(256),
-            txns: Vec::with_capacity(config.txn_count as usize),
+            txns: Vec::new(),
+            free_txns: Vec::new(),
             locks: LockManager::new(),
             busy_cpus: 0,
             ready: VecDeque::new(),
@@ -227,17 +233,27 @@ impl<'a> Engine<'a> {
         };
         // Global acquisition order prevents deadlock.
         locks.sort_by_key(|&(r, _)| r);
-        let idx = self.txns.len();
-        self.txns.push(Txn {
+        let txn = Txn {
             arrival: self.now,
             kind,
             locks,
             next_lock: 0,
             stall: Micros::ZERO,
             burst: Micros::ZERO,
-            counted: idx as u64 >= self.config.warmup,
-        });
-        idx
+            // This is arrival number `arrivals - 1`, counting from zero.
+            counted: self.arrivals > self.config.warmup,
+        };
+        match self.free_txns.pop() {
+            Some(idx) => {
+                debug_assert!(self.locks.held(TxnId(idx as u64)).is_empty());
+                self.txns[idx] = txn;
+                idx
+            }
+            None => {
+                self.txns.push(txn);
+                self.txns.len() - 1
+            }
+        }
     }
 
     /// Acquires locks in order until blocked or done; on done, decides the
@@ -359,6 +375,7 @@ impl<'a> Engine<'a> {
             self.events
                 .schedule_after(self.now, burst, Ev::CpuDone(next));
         }
+        self.free_txns.push(i);
     }
 }
 

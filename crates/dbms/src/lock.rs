@@ -7,8 +7,9 @@
 //! (with compatible-prefix batching so concurrent readers share), and
 //! all-at-release grant propagation for the discrete-event engine.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Lock modes of granular locking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -123,7 +124,62 @@ impl LockState {
     }
 }
 
+/// A multiply-xor hasher for the lock tables' small integer keys: one
+/// multiply per word written, instead of SipHash's rounds. The keys are
+/// the engine's own resources and transaction ids, not outside input, so
+/// SipHash's resistance to crafted collisions buys nothing here.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    /// Derived `Hash` writes an enum's discriminant as an `isize`.
+    fn write_isize(&mut self, n: isize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+
+/// Appends `resource` to `txn`'s held list, taking a recycled list for a
+/// transaction that holds nothing yet.
+fn note_held(
+    held_by: &mut KeyMap<TxnId, Vec<Resource>>,
+    spare: &mut Vec<Vec<Resource>>,
+    txn: TxnId,
+    resource: Resource,
+) {
+    held_by
+        .entry(txn)
+        .or_insert_with(|| spare.pop().unwrap_or_default())
+        .push(resource);
+}
+
 /// The lock manager.
+///
+/// Lock states live in a slab: `slots` maps a resource to its index in
+/// `states`, and a page's state that falls idle returns its index to
+/// `free_states` with its buffers intact, so the next page lock reuses
+/// them. Per-transaction held lists are recycled through `spare_held`
+/// the same way. Nothing iterates a hash map to take a decision, so
+/// grant order depends only on the call sequence.
 ///
 /// # Example
 ///
@@ -142,8 +198,11 @@ impl LockState {
 /// ```
 #[derive(Debug, Default)]
 pub struct LockManager {
-    locks: HashMap<Resource, LockState>,
-    held_by: BTreeMap<TxnId, Vec<Resource>>,
+    slots: KeyMap<Resource, usize>,
+    states: Vec<LockState>,
+    free_states: Vec<usize>,
+    held_by: KeyMap<TxnId, Vec<Resource>>,
+    spare_held: Vec<Vec<Resource>>,
     grants: u64,
     waits: u64,
 }
@@ -175,13 +234,19 @@ impl LockManager {
     /// waiting, even if it is compatible with the current holders — this
     /// prevents reader streams from starving writers.
     pub fn acquire(&mut self, txn: TxnId, resource: Resource, mode: LockMode) -> Acquire {
-        let state = self.locks.entry(resource).or_default();
+        let slot = *self.slots.entry(resource).or_insert_with(|| {
+            self.free_states.pop().unwrap_or_else(|| {
+                self.states.push(LockState::default());
+                self.states.len() - 1
+            })
+        });
+        let state = &mut self.states[slot];
         if state.holders.iter().any(|&(h, _)| h == txn) {
             return Acquire::Granted;
         }
         if state.queue.is_empty() && state.compatible_with_holders(txn, mode) {
             state.holders.push((txn, mode));
-            self.held_by.entry(txn).or_default().push(resource);
+            note_held(&mut self.held_by, &mut self.spare_held, txn, resource);
             self.grants += 1;
             Acquire::Granted
         } else {
@@ -204,12 +269,12 @@ impl LockManager {
     /// buffer — the engine reuses one buffer across commits instead of
     /// allocating a fresh vector per transaction.
     pub fn release_all_into(&mut self, txn: TxnId, granted: &mut Vec<(TxnId, Resource)>) {
-        let resources = self.held_by.remove(&txn).unwrap_or_default();
-        for resource in resources {
-            let state = self
-                .locks
-                .get_mut(&resource)
-                .expect("held resource has state");
+        let Some(mut resources) = self.held_by.remove(&txn) else {
+            return;
+        };
+        for &resource in &resources {
+            let slot = self.slots[&resource];
+            let state = &mut self.states[slot];
             state.holders.retain(|&(h, _)| h != txn);
             // Grant the maximal compatible prefix of the queue: strict
             // FIFO, but adjacent compatible requests (e.g. several S's)
@@ -218,21 +283,29 @@ impl LockManager {
                 if state.compatible_with_holders(waiter, mode) {
                     state.queue.pop_front();
                     state.holders.push((waiter, mode));
-                    self.held_by.entry(waiter).or_default().push(resource);
+                    note_held(&mut self.held_by, &mut self.spare_held, waiter, resource);
                     granted.push((waiter, resource));
                 } else {
                     break;
                 }
             }
-            if state.holders.is_empty() && state.queue.is_empty() {
-                self.locks.remove(&resource);
+            // A page's state is returned to the slab once idle. Database
+            // and relation states are few and hot, and their queues grow
+            // long, so they keep their slot and their buffers.
+            let idle = state.holders.is_empty() && state.queue.is_empty();
+            if idle && matches!(resource, Resource::Page(..)) {
+                self.slots.remove(&resource);
+                self.free_states.push(slot);
             }
         }
+        resources.clear();
+        self.spare_held.push(resources);
     }
 
     /// Debug invariant: no two holders of any resource conflict.
     pub fn assert_consistent(&self) {
-        for (resource, state) in &self.locks {
+        for (resource, &slot) in &self.slots {
+            let state = &self.states[slot];
             for (i, &(t1, m1)) in state.holders.iter().enumerate() {
                 for &(t2, m2) in &state.holders[i + 1..] {
                     assert!(

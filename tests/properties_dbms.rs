@@ -1,12 +1,115 @@
 //! Property-based tests for the DBMS substrate: lock-manager safety under
-//! random schedules (DESIGN.md invariant 7), hash-index correctness
-//! against a model, and DebitCredit balance conservation through the
-//! real lock manager.
+//! random schedules (DESIGN.md invariant 7), the lock manager against a
+//! reference model, hash-index correctness against a model, and
+//! DebitCredit balance conservation through the real lock manager.
+
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use epcm::dbms::index::HashIndex;
 use epcm::dbms::lock::{Acquire, LockManager, LockMode, Resource, TxnId};
 use epcm::managers::Machine;
 use proptest::prelude::*;
+
+/// Reference model of [`LockManager`]: the straightforward map-of-states
+/// implementation (a `HashMap` of lock states created and dropped per
+/// resource, a `BTreeMap` of held lists created and dropped per
+/// transaction), with the same FIFO queueing and compatible-prefix
+/// grants.
+#[derive(Default)]
+struct ModelLockManager {
+    locks: HashMap<Resource, ModelState>,
+    held_by: BTreeMap<TxnId, Vec<Resource>>,
+    grants: u64,
+    waits: u64,
+}
+
+#[derive(Default)]
+struct ModelState {
+    holders: Vec<(TxnId, LockMode)>,
+    queue: VecDeque<(TxnId, LockMode)>,
+}
+
+impl ModelState {
+    fn compatible_with_holders(&self, txn: TxnId, mode: LockMode) -> bool {
+        self.holders
+            .iter()
+            .all(|&(h, m)| h == txn || m.compatible(mode))
+    }
+}
+
+impl ModelLockManager {
+    fn contention_counts(&self) -> (u64, u64) {
+        (self.grants, self.waits)
+    }
+
+    fn held(&self, txn: TxnId) -> &[Resource] {
+        self.held_by.get(&txn).map_or(&[], |v| v.as_slice())
+    }
+
+    fn acquire(&mut self, txn: TxnId, resource: Resource, mode: LockMode) -> Acquire {
+        let state = self.locks.entry(resource).or_default();
+        if state.holders.iter().any(|&(h, _)| h == txn) {
+            return Acquire::Granted;
+        }
+        if state.queue.is_empty() && state.compatible_with_holders(txn, mode) {
+            state.holders.push((txn, mode));
+            self.held_by.entry(txn).or_default().push(resource);
+            self.grants += 1;
+            Acquire::Granted
+        } else {
+            state.queue.push_back((txn, mode));
+            self.waits += 1;
+            Acquire::Waiting
+        }
+    }
+
+    fn release_all(&mut self, txn: TxnId) -> Vec<(TxnId, Resource)> {
+        let mut granted = Vec::new();
+        for resource in self.held_by.remove(&txn).unwrap_or_default() {
+            let state = self
+                .locks
+                .get_mut(&resource)
+                .expect("held resource has state");
+            state.holders.retain(|&(h, _)| h != txn);
+            while let Some(&(waiter, mode)) = state.queue.front() {
+                if !state.compatible_with_holders(waiter, mode) {
+                    break;
+                }
+                state.queue.pop_front();
+                state.holders.push((waiter, mode));
+                self.held_by.entry(waiter).or_default().push(resource);
+                granted.push((waiter, resource));
+            }
+            if state.holders.is_empty() && state.queue.is_empty() {
+                self.locks.remove(&resource);
+            }
+        }
+        granted
+    }
+}
+
+/// Releases `t` in both managers, checks that they grant the same
+/// waiters in the same order, and unblocks the granted waiters.
+fn release_both(
+    lm: &mut LockManager,
+    model: &mut ModelLockManager,
+    blocked: &mut BTreeSet<TxnId>,
+    t: TxnId,
+) {
+    let granted = lm.release_all(t);
+    assert_eq!(granted, model.release_all(t));
+    for (w, _) in granted {
+        assert!(blocked.remove(&w), "{w} granted without waiting");
+    }
+}
+
+const MODES: [LockMode; 5] = [
+    LockMode::IntentShared,
+    LockMode::IntentExclusive,
+    LockMode::Shared,
+    LockMode::SharedIntentExclusive,
+    LockMode::Exclusive,
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -18,13 +121,7 @@ proptest! {
     fn lock_schedules_are_safe(
         script in proptest::collection::vec((0u8..5, 0u8..5, 0u8..2, any::<bool>()), 1..200),
     ) {
-        let modes = [
-            LockMode::IntentShared,
-            LockMode::IntentExclusive,
-            LockMode::Shared,
-            LockMode::SharedIntentExclusive,
-            LockMode::Exclusive,
-        ];
+        let modes = MODES;
         let mut lm = LockManager::new();
         let mut next_txn = 0u64;
         // Transactions that are runnable (hold everything they asked for).
@@ -68,6 +165,81 @@ proptest! {
             lm.assert_consistent();
         }
         prop_assert!(blocked.is_empty(), "waiters never granted: {blocked:?}");
+    }
+
+    /// The lock manager agrees with the reference model call for call:
+    /// every `acquire` result, every `release_all` grant list in order,
+    /// `held()` of every transaction and `contention_counts()`. Scripts
+    /// mix database, relation and page resources over three relations,
+    /// re-acquire held resources, and reuse a `TxnId` after its
+    /// `release_all`; only runnable transactions (no queued request)
+    /// acquire or release.
+    #[test]
+    fn lock_manager_matches_reference_model(
+        script in proptest::collection::vec(
+            (0u8..8, 0u64..6, 0usize..5, 0u8..3, 0u32..3, 0u64..4),
+            1..300,
+        ),
+    ) {
+        const TXNS: u64 = 6;
+        let mut lm = LockManager::new();
+        let mut model = ModelLockManager::default();
+        let mut blocked: BTreeSet<TxnId> = BTreeSet::new();
+        for (op, txn, mode, level, rel, page) in script {
+            let t = TxnId(txn);
+            if blocked.contains(&t) {
+                continue; // a waiting transaction issues no calls
+            }
+            match op {
+                0..=4 => {
+                    let resource = match level {
+                        0 => Resource::Database,
+                        1 => Resource::Relation(rel),
+                        _ => Resource::Page(rel, page),
+                    };
+                    let got = lm.acquire(t, resource, MODES[mode]);
+                    prop_assert_eq!(got, model.acquire(t, resource, MODES[mode]));
+                    if got == Acquire::Waiting {
+                        blocked.insert(t);
+                    }
+                }
+                5 => {
+                    let held = model.held(t);
+                    if held.is_empty() {
+                        continue;
+                    }
+                    let resource = held[page as usize % held.len()];
+                    let got = lm.acquire(t, resource, MODES[mode]);
+                    prop_assert_eq!(got, Acquire::Granted);
+                    prop_assert_eq!(got, model.acquire(t, resource, MODES[mode]));
+                }
+                _ => release_both(&mut lm, &mut model, &mut blocked, t),
+            }
+            for id in 0..TXNS {
+                prop_assert_eq!(lm.held(TxnId(id)), model.held(TxnId(id)));
+            }
+            prop_assert_eq!(lm.contention_counts(), model.contention_counts());
+            lm.assert_consistent();
+        }
+        // Drain: release runnable transactions until no release grants
+        // anything more. (Scripts take locks in no global order, so
+        // waiters may be deadlocked; both managers must agree on that.)
+        loop {
+            let waiting = blocked.len();
+            for id in 0..TXNS {
+                let t = TxnId(id);
+                if !blocked.contains(&t) {
+                    release_both(&mut lm, &mut model, &mut blocked, t);
+                }
+            }
+            if blocked.len() == waiting {
+                break;
+            }
+        }
+        for id in 0..TXNS {
+            prop_assert_eq!(lm.held(TxnId(id)), model.held(TxnId(id)));
+        }
+        prop_assert_eq!(lm.contention_counts(), model.contention_counts());
     }
 
     /// The hash index agrees with a model map for arbitrary key sets,
