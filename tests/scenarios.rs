@@ -62,6 +62,67 @@ fn every_scenario_is_worker_invariant_and_passes_its_gates() {
     }
 }
 
+/// The committed digests of `reproduce`'s outputs (see [`golden`]).
+const GOLDEN: &str = include_str!("golden/reproduce.digests");
+
+/// The last line `reproduce` prints after its sections.
+const FOOTER: &str = "\n(Figures 1 and 2 are architecture diagrams; run `cargo run --example address_space` and `cargo run --example fault_walkthrough` for their executable equivalents.)\n";
+
+/// 64-bit FNV-1a.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The digest file's contents for the current code: one `name digest`
+/// line per output of `reproduce {EVERY_SECTION} --shards 4` (its stdout
+/// and each `BENCH_*.json` as written, trailing newline included) and of
+/// `reproduce --ablations` (stdout).
+fn golden() -> String {
+    let line = format!("{EVERY_SECTION} --shards 4");
+    let opts = parse_args(&line.split_whitespace().collect::<Vec<_>>()).expect("valid flags");
+    let pool = ScenarioPool::new(opts.jobs);
+    let mut stdout = String::new();
+    let mut files = Vec::new();
+    for s in SCENARIOS.iter().filter(|s| (s.selected)(&opts)) {
+        let out = (s.run)(&opts, &pool);
+        stdout.push_str(&out.text);
+        for (file, json) in out.files {
+            stdout.push_str(&format!("wrote {file}\n"));
+            files.push((file, format!("{json}\n")));
+        }
+    }
+    stdout.push_str(FOOTER);
+    let ablations = ablations::render_with(&pool, SweepScale::Paper);
+    let mut digests = format!("stdout {:016x}\n", fnv64(stdout.as_bytes()));
+    for (file, json) in files {
+        digests.push_str(&format!("{file} {:016x}\n", fnv64(json.as_bytes())));
+    }
+    digests.push_str(&format!(
+        "ablations.stdout {:016x}\n",
+        fnv64(ablations.as_bytes())
+    ));
+    digests
+}
+
+/// Same bytes, checked: any change to a `reproduce` output fails here
+/// until `tests/golden/reproduce.digests` is updated (and the change
+/// declared in CHANGES.md).
+#[test]
+fn outputs_match_the_golden_digests() {
+    let want: String = GOLDEN
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let got = golden();
+    assert!(
+        want == got,
+        "reproduce outputs moved; the digests for this code are:\n{got}"
+    );
+}
+
 /// `--ablations` returns before the registry runs, so its jobs
 /// invariance is pinned here separately (at the reduced sweep scale).
 #[test]
