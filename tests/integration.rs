@@ -257,3 +257,40 @@ fn segment_ownership_transfer() {
     assert_eq!(m.kernel().segment(seg).unwrap().manager(), default);
     m.touch(seg, 0, AccessKind::Write).unwrap();
 }
+
+/// The clock probe's `GetPageAttributes` is the eviction's only one: on
+/// a DRAM-only machine the demotion stage reuses the flags the probe
+/// read for its dirty check. So a run with demotion on makes exactly the
+/// attribute calls (and spends exactly the virtual time) of the same run
+/// with demotion off, where every call is a clock probe.
+#[test]
+fn eviction_reads_page_attributes_once_per_probe() {
+    let run = |demote_batch: u64| {
+        let mut m = Machine::new(64);
+        let id = m.register_manager(Box::new(DefaultSegmentManager::with_config(
+            ManagerMode::Server,
+            DefaultManagerConfig {
+                demote_batch,
+                ..DefaultManagerConfig::default()
+            },
+        )));
+        m.set_default_manager(id);
+        let seg = m.create_segment(SegmentKind::Anonymous, 256).unwrap();
+        let before = m.kernel_stats().get_attr_calls;
+        for _ in 0..4 {
+            for p in 0..256 {
+                m.touch(seg, p, AccessKind::Write).unwrap();
+            }
+        }
+        let reclaimed = m
+            .manager(id)
+            .and_then(|mgr| mgr.as_any().downcast_ref::<DefaultSegmentManager>())
+            .unwrap()
+            .manager_stats()
+            .reclaimed;
+        (m.kernel_stats().get_attr_calls - before, reclaimed, m.now())
+    };
+    let (probes, evictions, elapsed) = run(0);
+    assert!(evictions > 0, "the sweep must evict");
+    assert_eq!(run(8), (probes, evictions, elapsed));
+}
