@@ -274,6 +274,48 @@ impl SegmentManager for GreedyManager {
     }
 }
 
+/// Closing a segment releases its quarantine: the pinned frames return
+/// to the free pool unpinned, and the manager forgets the closed
+/// segment's quarantined pages. Otherwise every frame quarantined under
+/// a dead store stays `PINNED` through reuse and can never be evicted.
+#[test]
+fn segment_close_releases_quarantined_frames() {
+    let mut m = Machine::with_default_manager(48);
+    let seg = m.create_segment(SegmentKind::Anonymous, 64).unwrap();
+    for p in 0..64u64 {
+        m.touch(seg, p, AccessKind::Write).unwrap();
+    }
+    m.store_mut()
+        .set_fault_plan(FaultPlan::new(5).with_rule(FaultRule::permanent().writes_only()));
+    let default = m.default_manager().unwrap();
+    m.with_manager(default, |mgr, env| mgr.reclaim(env, 30))
+        .unwrap();
+    let quarantined = |m: &Machine| {
+        m.manager(default)
+            .unwrap()
+            .as_any()
+            .downcast_ref::<DefaultSegmentManager>()
+            .unwrap()
+            .quarantined_count()
+    };
+    assert!(quarantined(&m) > 0, "the dead store must quarantine pages");
+
+    m.close_segment(seg).unwrap();
+    assert_eq!(quarantined(&m), 0, "closed segments keep no quarantine");
+    let fresh = m.create_segment(SegmentKind::Anonymous, 40).unwrap();
+    for p in 0..40u64 {
+        m.touch(fresh, p, AccessKind::Write).unwrap();
+    }
+    let pinned = m
+        .kernel()
+        .segment(fresh)
+        .unwrap()
+        .resident()
+        .filter(|(_, e)| e.flags.contains(PageFlags::PINNED))
+        .count();
+    assert_eq!(pinned, 0, "recycled frames must not stay pinned");
+}
+
 /// Builds the revocation scenario and runs it to completion: a bankrupt
 /// greedy manager refusing every reclaim is stripped by forced seizure
 /// and finally destroyed, while the default manager (under a seeded
