@@ -173,7 +173,7 @@ mod tests {
             .as_any()
             .downcast_ref::<ColoringManager>()
             .unwrap();
-        assert!(mgr.generic_stats().constraint_misses > 0);
+        assert!(mgr.manager_stats().constraint_misses > 0);
     }
 
     #[test]

@@ -9,8 +9,12 @@
 //! * [`machine::Machine`] — kernel + store + SPCM + managers, with the
 //!   Figure 2 fault-dispatch loop.
 //! * [`manager::SegmentManager`] — the manager interface (§2.2).
+//! * [`generic`] — the one manager engine, `GenericManager<S>`: free
+//!   pool, clock, laundry, writeback, tiers, specialised through the
+//!   [`generic::Specialization`] hooks (§2.2's "inheritance" base).
 //! * [`default_manager::DefaultSegmentManager`] — the extended-UCDS default
-//!   manager that keeps conventional programs oblivious (§2.3).
+//!   manager that keeps conventional programs oblivious (§2.3): the
+//!   engine specialised by [`default_manager::Ucds`].
 //! * [`spcm::SystemPageCacheManager`] — global frame allocation with
 //!   physical-placement and color constraints (§2.4).
 //! * [`market::MemoryMarket`] — the dram economy (§2.4).
@@ -18,8 +22,6 @@
 //!   shard of tenant lanes, cross-shard effects merged deterministically
 //!   through explicit messages (`reproduce --shards N`).
 //! * [`policy`] — clock/FIFO/LRU/random replacement, as manager code.
-//! * [`generic`] — the specialisable generic manager (§2.2's
-//!   "inheritance" base).
 //! * [`prefetch`] — application-directed read-ahead for scan workloads.
 //! * [`discard`] — discardable pages without writeback (the Subramanian
 //!   case study from related work).

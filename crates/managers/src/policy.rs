@@ -64,6 +64,32 @@ pub trait ReplacementPolicy: fmt::Debug {
     }
 }
 
+/// A boxed policy is a policy, so a manager can pick one at run time.
+impl<P: ReplacementPolicy + ?Sized> ReplacementPolicy for Box<P> {
+    fn note_resident(&mut self, seg: SegmentId, page: PageNumber) {
+        (**self).note_resident(seg, page);
+    }
+
+    fn note_removed(&mut self, seg: SegmentId, page: PageNumber) {
+        (**self).note_removed(seg, page);
+    }
+
+    fn note_referenced(&mut self, seg: SegmentId, page: PageNumber) {
+        (**self).note_referenced(seg, page);
+    }
+
+    fn select_victim(
+        &mut self,
+        probe: &mut dyn FnMut(SegmentId, PageNumber) -> Probe,
+    ) -> Option<Key> {
+        (**self).select_victim(probe)
+    }
+
+    fn len(&self) -> usize {
+        (**self).len()
+    }
+}
+
 /// Per-page bookkeeping for a lazy-deletion queue, shared by the
 /// policies: how many copies of each key the queue holds (a count, so
 /// the mirror stays exact even if a key is enqueued twice) and whether
