@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use epcm_core::types::{PageNumber, SegmentId, BASE_PAGE_SIZE};
-use epcm_sim::disk::FileId;
+use epcm_sim::disk::{Block, FileId};
 
 use crate::generic::{Fill, GenericManager, Specialization};
 use crate::manager::{Env, ManagerError, ManagerMode};
@@ -103,7 +103,7 @@ impl Specialization for CompressSpec {
         env: &mut Env<'_>,
         seg: SegmentId,
         page: PageNumber,
-        buf: &mut [u8],
+        block: &mut Block,
     ) -> Result<Fill, ManagerError> {
         let Some((file, blobs)) = self.swap.get_mut(&seg.as_u32()) else {
             return Ok(Fill::Minimal);
@@ -114,7 +114,7 @@ impl Specialization for CompressSpec {
         let mut compressed = vec![0u8; len as usize];
         let latency = env.store.read(*file, offset, &mut compressed)?;
         env.kernel.charge(latency);
-        rle_decompress(&compressed, buf);
+        rle_decompress(&compressed, block.make_mut());
         self.stats.decompressed += 1;
         Ok(Fill::Filled)
     }

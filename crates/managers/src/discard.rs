@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use epcm_core::flags::PageFlags;
 use epcm_core::kernel::Kernel;
 use epcm_core::types::{PageNumber, SegmentId, BASE_PAGE_SIZE};
-use epcm_sim::disk::FileId;
+use epcm_sim::disk::{Block, FileId};
 
 use crate::generic::{Disposition, Fill, GenericManager, Specialization};
 use crate::manager::{Env, ManagerError, ManagerMode};
@@ -55,14 +55,15 @@ impl Specialization for DiscardableSpec {
         env: &mut Env<'_>,
         seg: SegmentId,
         page: PageNumber,
-        buf: &mut [u8],
+        block: &mut Block,
     ) -> Result<Fill, ManagerError> {
         if let Some((file, swapped)) = self.swap.get_mut(&seg.as_u32()) {
             // The swap copy stays valid while the page is clean; dirty
             // evictions overwrite it (dropping the entry here would lose
             // data on a later clean eviction).
             if swapped.contains(&page.as_u64()) {
-                let latency = env.store.read(*file, page.as_u64() * BASE_PAGE_SIZE, buf)?;
+                let offset = page.as_u64() * BASE_PAGE_SIZE;
+                let latency = env.store.read(*file, offset, block.make_mut())?;
                 env.kernel.charge(latency);
                 return Ok(Fill::Filled);
             }

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 use epcm_core::types::{PageNumber, SegmentId, SegmentKind, BASE_PAGE_SIZE};
 use epcm_sim::clock::{Micros, Timestamp};
-use epcm_sim::disk::{Device, FileId};
+use epcm_sim::disk::{Block, Device, FileId};
 
 use crate::generic::{Fill, GenericManager, Specialization};
 use crate::manager::{Env, ManagerError, ManagerMode};
@@ -92,7 +92,7 @@ impl Specialization for PrefetchSpec {
         env: &mut Env<'_>,
         seg: SegmentId,
         page: PageNumber,
-        buf: &mut [u8],
+        block: &mut Block,
     ) -> Result<Fill, ManagerError> {
         let Some(&file) = self.files.get(&seg.as_u32()) else {
             return Ok(Fill::Minimal); // anonymous segment
@@ -104,7 +104,7 @@ impl Specialization for PrefetchSpec {
         }
         let n = BASE_PAGE_SIZE.min(size - offset) as usize;
         let now = env.kernel.now();
-        let full_latency = env.store.read(file, offset, &mut buf[..n])?;
+        let full_latency = env.store.read(file, offset, &mut block.make_mut()[..n])?;
         match self.inflight.remove(&(seg.as_u32(), page.as_u64())) {
             Some(arrival) if arrival <= now => {
                 // Transfer completed while the application computed.
