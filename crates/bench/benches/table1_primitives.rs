@@ -8,7 +8,9 @@ use epcm_core::flags::PageFlags;
 use epcm_core::kernel::Kernel;
 use epcm_core::tier::TierLayout;
 use epcm_core::translate::MappingTable;
-use epcm_core::types::{AccessKind, FrameId, PageNumber, SegmentId, SegmentKind, BASE_PAGE_SIZE};
+use epcm_core::types::{
+    AccessKind, FrameId, ManagerId, PageNumber, SegmentId, SegmentKind, BASE_PAGE_SIZE,
+};
 use epcm_managers::default_manager::{DefaultManagerConfig, DefaultSegmentManager};
 use epcm_managers::{Machine, ManagerMode};
 use epcm_workloads::runner::PAPER_FRAMES;
@@ -201,6 +203,82 @@ fn page_tables(c: &mut Criterion) {
         }
         b.iter(|| m.tick().unwrap());
     });
+
+    // One tick whose promotion pass swaps 16 times. The set-up builds the
+    // same tiered machine with a 2048-page segment touched from the last
+    // page down, so DRAM holds its top quarter and the free pool no DRAM
+    // frame. Pages 0..16, on SlowMem, take two sampling hits each, and
+    // the DRAM pages' reference bits are cleared. Each swap searches for
+    // the first cold DRAM page, past 1536 SlowMem pages and the pages
+    // already promoted, which stay referenced. The tick also refills the
+    // pool; the spent machine is dropped untimed.
+    c.bench_function("promotion_pass_tiered", |b| {
+        let spent = RefCell::new(None);
+        let setup = || {
+            spent.borrow_mut().take();
+            promotion_machine()
+        };
+        let (mut m, mgr) = setup();
+        m.tick().unwrap();
+        let swapped = m.manager(mgr).unwrap().as_any();
+        let swapped = swapped.downcast_ref::<DefaultSegmentManager>();
+        assert_eq!(swapped.unwrap().promotion_stats().swapped, 16);
+        b.iter_batched(
+            setup,
+            |(mut m, _)| {
+                m.tick().unwrap();
+                *spent.borrow_mut() = Some(m);
+            },
+            BatchSize::PerIteration,
+        );
+    });
+}
+
+/// The `promotion_pass_tiered` set-up: a machine one tick away from 16
+/// promotion swaps, and its manager.
+fn promotion_machine() -> (Machine, ManagerId) {
+    const PAGES: u64 = 2048;
+    let layout = TierLayout::new(512, 2048, 512);
+    let mut m = Machine::builder(layout.total() as usize)
+        .tiers(layout)
+        .build();
+    let mgr = m.register_manager(Box::new(DefaultSegmentManager::with_config(
+        ManagerMode::Server,
+        DefaultManagerConfig {
+            promotion_budget: 16,
+            ..DefaultManagerConfig::default()
+        },
+    )));
+    m.set_default_manager(mgr);
+    let seg = m.create_segment(SegmentKind::Anonymous, PAGES).unwrap();
+    for p in (0..PAGES).rev() {
+        m.touch(seg, p, AccessKind::Write).unwrap();
+    }
+    // A sampling hit: the page's access rights revoked, then a touch.
+    for _ in 0..2 {
+        for p in 0..16 {
+            m.kernel_mut()
+                .modify_page_flags(
+                    seg,
+                    PageNumber(p),
+                    1,
+                    PageFlags::MANAGER_B,
+                    PageFlags::READ | PageFlags::WRITE,
+                )
+                .unwrap();
+            m.touch(seg, p, AccessKind::Read).unwrap();
+        }
+    }
+    m.kernel_mut()
+        .modify_page_flags(
+            seg,
+            PageNumber(PAGES - 512),
+            512,
+            PageFlags::empty(),
+            PageFlags::REFERENCED,
+        )
+        .unwrap();
+    (m, mgr)
 }
 
 /// Host cost of moving page data between the file store and frames: one
