@@ -66,6 +66,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+pub mod bitmap;
 pub mod error;
 pub mod fault;
 pub mod flags;

@@ -10,6 +10,7 @@
 
 use std::fmt;
 
+use crate::bitmap::Bitmap;
 use crate::flags::PageFlags;
 use crate::types::{FrameId, ManagerId, PageNumber, SegmentId, SegmentKind, UserId};
 
@@ -87,10 +88,10 @@ pub struct Segment {
     /// `size_pages` before every insert), `None` where no frame is
     /// present.
     pages: Vec<Option<PageEntry>>,
-    /// Residency bitmap beside `pages`: bit `p % 64` of word `p / 64` is
-    /// set exactly when `pages[p]` is `Some`. Bits past `pages.len()` are
-    /// clear, so free-slot searches scan words instead of entries.
-    bits: Vec<u64>,
+    /// Residency bitmap beside `pages`: bit `p` is set exactly when
+    /// `pages[p]` is `Some`, so free-slot searches scan words instead of
+    /// entries.
+    bits: Bitmap,
     /// Number of `Some` slots in `pages`.
     resident: u64,
     regions: Vec<BoundRegion>,
@@ -117,7 +118,7 @@ impl Segment {
             page_frames,
             size_pages,
             pages: Vec::new(),
-            bits: Vec::new(),
+            bits: Bitmap::default(),
             resident: 0,
             regions: Vec::new(),
         }
@@ -125,7 +126,8 @@ impl Segment {
 
     /// Fills the page table with `entries` in one pass, sized for the
     /// whole segment up front (the boot segment's every-frame map), then
-    /// builds the residency bitmap a word at a time.
+    /// builds the residency bitmap a word at a time: setting a bit per
+    /// insert slowed `Kernel::new` at 32 768 frames measurably.
     pub(crate) fn with_entries(
         mut self,
         entries: impl IntoIterator<Item = (PageNumber, PageEntry)>,
@@ -134,26 +136,14 @@ impl Segment {
         for (page, entry) in entries {
             self.insert_slot(page, entry);
         }
-        let len = self.pages.len();
-        self.bits = if self.resident == len as u64 {
-            // Every slot filled, as in the boot segment: all ones.
-            let mut bits = vec![u64::MAX; len / 64];
-            let tail = len % 64;
-            if tail != 0 {
-                bits.push((1 << tail) - 1);
+        self.bits = Bitmap::filled(self.pages.len() as u64);
+        if self.resident < self.pages.len() as u64 {
+            for (p, e) in (0..).zip(&self.pages) {
+                if e.is_none() {
+                    self.bits.clear(p);
+                }
             }
-            bits
-        } else {
-            self.pages
-                .chunks(64)
-                .map(|chunk| {
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .fold(0, |word, (i, e)| word | (u64::from(e.is_some()) << i))
-                })
-                .collect()
-        };
+        }
         self
     }
 
@@ -216,13 +206,8 @@ impl Segment {
 
     /// Installs `entry` at `page`, growing the table to reach it.
     pub(crate) fn insert_entry(&mut self, page: PageNumber, entry: PageEntry) -> Option<PageEntry> {
-        let old = self.insert_slot(page, entry);
-        let idx = to_index(page.as_u64());
-        if idx / 64 >= self.bits.len() {
-            self.bits.resize(idx / 64 + 1, 0);
-        }
-        self.bits[idx / 64] |= 1 << (idx % 64);
-        old
+        self.bits.set(page.as_u64());
+        self.insert_slot(page, entry)
     }
 
     /// The page-table half of [`Self::insert_entry`]; the caller keeps
@@ -241,11 +226,10 @@ impl Segment {
     }
 
     pub(crate) fn remove_entry(&mut self, page: PageNumber) -> Option<PageEntry> {
-        let idx = to_index(page.as_u64());
-        let old = self.pages.get_mut(idx)?.take();
+        let old = self.pages.get_mut(to_index(page.as_u64()))?.take();
         if old.is_some() {
             self.resident -= 1;
-            self.bits[idx / 64] &= !(1 << (idx % 64));
+            self.bits.clear(page.as_u64());
         }
         old
     }
@@ -273,9 +257,9 @@ impl Segment {
             .filter_map(|(e, p)| e.map(|e| (PageNumber(p), e)))
     }
 
-    /// The residency bitmap: bit `p % 64` of word `p / 64` is set exactly
-    /// when page `p` holds a frame. Words past the end are all clear.
-    pub fn resident_bits(&self) -> &[u64] {
+    /// The residency bitmap: bit `p` is set exactly when page `p` holds
+    /// a frame.
+    pub fn resident_bits(&self) -> &Bitmap {
         &self.bits
     }
 
@@ -283,30 +267,15 @@ impl Segment {
     /// segment size is resident this is at or past `size_pages`, where
     /// no frame can be installed.
     pub fn first_vacant(&self) -> PageNumber {
-        let full = self.bits.iter().take_while(|&&w| w == u64::MAX).count();
-        let bit = self.bits.get(full).map_or(0, |w| w.trailing_ones());
-        PageNumber(full as u64 * 64 + u64::from(bit))
+        PageNumber(self.bits.first_zero())
     }
 
     /// Iterates over the pages at or above `from` and below the segment
     /// size that hold no frame, in page order.
     pub fn vacant_from(&self, from: PageNumber) -> impl Iterator<Item = PageNumber> + '_ {
         let size = self.size_pages;
-        let mut word = to_index(from.as_u64() / 64);
-        let mut vacant =
-            !self.bits.get(word).copied().unwrap_or(0) & (u64::MAX << (from.as_u64() % 64));
-        std::iter::from_fn(move || loop {
-            if vacant != 0 {
-                let page = word as u64 * 64 + u64::from(vacant.trailing_zeros());
-                vacant &= vacant - 1;
-                return (page < size).then_some(PageNumber(page));
-            }
-            word += 1;
-            if word as u64 * 64 >= size {
-                return None;
-            }
-            vacant = !self.bits.get(word).copied().unwrap_or(0);
-        })
+        let vacant = self.bits.zeros_from(from.as_u64());
+        vacant.take_while(move |&p| p < size).map(PageNumber)
     }
 
     /// The bound region containing `page`, if any.
@@ -525,12 +494,12 @@ mod tests {
         };
         // Bulk-built, every slot filled: all ones, a partial last word.
         let full = sized(70).with_entries((0..70).map(entry));
-        assert_eq!(full.resident_bits(), &[u64::MAX, (1 << 6) - 1]);
+        assert_eq!(full.resident_bits().words(), &[u64::MAX, (1 << 6) - 1]);
         assert_eq!(full.first_vacant(), PageNumber(70));
         assert_eq!(full.vacant_from(PageNumber(0)).next(), None);
         // Bulk-built with holes, then changed page by page.
         let mut s = sized(200).with_entries([0, 1, 2, 64, 130].map(entry));
-        assert_eq!(s.resident_bits(), &[0b111, 1, 1 << 2]);
+        assert_eq!(s.resident_bits().words(), &[0b111, 1, 1 << 2]);
         assert_eq!(s.first_vacant(), PageNumber(3));
         s.remove_entry(PageNumber(1));
         s.insert_entry(PageNumber(3), entry(3).1);

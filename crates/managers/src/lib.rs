@@ -61,6 +61,7 @@ pub mod generic;
 pub mod machine;
 pub mod manager;
 pub mod market;
+mod page_rows;
 pub mod pinning;
 pub mod policy;
 pub mod prefetch;

@@ -15,6 +15,8 @@ use std::fmt;
 use epcm_core::types::{PageNumber, SegmentId};
 use epcm_sim::rng::Rng;
 
+use crate::page_rows::PageRows;
+
 /// What the manager observed about a candidate page when the policy
 /// probed it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,23 +96,15 @@ impl<P: ReplacementPolicy + ?Sized> ReplacementPolicy for Box<P> {
 /// policies: how many copies of each key the queue holds (a count, so
 /// the mirror stays exact even if a key is enqueued twice) and whether
 /// the key is dead — removed, but not yet swept out of the queue. Every
-/// check on the fault path is an index, not a search: rows are indexed
-/// by segment id and slots by page number, like the kernel's page
-/// tables, and a row's storage is freed once none of its keys remain.
-/// A dead key always has at least one copy queued.
+/// check on the fault path is an index, not a search, into a
+/// [`PageRows`] whose row is freed once none of its keys remain. A dead
+/// key always has at least one copy queued.
 #[derive(Debug, Default)]
 struct KeyTable {
-    rows: Vec<KeyRow>,
+    /// Per page: queued copies in the high bits, the dead flag in bit 0.
+    rows: PageRows<u32>,
     /// Number of dead keys.
     dead: usize,
-}
-
-#[derive(Debug, Default)]
-struct KeyRow {
-    /// Per page: queued copies in the high bits, the dead flag in bit 0.
-    slots: Vec<u32>,
-    /// Non-zero entries of `slots`.
-    used: usize,
 }
 
 const DEAD: u32 = 1;
@@ -118,33 +112,15 @@ const COPY: u32 = 2;
 
 impl KeyTable {
     fn slot(&self, (seg, page): Key) -> u32 {
-        self.rows
-            .get(seg.as_u32() as usize)
-            .and_then(|row| row.slots.get(usize::try_from(page.as_u64()).ok()?))
-            .copied()
-            .unwrap_or(0)
+        self.rows.get((seg.as_u32(), page.as_u64())).unwrap_or(0)
     }
 
     fn set(&mut self, (seg, page): Key, value: u32) {
-        let s = seg.as_u32() as usize;
-        if s >= self.rows.len() {
-            self.rows.resize_with(s + 1, KeyRow::default);
-        }
-        let row = &mut self.rows[s];
-        let p = usize::try_from(page.as_u64()).expect("policy pages fit the address space");
-        if p >= row.slots.len() {
-            row.slots.resize(p + 1, 0);
-        }
-        let old = std::mem::replace(&mut row.slots[p], value);
-        match (old == 0, value == 0) {
-            (true, false) => row.used += 1,
-            (false, true) => {
-                row.used -= 1;
-                if row.used == 0 {
-                    row.slots = Vec::new();
-                }
-            }
-            _ => {}
+        let key = (seg.as_u32(), page.as_u64());
+        if value != 0 {
+            self.rows.insert(key, value);
+        } else if self.rows.remove(key).is_some() && self.rows.row_len(key.0) == 0 {
+            self.rows.free_row(key.0);
         }
     }
 
@@ -605,6 +581,50 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), 7, "pinned page never evicted");
         assert!(!a.contains(&3));
+    }
+
+    /// Opens, fills, half-evicts and closes 200 segments under `policy`,
+    /// and returns the most rows its key table held at once.
+    fn peak_rows<P: ReplacementPolicy>(mut policy: P, rows: impl Fn(&P) -> usize) -> usize {
+        use epcm_core::types::{ManagerId, SegmentKind, UserId};
+        let mut kernel = epcm_core::kernel::Kernel::new(8);
+        let mut peak = 0;
+        for _ in 0..200 {
+            let seg = kernel
+                .create_segment(SegmentKind::Anonymous, UserId::SYSTEM, ManagerId(1), 1, 32)
+                .unwrap();
+            for p in 0..32 {
+                policy.note_resident(seg, PageNumber(p));
+            }
+            peak = peak.max(rows(&policy));
+            let mut evicted = std::collections::BTreeSet::new();
+            for _ in 0..16 {
+                let mut probe = |s: SegmentId, p: PageNumber| {
+                    if s == seg && !evicted.contains(&p) {
+                        Probe::NotReferenced
+                    } else {
+                        Probe::Gone
+                    }
+                };
+                let (_, page) = policy.select_victim(&mut probe).expect("a live page");
+                evicted.insert(page);
+            }
+            for p in (0..32).map(PageNumber).filter(|p| !evicted.contains(p)) {
+                policy.note_removed(seg, p);
+            }
+            peak = peak.max(rows(&policy));
+        }
+        peak
+    }
+
+    #[test]
+    fn policies_free_the_rows_of_closed_segments() {
+        // A closed segment's keys leave the queue at the latest when the
+        // next segment's evictions sweep past them, taking its row along.
+        assert!(peak_rows(ClockPolicy::new(), |p| p.keys.rows.allocated()) <= 2);
+        assert!(peak_rows(FifoPolicy::new(), |p| p.keys.rows.allocated()) <= 2);
+        assert!(peak_rows(LruPolicy::new(), |p| p.keys.rows.allocated()) <= 2);
+        assert!(peak_rows(RandomPolicy::new(7), |p| p.keys.rows.allocated()) <= 2);
     }
 
     #[test]

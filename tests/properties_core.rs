@@ -3,6 +3,7 @@
 //! flag-operation algebra, under randomly generated operation sequences;
 //! and the global mapping table against a dense reference model of §3.2.
 
+use epcm::core::bitmap::Bitmap;
 use epcm::core::kernel::{AccessOutcome, Kernel};
 use epcm::core::translate::{MappingStats, MappingTable};
 use epcm::core::{
@@ -519,8 +520,16 @@ type PageModel = std::collections::BTreeMap<u64, (FrameId, PageFlags)>;
 
 /// Checks one segment's page table against its model through every read
 /// accessor, probing `resident_from`, `has_resident_in` and `vacant_from`
-/// at `(at, len)`.
-fn assert_pages_match(kernel: &Kernel, seg: SegmentId, model: &PageModel, at: u64, len: u64) {
+/// at `(at, len)`, and the residency bitmap's walks with `mask` (pages
+/// that may lie past the table's end) masked out, as the managers'
+/// free-slot pickers mask it with their laundry bitmaps.
+fn assert_pages_match(
+    kernel: &Kernel,
+    seg: SegmentId,
+    model: &PageModel,
+    (at, len): (u64, u64),
+    mask: &[u64],
+) {
     let s = kernel.segment(seg).expect("live segment");
     let flat =
         |(p, e): (PageNumber, epcm::core::segment::PageEntry)| (p.as_u64(), e.frame, e.flags);
@@ -543,14 +552,49 @@ fn assert_pages_match(kernel: &Kernel, seg: SegmentId, model: &PageModel, at: u6
         model.get(&at).copied()
     );
     // The residency bitmap: one set bit per modelled page, none past it.
-    let bits = s.resident_bits();
+    let bits = s.resident_bits().words();
     let words = bits.len() as u64;
     for p in 0..words * 64 + 64 {
         let bit = bits
             .get((p / 64) as usize)
             .is_some_and(|w| w >> (p % 64) & 1 == 1);
         prop_assert_eq!(bit, model.contains_key(&p), "bit {}", p);
+        prop_assert_eq!(s.resident_bits().test(p), bit, "bit {}", p);
     }
+    // The set-bit walk, unmasked and masked.
+    let mut mask_bits = Bitmap::default();
+    for masked in [false, true] {
+        if masked {
+            mask.iter().for_each(|&p| mask_bits.set(p));
+        }
+        let keys = model.keys().copied();
+        let want: Vec<u64> = keys.filter(|p| !(masked && mask.contains(p))).collect();
+        let walk = s.resident_bits().ones_except(&mask_bits);
+        prop_assert_eq!(walk.collect::<Vec<_>>(), want, "masked {}", masked);
+    }
+    // Set and test across the first word boundary, past the table's end
+    // (every table here fits one word), as a growing laundry bitmap does.
+    let mut grown = s.resident_bits().clone();
+    let mut want: std::collections::BTreeSet<u64> = model.keys().copied().collect();
+    for p in [63, 64, 65] {
+        prop_assert_eq!(grown.test(p), want.contains(&p), "bit {}", p);
+        grown.set(p);
+        want.insert(p);
+        prop_assert!(grown.test(p), "bit {}", p);
+    }
+    grown.clear(64);
+    want.remove(&64);
+    for p in 0..3 * 64 {
+        prop_assert_eq!(grown.test(p), want.contains(&p), "bit {}", p);
+    }
+    let none = Bitmap::default();
+    let walk = grown.ones_except(&none);
+    prop_assert_eq!(
+        walk.collect::<Vec<_>>(),
+        want.iter().copied().collect::<Vec<_>>()
+    );
+    let first_zero = (0..).find(|p| !want.contains(p)).expect("a clear bit");
+    prop_assert_eq!(grown.first_zero(), first_zero);
     let first = (0..)
         .find(|p| !model.contains_key(p))
         .expect("a vacant page");
@@ -571,7 +615,9 @@ proptest! {
     /// The dense page table and its residency bitmap agree with a
     /// `BTreeMap` model of the same segment, and of the bulk-built boot
     /// segment, after every insert, removal, flag update and resize,
-    /// holes and re-inserts included.
+    /// holes and re-inserts included. So do the bitmap operations the
+    /// managers use: the set-bit walk masked by another bitmap, and set
+    /// and test across a word boundary past the table's end.
     #[test]
     fn segment_page_table_matches_btree_model(
         size in 1..PT_PAGES,
@@ -579,6 +625,7 @@ proptest! {
             (page_op_strategy(), 0..PT_PAGES + 4, 0..PT_PAGES + 4),
             1..150,
         ),
+        mask in proptest::collection::vec(0..PT_PAGES + 70, 0..24),
     ) {
         let mut kernel = Kernel::new(PT_FRAMES as usize);
         let seg = kernel
@@ -589,7 +636,7 @@ proptest! {
             .collect();
         let mut model = PageModel::new();
         let mut size = size;
-        assert_pages_match(&kernel, SegmentId::FRAME_POOL, &boot, 0, PT_FRAMES);
+        assert_pages_match(&kernel, SegmentId::FRAME_POOL, &boot, (0, PT_FRAMES), &mask);
         for (op, at, len) in ops {
             let (set, clear) = (PageFlags::REFERENCED, PageFlags::DIRTY);
             match op {
@@ -630,8 +677,8 @@ proptest! {
                 }
             }
             prop_assert_eq!(kernel.segment(seg).expect("live").size_pages(), size);
-            assert_pages_match(&kernel, seg, &model, at, len);
-            assert_pages_match(&kernel, SegmentId::FRAME_POOL, &boot, at, len);
+            assert_pages_match(&kernel, seg, &model, (at, len), &mask);
+            assert_pages_match(&kernel, SegmentId::FRAME_POOL, &boot, (at, len), &mask);
         }
     }
 }
