@@ -3,11 +3,11 @@
 //!
 //! Each point boots a deliberately frame-starved machine so the default
 //! manager's clock must evict dirty heap pages throughout the run, then
-//! runs one Table 2 application with dirty victims cleaned either
-//! inline (`sync`) or through the [`epcm_sim::writeback`] pipeline
-//! (`async` at a given window). The asynchronous pipeline lands the
-//! page bytes on the store at eviction time and defers only the disk
-//! *time* to the scheduled completion, so the two modes bill exactly
+//! runs one Table 2 application. Every dirty victim is a ticket in the
+//! [`epcm_sim::writeback`] pipeline, which lands the page bytes on the
+//! store at eviction time; the evicting fault either waits for its
+//! ticket at once (`sync`) or leaves the disk *time* to the scheduled
+//! completion (`async` at a given window), so the two modes bill exactly
 //! the same total I/O — the table shows the fault-path time on dirty
 //! victims dropping to zero while `billed_io_us` stays integer-equal.
 //!
@@ -36,7 +36,8 @@ const ASYNC_WINDOWS: &[usize] = &[1, 4];
 /// How one point cleans its dirty victims.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WritebackMode {
-    /// Disk time charged inline on the fault path (the seed behaviour).
+    /// The fault path waits for its victim's disk time (the seed
+    /// behaviour).
     Sync,
     /// Disk time billed at the scheduled completion, with at most
     /// `window` reservations outstanding.

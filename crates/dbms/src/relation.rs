@@ -3,7 +3,7 @@
 //!
 //! Records are fixed-size rows packed into a segment; joins are real: the
 //! nested-loop plan scans pages, the indexed plan probes a
-//! [`HashIndex`](crate::index::HashIndex) — both produce identical result
+//! [`HashIndex`] — both produce identical result
 //! sets over identical bytes, so the space-time tradeoff can be tested
 //! functionally, not just in the timing model.
 

@@ -108,6 +108,7 @@ impl GenericManager<Ucds> {
 mod tests {
     use super::*;
     use crate::machine::Machine;
+    use epcm_core::tier::{MemTier, TierLayout};
     use epcm_core::types::{AccessKind, ManagerId, BASE_PAGE_SIZE};
 
     fn machine_with(config: DefaultManagerConfig, frames: usize) -> (Machine, ManagerId) {
@@ -308,6 +309,153 @@ mod tests {
         assert!(issued > 0, "async run issued no writebacks");
         assert_eq!(issued, completed, "pipeline left completions unbilled");
         assert_eq!(completed, stats.completed);
+    }
+
+    /// The default manager's writeback counters and in-flight count.
+    fn wb_state(m: &Machine, id: ManagerId) -> (WritebackStats, u64, usize) {
+        let mgr = m.manager(id).unwrap().as_any();
+        let d = mgr.downcast_ref::<DefaultSegmentManager>().unwrap();
+        let writebacks = d.manager_stats().writebacks;
+        (d.writeback_stats(), writebacks, d.writebacks_in_flight())
+    }
+
+    #[test]
+    fn sync_writeback_waits_for_its_own_ticket() {
+        // The overcommitted run of `overcommitted(false)`, checked after
+        // every operation: each writeback's ticket is waited for and
+        // billed before the operation returns, and never as a stall.
+        let config = DefaultManagerConfig {
+            target_free: 4,
+            low_water: 1,
+            refill_batch: 4,
+            writeback_window: 1,
+            writeback_servers: 1,
+            ..DefaultManagerConfig::default()
+        };
+        let (mut m, id) = machine_with(config, 24);
+        let seg = m.create_segment(SegmentKind::Anonymous, 64).unwrap();
+        let check = |m: &Machine| {
+            let (wb, _, in_flight) = wb_state(m, id);
+            assert_eq!(in_flight, 0, "a sync writeback left its ticket in flight");
+            assert_eq!(wb.stalls, 0, "a sync writeback was counted as a stall");
+        };
+        for p in 0..40u64 {
+            m.store_bytes(seg, p * BASE_PAGE_SIZE, &[p as u8; 16])
+                .unwrap();
+            check(&m);
+        }
+        for p in 0..40u64 {
+            let mut buf = [0u8; 16];
+            m.load(seg, p * BASE_PAGE_SIZE, &mut buf).unwrap();
+            assert_eq!(buf, [p as u8; 16], "page {p} lost its data");
+            check(&m);
+        }
+        let (wb, writebacks, _) = wb_state(&m, id);
+        assert!(writebacks > 0, "no writebacks happened");
+        assert_eq!(wb.completed, writebacks);
+    }
+
+    #[test]
+    fn sync_writeback_completion_heats_no_evicted_page() {
+        // A 16/64/0 tiered machine, promotion on, no demotion: a dirty
+        // SlowMem page is the clock's first unreferenced victim. Its
+        // completion bills after the page left its segment, so it finds
+        // no page below DRAM to heat.
+        let layout = TierLayout::new(16, 64, 0);
+        let mut m = Machine::builder(layout.total() as usize)
+            .tiers(layout)
+            .build();
+        let config = DefaultManagerConfig {
+            promotion_budget: 4,
+            demote_batch: 0,
+            ..DefaultManagerConfig::default()
+        };
+        let id = m.register_manager(Box::new(DefaultSegmentManager::with_config(
+            ManagerMode::Server,
+            config,
+        )));
+        m.set_default_manager(id);
+        let seg = m.create_segment(SegmentKind::Anonymous, 48).unwrap();
+        for p in 0..48 {
+            m.touch(seg, p, AccessKind::Write).unwrap();
+        }
+        // Only the DRAM pages keep their reference bit.
+        let slow: Vec<PageNumber> = {
+            let k = m.kernel_mut();
+            let resident: Vec<_> = k.segment(seg).unwrap().resident().collect();
+            let slow = resident
+                .iter()
+                .filter(|(_, e)| layout.tier_of(e.frame) != MemTier::Dram)
+                .map(|&(p, _)| p)
+                .collect();
+            for (p, e) in resident {
+                let (set, clear) = if layout.tier_of(e.frame) == MemTier::Dram {
+                    (PageFlags::REFERENCED, PageFlags::empty())
+                } else {
+                    (PageFlags::empty(), PageFlags::REFERENCED)
+                };
+                k.modify_page_flags(seg, p, 1, set, clear).unwrap();
+            }
+            slow
+        };
+        let (heat, writebacks, completed) = m
+            .with_manager(id, |mgr, env| {
+                let d = mgr
+                    .as_any_mut()
+                    .downcast_mut::<DefaultSegmentManager>()
+                    .unwrap();
+                let heat = d.promotion_stats().heat_events;
+                assert_eq!(d.shrink(env, 1)?, 1);
+                Ok((
+                    d.promotion_stats().heat_events - heat,
+                    d.manager_stats().writebacks,
+                    d.writeback_stats().completed,
+                ))
+            })
+            .unwrap();
+        let segment = m.kernel().segment(seg).unwrap();
+        let gone = slow.iter().filter(|&&p| segment.entry(p).is_none());
+        assert_eq!(gone.count(), 1, "the victim was not a SlowMem page");
+        assert_eq!((writebacks, completed), (1, 1));
+        assert_eq!(heat, 0, "the completion heated the page it evicted");
+    }
+
+    #[test]
+    fn async_close_bills_its_file_writebacks_before_returning() {
+        // Laundry is in flight behind a one-ticket window when a file
+        // segment with dirty pages closes. The close waits for its own
+        // tickets, which queue behind that laundry on the one disk arm,
+        // so every ticket submitted before it has billed too.
+        let config = DefaultManagerConfig {
+            target_free: 4,
+            low_water: 1,
+            refill_batch: 4,
+            async_writeback: true,
+            writeback_window: 1,
+            writeback_servers: 1,
+            ..DefaultManagerConfig::default()
+        };
+        let (mut m, id) = machine_with(config, 24);
+        let anon = m.create_segment(SegmentKind::Anonymous, 64).unwrap();
+        for p in 0..40u64 {
+            m.store_bytes(anon, p * BASE_PAGE_SIZE, &[p as u8; 16])
+                .unwrap();
+        }
+        m.store_mut().create("out", 0);
+        let file = m.open_file("out").unwrap();
+        m.uio_write(file, 0, &[7; 2 * BASE_PAGE_SIZE as usize])
+            .unwrap();
+        let (before, writebacks, in_flight) = wb_state(&m, id);
+        assert!(in_flight > 0, "no laundry in flight at the close");
+        m.close_segment(file).unwrap();
+        let (after, closed_writebacks, in_flight) = wb_state(&m, id);
+        assert!(
+            closed_writebacks > writebacks,
+            "the close wrote nothing back"
+        );
+        assert_eq!(in_flight, 0);
+        assert_eq!(after.completed, closed_writebacks);
+        assert_eq!(after.stalls, before.stalls, "the close's wait is no stall");
     }
 
     #[test]

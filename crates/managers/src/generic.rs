@@ -23,17 +23,17 @@
 //!   the store mechanisms: reads and writes retried with backoff on the
 //!   virtual clock, dirty pages quarantined in place when their store is
 //!   dead, evicted frames kept rescuable in the pool (the laundry), and
-//!   optionally an asynchronous writeback pipeline.
+//!   a writeback pipeline that carries every store writeback.
 //!
-//! With [`DefaultManagerConfig::async_writeback`] on, laundry cleaning
-//! runs through an asynchronous pipeline: the dirty victim's bytes land
-//! on the store at eviction time (so retry, quarantine and data
-//! integrity are identical to the synchronous path), but the disk *time*
-//! is booked as a [`epcm_sim::writeback::WritebackPipeline`] reservation
-//! and billed when the completion fires. Faults, clock sampling and
-//! demotion exchanges proceed while laundry drains in the background;
-//! any consumer that needs a promised-free frame before its writeback
-//! completed stalls to the completion instant (DESIGN.md §11).
+//! A store writeback has one path: the dirty page's bytes land on the
+//! store at once (with retry and quarantine), and its disk *time* is
+//! booked as a [`epcm_sim::writeback::WritebackPipeline`] ticket, billed
+//! when the completion drains. With [`DefaultManagerConfig::async_writeback`]
+//! off, and always at segment close, the caller waits for its own ticket
+//! at once. On, faults, clock sampling and demotion exchanges proceed
+//! while laundry drains in the background; any consumer that needs a
+//! promised-free frame before its writeback completed stalls to the
+//! completion instant (DESIGN.md §11).
 //!
 //! The engine never asks which spec it runs: where two managers differ
 //! only by a number (refill sizes, the protection-restore batch), that
@@ -62,7 +62,7 @@ use epcm_core::ring::{RingOp, RingPort, DEFAULT_RING_CAPACITY};
 use epcm_core::segment::{PageEntry, Segment};
 use epcm_core::tier::{MemTier, TierLayout};
 use epcm_core::types::{FrameId, ManagerId, PageNumber, SegmentId, SegmentKind, BASE_PAGE_SIZE};
-use epcm_sim::clock::Micros;
+use epcm_sim::clock::{Micros, Timestamp};
 use epcm_sim::disk::{Block, FileId, FileStore, FileStoreError};
 use epcm_sim::writeback::{TicketId, WritebackPipeline};
 use epcm_trace::{EventKind, MetricsRegistry, SharedTracer, TraceEvent, TraceSink};
@@ -272,17 +272,18 @@ pub struct PromotionStats {
     pub no_target: u64,
 }
 
-/// Counters for the writeback path, synchronous and pipelined.
+/// Counters for the writeback path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WritebackStats {
     /// Total I/O time billed for completed writebacks, µs (page copy +
-    /// store latency). Billed inline in synchronous mode, at completion
-    /// in asynchronous mode; at in-flight window 1 the totals are equal
-    /// by construction.
+    /// store latency). Billed when a ticket's completion drains, in both
+    /// modes; the store op stream is the same in both, so the totals are
+    /// equal once the pipeline is flushed.
     pub billed_us: u64,
-    /// Fault-path kernel time spent on dirty-victim writeback, µs.
-    /// Drops to zero (absent injected-fault retry backoff) when the
-    /// asynchronous pipeline is on.
+    /// Fault-path kernel time spent on dirty-victim writeback, µs: the
+    /// wait for the victim's own ticket in synchronous mode. Drops to
+    /// zero (absent injected-fault retry backoff) when the caller does
+    /// not wait (`async_writeback`).
     pub dirty_victim_us: u64,
     /// Times a consumer needed a promised-free frame before its
     /// writeback completed and had to wait for the disk.
@@ -293,7 +294,10 @@ pub struct WritebackStats {
     /// copy is already on the store, so no data is lost — only the
     /// no-I/O rescue opportunity.
     pub laundry_dropped: u64,
-    /// Writebacks whose I/O has been billed (inline or via completion).
+    /// Writebacks whose completion has drained and billed. Equals
+    /// [`DefaultManagerStats::writebacks`] between operations in
+    /// synchronous mode, and after [`GenericManager::flush_writebacks`]
+    /// in either mode.
     pub completed: u64,
 }
 
@@ -341,16 +345,18 @@ pub struct DefaultManagerConfig {
     /// market-driven rebalance (0 disables demotion). Only meaningful on
     /// tiered machines; dram-only layouts never demote.
     pub demote_batch: u64,
-    /// Clean dirty victims through the asynchronous writeback pipeline:
-    /// the data lands on the store at eviction time, but the disk time
-    /// is billed when the scheduled completion fires instead of being
-    /// charged inline on the fault path.
+    /// Let an eviction run ahead of its dirty victim's writeback. Every
+    /// writeback is a pipeline ticket whose data lands on the store at
+    /// once. Off, the evicting caller waits for its own ticket, so the
+    /// disk time lands on the fault path; on, the fault goes on and the
+    /// disk time bills when the completion drains. Segment close always
+    /// waits.
     pub async_writeback: bool,
-    /// Maximum writeback disk reservations outstanding at once in
-    /// asynchronous mode (clamped to at least 1).
+    /// Maximum writeback disk reservations the pipeline issues on its
+    /// own (clamped to at least 1). A stall, a synchronous wait or the
+    /// flush barrier issues queued tickets past it.
     pub writeback_window: usize,
-    /// Disk arms serving the asynchronous writeback pipeline (clamped to
-    /// at least 1).
+    /// Disk arms serving the writeback pipeline (clamped to at least 1).
     pub writeback_servers: usize,
     /// Coalesce the batch sites' page operations (the 16-page protection
     /// restore, the sampling sweep) into one ring doorbell per batch.
@@ -461,8 +467,9 @@ pub struct GenericManager<S, P = ClockPolicy> {
     /// RLE scheme refitted as a tier): pages demoted into zram frames are
     /// compressed on the way in.
     zram_stats: CompressStats,
-    /// The asynchronous laundry pipeline (idle in synchronous mode).
-    wb: WritebackPipeline,
+    /// Every store writeback's disk time, one ticket per written page.
+    /// Idle between operations in synchronous mode.
+    wb: WritebackPipeline<(SegmentId, PageNumber)>,
     wb_stats: WritebackStats,
     /// This manager's end of the kernel ABI; every page operation rides
     /// it.
@@ -473,10 +480,6 @@ pub struct GenericManager<S, P = ClockPolicy> {
     /// pages that leave residency or reach DRAM on their own are pruned
     /// lazily during the tick scan.
     heat: HeatTable,
-    /// Ticket -> page map for in-flight writebacks, maintained only with
-    /// the promotion ladder on, so a completion can heat its page even
-    /// after a laundry rescue cleared the `unclean` mark.
-    wb_keys: BTreeMap<TicketId, (SegmentId, PageNumber)>,
     promo_stats: PromotionStats,
     tracer: Option<SharedTracer>,
 }
@@ -530,7 +533,6 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
             wb_stats: WritebackStats::default(),
             ring,
             heat: HeatTable::default(),
-            wb_keys: BTreeMap::new(),
             promo_stats: PromotionStats::default(),
             tracer: None,
         }
@@ -579,7 +581,8 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
         self.wb_stats
     }
 
-    /// Writebacks currently in flight in the asynchronous pipeline.
+    /// Writebacks currently queued or in flight in the pipeline (always
+    /// 0 between operations in synchronous mode).
     pub fn writebacks_in_flight(&self) -> usize {
         self.wb.in_flight() + self.wb.queued()
     }

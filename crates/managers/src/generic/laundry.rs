@@ -1,8 +1,10 @@
 //! Stage two of the engine: the laundry and writeback. Evicted
 //! store-backed pages stay rescuable in the free pool; their dirty data
-//! goes to the store with retry and backoff, synchronously or through the
-//! asynchronous pipeline, and a page whose store is dead is quarantined
-//! in place.
+//! goes to the store with retry and backoff, and a page whose store is
+//! dead is quarantined in place. Every store writeback is one ticket in
+//! the writeback pipeline: its data lands at submission, its disk time
+//! bills when the completion drains, and a synchronous caller waits for
+//! its own ticket at once.
 
 use super::*;
 
@@ -50,6 +52,15 @@ fn slot_u32(slot: PageNumber) -> u32 {
 
 fn slot_page(slot: u32) -> PageNumber {
     PageNumber(u64::from(slot))
+}
+
+/// Charges the kernel clock until `done`, returning the wait (zero once
+/// `done` has passed): the one wait of a stall, the barrier and a
+/// synchronous writeback. Each caller drains the pipeline after it.
+fn charge_until(kernel: &mut Kernel, done: Timestamp) -> Micros {
+    let wait = done.saturating_duration_since(kernel.now());
+    kernel.charge(wait);
+    wait
 }
 
 /// One laundry mapping: the free-segment slot holding the data and the
@@ -126,8 +137,6 @@ pub(super) struct Laundry {
     /// clobber the slot's frame must stall to the ticket's completion
     /// first.
     unclean: PageRows<InFlight>,
-    /// Reverse index of `unclean` for completion-time lookup.
-    unclean_by_ticket: BTreeMap<TicketId, (u32, u64)>,
     /// Per-slot count of `unclean` entries, so the tier-exchange partner
     /// pickers skip in-flight slots in O(1).
     unclean_slots: SlotCounts,
@@ -194,9 +203,7 @@ impl Laundry {
     pub(super) fn remove(&mut self, key: (u32, u64)) -> Option<PageNumber> {
         let slot = slot_page(self.map.remove(key)?.slot);
         self.slots.release(slot);
-        if let Some(ticket) = self.clear_unclean(key) {
-            self.unclean_by_ticket.remove(&ticket);
-        }
+        self.clear_unclean(key);
         if self.map.row_len(key.0) == 0 && self.closed.remove(&key.0) {
             self.free_rows(key.0);
         }
@@ -220,12 +227,11 @@ impl Laundry {
         self.unclean.free_row(seg);
     }
 
-    /// Clears `key`'s in-flight writeback mark, returning its ticket.
-    /// The reverse index is the caller's to keep.
-    fn clear_unclean(&mut self, key: (u32, u64)) -> Option<TicketId> {
-        let e = self.unclean.remove(key)?;
-        self.unclean_slots.release(slot_page(e.slot));
-        Some(e.ticket)
+    /// Clears `key`'s in-flight writeback mark.
+    fn clear_unclean(&mut self, key: (u32, u64)) {
+        if let Some(e) = self.unclean.remove(key) {
+            self.unclean_slots.release(slot_page(e.slot));
+        }
     }
 
     /// Pops the oldest live key off the order queue, discarding the
@@ -251,11 +257,9 @@ impl Laundry {
             slot: slot_u32(slot),
         };
         if let Some(old) = self.unclean.insert(key, entry) {
-            self.unclean_by_ticket.remove(&old.ticket);
             self.unclean_slots.release(slot_page(old.slot));
         }
         self.unclean_slots.hold(slot);
-        self.unclean_by_ticket.insert(ticket, key);
     }
 
     /// The free-pool slots holding laundry, and those of them whose
@@ -269,9 +273,11 @@ impl Laundry {
         self.unclean.get(key).map(|e| e.ticket)
     }
 
-    /// Clears the mark of the writeback `ticket`, which completed.
-    fn cleaned(&mut self, ticket: TicketId) {
-        if let Some(key) = self.unclean_by_ticket.remove(&ticket) {
+    /// Notes that the writeback `ticket` of `key` completed: clears
+    /// `key`'s mark if it is still that ticket's. A re-evict's newer mark
+    /// stays, and so does the absence of one after a rescue.
+    fn cleaned(&mut self, ticket: TicketId, key: (u32, u64)) {
+        if self.unclean_ticket(key) == Some(ticket) {
             self.clear_unclean(key);
         }
     }
@@ -391,70 +397,54 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
     /// drains due completions. Callers invoke this before reusing or
     /// clobbering a promised-free frame.
     pub(super) fn stall_until_clean(&mut self, env: &mut Env<'_>, key: (u32, u64)) {
-        if let Some(ticket) = self.laundry.unclean_ticket(key) {
-            let now = env.kernel.now();
-            if let Some(done) = self.wb.force_completion_time(now, ticket) {
-                let wait = done.saturating_duration_since(now);
-                if wait > Micros::ZERO {
-                    env.kernel.charge(wait);
-                }
-                self.wb_stats.stalls += 1;
-                self.wb_stats.stall_us += wait.as_micros();
-            }
+        let now = env.kernel.now();
+        let ticket = self.laundry.unclean_ticket(key);
+        if let Some(done) = ticket.and_then(|t| self.wb.force_completion_time(now, t)) {
+            let wait = charge_until(env.kernel, done);
+            self.wb_stats.stalls += 1;
+            self.wb_stats.stall_us += wait.as_micros();
         }
         self.drain_writebacks(env);
-    }
-
-    /// Books one writeback completion: bills its service time and market
-    /// I/O charge, clears the "promised free but not yet clean" mark, and
-    /// traces it.
-    fn writeback_completed(&mut self, env: &mut Env<'_>, ticket: TicketId, service: Micros) {
-        self.wb_stats.completed += 1;
-        self.wb_stats.billed_us += service.as_micros();
-        env.spcm.charge_manager_io(self.id, 1);
-        self.laundry.cleaned(ticket);
-        // Promotion heat from the completion stream: a page that is
-        // re-resident below DRAM by the time its writeback completes was
-        // rescued while the disk was still in flight — it is cycling,
-        // the strongest re-reference signal the event stream carries.
-        if let Some((s, p)) = self.wb_keys.remove(&ticket) {
-            self.note_heat(env.kernel, s, p);
-        }
-        self.trace(
-            env.kernel,
-            EventKind::WritebackCompleted {
-                manager: self.id.0,
-                ticket,
-                service_us: service.as_micros(),
-            },
-        );
-    }
-
-    /// Bills every writeback completion due by now: its service time and
-    /// market I/O charge land here, not at issue, and its "promised free
-    /// but not yet clean" mark clears.
-    pub(super) fn drain_writebacks(&mut self, env: &mut Env<'_>) {
-        if self.wb.is_idle() {
-            return;
-        }
-        let now = env.kernel.now();
-        for c in self.wb.poll(now) {
-            self.writeback_completed(env, c.ticket, c.service);
-        }
     }
 
     /// Drives the writeback pipeline to empty — the fsync-like barrier.
     /// Waits (on the kernel clock) for the last in-flight reservation,
-    /// then bills everything drained. A no-op in synchronous mode.
+    /// then bills everything drained. A no-op when the pipeline is idle,
+    /// as it always is between operations in synchronous mode.
     pub fn flush_writebacks(&mut self, env: &mut Env<'_>) {
-        let now = env.kernel.now();
-        if let Some(done) = self.wb.quiesce(now) {
-            let wait = done.saturating_duration_since(now);
-            if wait > Micros::ZERO {
-                env.kernel.charge(wait);
-            }
+        if let Some(done) = self.wb.quiesce(env.kernel.now()) {
+            charge_until(env.kernel, done);
         }
         self.drain_writebacks(env);
+    }
+
+    /// Bills every writeback completion due by now: its service time and
+    /// market I/O charge land here, not at submission, and its "promised
+    /// free but not yet clean" mark clears.
+    pub(super) fn drain_writebacks(&mut self, env: &mut Env<'_>) {
+        let now = env.kernel.now();
+        while let Some(c) = self.wb.pop_completion(now) {
+            let (seg, page) = c.key;
+            self.wb_stats.completed += 1;
+            self.wb_stats.billed_us += c.service.as_micros();
+            env.spcm.charge_manager_io(self.id, 1);
+            self.laundry
+                .cleaned(c.ticket, (seg.as_u32(), page.as_u64()));
+            // Promotion heat from the completion stream: a page that is
+            // re-resident below DRAM by the time its writeback completes
+            // was rescued while the disk was still in flight — it is
+            // cycling, the strongest re-reference signal the event stream
+            // carries.
+            self.note_heat(env.kernel, seg, page);
+            self.trace(
+                env.kernel,
+                EventKind::WritebackCompleted {
+                    manager: self.id.0,
+                    ticket: c.ticket,
+                    service_us: c.service.as_micros(),
+                },
+            );
+        }
     }
 
     /// Drops every laundry entry held by the free-pool `slots` (in
@@ -494,18 +484,22 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
         }
     }
 
-    /// Moves one dirty page's bytes to its store (file or swap), retrying
-    /// transient device failures with backoff, and registers the swap
-    /// copy. Returns the store latency, `None` for an unmanaged segment.
-    /// This is the data half shared by both writeback modes; time
-    /// accounting is the caller's.
-    fn writeback_data(
+    /// Writes one dirty page back: its bytes go to the store now (file
+    /// or swap), retrying transient device failures with backoff, and the
+    /// page copy + store latency go to the pipeline as one ticket, billed
+    /// when its completion drains. With `wait` the caller does not run
+    /// ahead of its disk: the kernel clock is charged up to the ticket's
+    /// completion at once, and the caller drains once the page has left
+    /// its segment (so the completion finds no page to heat). Returns the
+    /// ticket, `None` for an unmanaged segment.
+    pub(super) fn writeback(
         &mut self,
         env: &mut Env<'_>,
         seg: SegmentId,
         page: PageNumber,
         to: Disposition,
-    ) -> Result<Option<Micros>, ManagerError> {
+        wait: bool,
+    ) -> Result<Option<TicketId>, ManagerError> {
         let Some((file, is_swap)) = self.store_target(env, seg, to) else {
             return Ok(None);
         };
@@ -519,50 +513,9 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
             }
         }
         self.stats.writebacks += 1;
-        Ok(Some(latency))
-    }
-
-    /// Writes one dirty page back synchronously: the page copy and store
-    /// latency are charged inline and billed on the spot.
-    pub(super) fn writeback(
-        &mut self,
-        env: &mut Env<'_>,
-        seg: SegmentId,
-        page: PageNumber,
-        to: Disposition,
-    ) -> Result<(), ManagerError> {
-        let Some(latency) = self.writeback_data(env, seg, page, to)? else {
-            return Ok(());
-        };
-        let copy = env.kernel.costs().page_copy_4k;
-        env.kernel.charge(copy);
-        env.kernel.charge(latency);
-        self.wb_stats.billed_us += (copy + latency).as_micros();
-        self.wb_stats.completed += 1;
-        env.spcm.charge_manager_io(self.id, 1);
-        Ok(())
-    }
-
-    /// Writes one dirty page back asynchronously: the bytes land on the
-    /// store now (identical data path, retries and all), but the page
-    /// copy + store latency are submitted to the pipeline as disk service
-    /// time and billed when the completion fires. Returns the in-flight
-    /// ticket, `None` for an unmanaged segment.
-    pub(super) fn writeback_async(
-        &mut self,
-        env: &mut Env<'_>,
-        seg: SegmentId,
-        page: PageNumber,
-        to: Disposition,
-    ) -> Result<Option<TicketId>, ManagerError> {
-        let Some(latency) = self.writeback_data(env, seg, page, to)? else {
-            return Ok(None);
-        };
+        let now = env.kernel.now();
         let service = env.kernel.costs().page_copy_4k + latency;
-        let ticket = self.wb.submit(env.kernel.now(), service);
-        if self.promotion_on() {
-            self.wb_keys.insert(ticket, (seg, page));
-        }
+        let ticket = self.wb.submit(now, service, (seg, page));
         self.trace(
             env.kernel,
             EventKind::WritebackIssued {
@@ -572,6 +525,11 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
                 ticket,
             },
         );
+        if wait {
+            if let Some(done) = self.wb.force_completion_time(now, ticket) {
+                charge_until(env.kernel, done);
+            }
+        }
         Ok(Some(ticket))
     }
 }
@@ -741,8 +699,9 @@ mod tests {
     }
 
     /// The laundry bookkeeping as it was before its tables went dense:
-    /// `BTreeMap`s keyed by `(segment, page)` and a 64-bit sequence. The
-    /// oracle for `laundry_matches_btree_reference`.
+    /// `BTreeMap`s keyed by `(segment, page)`, a 64-bit sequence and a
+    /// reverse index from ticket to page. The oracle for
+    /// `laundry_matches_btree_reference`.
     #[derive(Debug, Default)]
     struct ReferenceLaundry {
         map: BTreeMap<(u32, u64), (PageNumber, u64)>,
@@ -834,7 +793,8 @@ mod tests {
                 dense.seq = u32::MAX - 40;
             }
             let mut model = ReferenceLaundry::default();
-            let mut tickets: TicketId = 0;
+            // Each ticket's key, by ticket - 1: a completion carries it.
+            let mut ticket_keys: Vec<(u32, u64)> = Vec::new();
             let mut closed = [false; 3];
             for (kind, seg, page, bits) in ops {
                 let (key, slot) = ((seg, page), PageNumber(bits));
@@ -857,15 +817,18 @@ mod tests {
                     5 => {
                         // The engine marks only a key it just laundered.
                         if let Some(&(at, _)) = model.map.get(&key) {
-                            tickets += 1;
-                            dense.mark_unclean(key, tickets, at);
-                            model.mark_unclean(key, tickets, at);
+                            ticket_keys.push(key);
+                            let ticket = ticket_keys.len() as TicketId;
+                            dense.mark_unclean(key, ticket, at);
+                            model.mark_unclean(key, ticket, at);
                         }
                     }
                     6 => {
-                        let ticket = bits % (tickets + 1);
-                        dense.cleaned(ticket);
-                        model.cleaned(ticket);
+                        let ticket = bits % (ticket_keys.len() as TicketId + 1);
+                        if let Some(&of) = ticket_keys.get(ticket.wrapping_sub(1) as usize) {
+                            dense.cleaned(ticket, of);
+                            model.cleaned(ticket);
+                        }
                     }
                     7 => {
                         // A sorted slot set drawn from the op's bits.

@@ -236,6 +236,8 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
             .entry(page)
             .ok_or(epcm_core::KernelError::PageNotPresent { segment: seg, page })?;
         let disposition = self.spec.evict_disposition(seg, page, entry.flags);
+        // Synchronous mode: the victim's writeback is waited for at once.
+        let wait = !self.config.async_writeback;
         let mut ticket = None;
         if entry.flags.contains(PageFlags::DIRTY) {
             match disposition {
@@ -243,12 +245,7 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
                 Disposition::WriteBack => self.spec_write_back(env, seg, page)?,
                 Disposition::File(_) | Disposition::Swap => {
                     let before = env.kernel.now();
-                    let outcome = if self.config.async_writeback {
-                        self.writeback_async(env, seg, page, disposition)
-                    } else {
-                        self.writeback(env, seg, page, disposition).map(|()| None)
-                    };
-                    match outcome {
+                    match self.writeback(env, seg, page, disposition, wait) {
                         Ok(t) => ticket = t,
                         Err(ManagerError::Store(FileStoreError::Io { .. })) => {
                             self.quarantine_in_place(env, seg, page)?;
@@ -257,7 +254,7 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
                         Err(other) => return Err(other),
                     }
                     // Fault-path time spent on this dirty victim: copy +
-                    // latency inline in sync mode; only injected-fault
+                    // latency waited for in sync mode; only injected-fault
                     // retry backoff in async mode (the disk time bills at
                     // completion instead).
                     self.wb_stats.dirty_victim_us +=
@@ -271,8 +268,11 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
         if matches!(disposition, Disposition::File(_) | Disposition::Swap) {
             let key = (seg.as_u32(), page.as_u64());
             self.laundry.insert(key, slot);
-            if let Some(t) = ticket {
-                self.laundry.mark_unclean(key, t, slot);
+            match ticket {
+                // Waited for: it bills now that the page has left.
+                Some(_) if wait => self.drain_writebacks(env),
+                Some(t) => self.laundry.mark_unclean(key, t, slot),
+                None => {}
             }
         }
         self.stats.reclaimed += 1;

@@ -39,11 +39,14 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
             .map(|(p, e)| (p, e.flags))
             .collect();
         for (p, flags) in pages {
-            // File data must survive the close; swap data dies with the
-            // segment (no writeback).
+            // File data must survive the close, so its writeback is
+            // waited for; swap data dies with the segment (no writeback).
+            let mut waited = false;
             if flags.contains(PageFlags::DIRTY) {
                 match self.spec.evict_disposition(segment, p, flags) {
-                    to @ Disposition::File(_) => self.writeback(env, segment, p, to)?,
+                    to @ Disposition::File(_) => {
+                        waited = self.writeback(env, segment, p, to, true)?.is_some();
+                    }
                     Disposition::WriteBack => self.spec_write_back(env, segment, p)?,
                     Disposition::Swap | Disposition::Discard => {}
                 }
@@ -59,6 +62,9 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
             )?;
             self.policy.note_removed(segment, p);
             self.laundry.remove((segment.as_u32(), p.as_u64()));
+            if waited {
+                self.drain_writebacks(env);
+            }
         }
         // The closed segment's quarantine dies with it.
         let sid = segment.as_u32();

@@ -80,7 +80,7 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
     /// non-DRAM frame. Called from the three event streams the ladder
     /// rides: fault-time re-references ([`Self::handle_missing`]),
     /// sampling-window hits ([`Self::handle_protection`]) and writeback
-    /// completions ([`Self::writeback_completed`]).
+    /// completions ([`Self::drain_writebacks`]).
     pub(super) fn note_heat(&mut self, kernel: &Kernel, seg: SegmentId, page: PageNumber) {
         let tiers = *kernel.tiers();
         if !self.promotion_on() || tiers.is_dram_only() {

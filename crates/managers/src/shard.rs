@@ -91,7 +91,7 @@ pub struct ShardEngineConfig {
     pub churn: bool,
     /// The memory-market economy layer. `None` (every pre-economy
     /// construction) leaves all output byte-identical to pre-economy
-    /// builds: the static [`shard_market`] is used, lanes are built
+    /// builds: the static `shard_market` is used, lanes are built
     /// flat, and no [`EconomyLedger`] is attached to the report.
     pub economy: Option<EconomyParams>,
 }

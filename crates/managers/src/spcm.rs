@@ -730,7 +730,7 @@ impl SystemPageCacheManager {
         }
     }
 
-    /// Public view of [`SystemPageCacheManager::tiered_holdings`]: each
+    /// Public view of `tiered_holdings`: each
     /// non-system manager's frame count per memory tier, derived from
     /// the frame table. The economy engine reads this at every epoch
     /// barrier to build residency-by-tier occupancy curves.
