@@ -212,32 +212,44 @@ fn page_tables(c: &mut Criterion) {
     // the first cold DRAM page, past 1536 SlowMem pages and the pages
     // already promoted, which stay referenced. The tick also refills the
     // pool; the spent machine is dropped untimed.
-    c.bench_function("promotion_pass_tiered", |b| {
-        let spent = RefCell::new(None);
-        let setup = || {
-            spent.borrow_mut().take();
-            promotion_machine()
-        };
-        let (mut m, mgr) = setup();
-        m.tick().unwrap();
-        let swapped = m.manager(mgr).unwrap().as_any();
-        let swapped = swapped.downcast_ref::<DefaultSegmentManager>();
-        assert_eq!(swapped.unwrap().promotion_stats().swapped, 16);
-        b.iter_batched(
-            setup,
-            |(mut m, _)| {
-                m.tick().unwrap();
-                *spent.borrow_mut() = Some(m);
-            },
-            BatchSize::PerIteration,
-        );
-    });
+    c.bench_function("promotion_pass_tiered", |b| promotion_tick(b, 2048, 0));
+
+    // The same tick with a cold tail: 2000 more SlowMem pages hold one
+    // unit of heat each, below the promotion threshold. The segment has
+    // 2560 pages, so DRAM holds its top 512. The tick's promotion pass
+    // swaps 16 times as above, and its scan meets the cold tail.
+    c.bench_function("heat_scan_cold_tail", |b| promotion_tick(b, 2560, 2000));
 }
 
-/// The `promotion_pass_tiered` set-up: a machine one tick away from 16
-/// promotion swaps, and its manager.
-fn promotion_machine() -> (Machine, ManagerId) {
-    const PAGES: u64 = 2048;
+/// Times one tick of a machine that [`promotion_machine`] built one tick
+/// away from 16 promotion swaps. The spent machine is dropped untimed.
+fn promotion_tick(b: &mut criterion::Bencher, pages: u64, cold: u64) {
+    let spent = RefCell::new(None);
+    let setup = || {
+        spent.borrow_mut().take();
+        promotion_machine(pages, cold)
+    };
+    let (mut m, mgr) = setup();
+    m.tick().unwrap();
+    let swapped = m.manager(mgr).unwrap().as_any();
+    let swapped = swapped.downcast_ref::<DefaultSegmentManager>();
+    assert_eq!(swapped.unwrap().promotion_stats().swapped, 16);
+    b.iter_batched(
+        setup,
+        |(mut m, _)| {
+            m.tick().unwrap();
+            *spent.borrow_mut() = Some(m);
+        },
+        BatchSize::PerIteration,
+    );
+}
+
+/// A machine one tick away from 16 promotion swaps, and its manager: a
+/// `pages`-page segment touched from the last page down, so DRAM holds
+/// its top 512 pages with their reference bits cleared. Pages 0..16 take
+/// two sampling hits each, reaching the promotion threshold, and the
+/// `cold` pages after them one each.
+fn promotion_machine(pages: u64, cold: u64) -> (Machine, ManagerId) {
     let layout = TierLayout::new(512, 2048, 512);
     let mut m = Machine::builder(layout.total() as usize)
         .tiers(layout)
@@ -250,29 +262,28 @@ fn promotion_machine() -> (Machine, ManagerId) {
         },
     )));
     m.set_default_manager(mgr);
-    let seg = m.create_segment(SegmentKind::Anonymous, PAGES).unwrap();
-    for p in (0..PAGES).rev() {
+    let seg = m.create_segment(SegmentKind::Anonymous, pages).unwrap();
+    for p in (0..pages).rev() {
         m.touch(seg, p, AccessKind::Write).unwrap();
     }
     // A sampling hit: the page's access rights revoked, then a touch.
-    for _ in 0..2 {
-        for p in 0..16 {
-            m.kernel_mut()
-                .modify_page_flags(
-                    seg,
-                    PageNumber(p),
-                    1,
-                    PageFlags::MANAGER_B,
-                    PageFlags::READ | PageFlags::WRITE,
-                )
-                .unwrap();
-            m.touch(seg, p, AccessKind::Read).unwrap();
-        }
+    let hits = (0..16).chain(0..16 + cold);
+    for p in hits {
+        m.kernel_mut()
+            .modify_page_flags(
+                seg,
+                PageNumber(p),
+                1,
+                PageFlags::MANAGER_B,
+                PageFlags::READ | PageFlags::WRITE,
+            )
+            .unwrap();
+        m.touch(seg, p, AccessKind::Read).unwrap();
     }
     m.kernel_mut()
         .modify_page_flags(
             seg,
-            PageNumber(PAGES - 512),
+            PageNumber(pages - 512),
             512,
             PageFlags::empty(),
             PageFlags::REFERENCED,

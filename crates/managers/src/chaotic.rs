@@ -167,6 +167,20 @@ impl SegmentManager for ChaoticManager {
 }
 
 #[cfg(test)]
+impl ChaoticManager {
+    /// A chaotic wrapper around `inner`, for tests that need an engine
+    /// tuned otherwise than the default server.
+    pub(crate) fn around(inner: DefaultSegmentManager) -> Self {
+        ChaoticManager {
+            inner,
+            lane: 0,
+            pending: None,
+            byzantine_armed: false,
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use epcm_core::types::{AccessKind, SegmentKind, UserId};

@@ -270,6 +270,9 @@ pub struct PromotionStats {
     /// Promotion attempts dropped because no free DRAM frame and no
     /// cold unpinned DRAM victim existed that tick.
     pub no_target: u64,
+    /// Heat keys the tick's promotion scans read: the keys at or above
+    /// the threshold and the heated keys moved since the scan before.
+    pub heat_keys_read: u64,
 }
 
 /// Counters for the writeback path.
@@ -476,9 +479,9 @@ pub struct GenericManager<S, P = ClockPolicy> {
     ring: RingPort,
     /// Access heat per non-DRAM-resident page, fed by fault-time
     /// re-references, sampling-window hits and writeback completions.
-    /// Empty (never written) with the promotion ladder off. Entries for
-    /// pages that leave residency or reach DRAM on their own are pruned
-    /// lazily during the tick scan.
+    /// Empty (never written) with the promotion ladder off. The heat of
+    /// a page that leaves residency or reaches DRAM on its own is
+    /// cleared by the next tick's scan.
     heat: HeatTable,
     promo_stats: PromotionStats,
     tracer: Option<SharedTracer>,

@@ -682,7 +682,7 @@ mod tests {
                 let l = &d.laundry;
                 saw_closed_laundry |= !l.closed.is_empty();
                 for &seg in &l.closed {
-                    let left = l.map.entries().filter(|e| e.0 == seg).count();
+                    let left = l.map.entries().filter(|((s, _), _)| *s == seg).count();
                     assert_eq!(l.map.row_len(seg), left, "segment {seg}");
                     assert!(left > 0, "segment {seg}");
                 }

@@ -265,8 +265,9 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
         // Destination: first empty slot in the free segment.
         let slot = env.kernel.segment(free_seg)?.first_vacant();
         self.op_migrate_pages(env, (seg, page), (free_seg, slot), 1, SHED)?;
+        let key = (seg.as_u32(), page.as_u64());
+        self.heat.moved(key);
         if matches!(disposition, Disposition::File(_) | Disposition::Swap) {
-            let key = (seg.as_u32(), page.as_u64());
             self.laundry.insert(key, slot);
             match ticket {
                 // Waited for: it bills now that the page has left.

@@ -122,7 +122,7 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
 
     /// Revokes protection on up to `sample_batch` resident pages to gather
     /// reference information for the clock (the sampling sweep).
-    fn sampling_sweep(&mut self, env: &mut Env<'_>) -> Result<(), ManagerError> {
+    pub(super) fn sampling_sweep(&mut self, env: &mut Env<'_>) -> Result<(), ManagerError> {
         if self.config.sample_batch == 0 {
             return Ok(());
         }

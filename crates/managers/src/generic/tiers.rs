@@ -16,61 +16,224 @@ pub(super) enum Demotion {
     Ineligible,
 }
 
-/// Access heat per page beside the list of keys whose heat is non-zero,
-/// so the tick walks only heated pages. A slot's top bit records that
-/// its key is in `live`; zeroing a key's heat leaves it listed until
-/// [`Self::prune`].
+/// Access heat per page, and the keys the tick's promotion scan reads
+/// instead of every heated page. A row entry's top bits flag a key as
+///
+/// * `HOT`: its heat reached the promotion threshold. A key is flagged
+///   when [`Self::bump`] carries it across, and unflagged at a scan that
+///   finds it stale or below the threshold;
+/// * `MOVED`: the engine evicted its page since the last scan (after a
+///   forced seizure, which moves pages without the engine, every heated
+///   key is flagged). The scan checks it and unflags it.
+///
+/// `listed` holds each flagged key once. Heat only rises between scans,
+/// and a page turns stale (unmanaged, not resident, or on DRAM) only by
+/// eviction, forced seizure, segment close, which frees the row, or
+/// promotion, whose caller clears the key. So a heated key that is
+/// neither hot nor moved is neither a candidate nor stale. An entry is
+/// vacant once its heat and both flags are zero.
 #[derive(Debug, Default)]
 pub(super) struct HeatTable {
     rows: PageRows<u64>,
-    live: Vec<(u32, u64)>,
+    listed: Vec<(u32, u64)>,
+    /// The SPCM's count of frames seized by force, quarantined ones
+    /// included, at the last scan.
+    seized: u64,
 }
 
-const LISTED: u64 = 1 << 63;
+/// A promotion candidate: its heat and its key.
+type Candidate = (u64, (u32, u64));
+
+const HOT: u64 = 1 << 63;
+const MOVED: u64 = 1 << 62;
+const HEAT: u64 = MOVED - 1;
+
+/// What the promotion scan finds of a heated page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum HeatState {
+    /// Unmanaged, not resident, or on DRAM: its heat is cleared.
+    Stale,
+    /// Pinned in place: it keeps its heat but is not promoted.
+    Pinned,
+    /// Resident below DRAM and unpinned.
+    Live,
+}
 
 impl HeatTable {
     /// The heat of `key`, 0 if none.
+    #[cfg(any(test, debug_assertions))]
     fn get(&self, key: (u32, u64)) -> u64 {
-        self.rows.get(key).map_or(0, |heat| heat & !LISTED)
+        self.rows.get(key).map_or(0, |entry| entry & HEAT)
     }
 
-    /// Adds one unit of heat to `key`.
-    fn bump(&mut self, key: (u32, u64)) {
-        let heat = self.get(key) + 1;
-        if self.rows.insert(key, heat | LISTED).is_none() {
-            self.live.push(key);
+    /// Sets `flag` on `key`'s `entry`, listing the key if it had no flag.
+    fn flag(&mut self, key: (u32, u64), entry: u64, flag: u64) {
+        if entry & (HOT | MOVED) == 0 {
+            self.listed.push(key);
         }
+        self.rows.insert(key, entry | flag);
     }
 
-    /// Zeroes `key`'s heat.
-    fn clear(&mut self, key: (u32, u64)) {
-        if self.get(key) != 0 {
-            self.rows.insert(key, LISTED);
-        }
-    }
-
-    /// Unlists every key whose heat is zero, including the keys of a
-    /// segment whose row [`Self::segment_closed`] freed.
-    fn prune(&mut self) {
-        let rows = &mut self.rows;
-        self.live.retain(|&key| match rows.get(key) {
-            Some(LISTED) => {
-                rows.remove(key);
-                false
+    /// Zeroes the `bits` of `key`'s entry (its heat, its flags),
+    /// vacating the slot when nothing is left.
+    fn unset(&mut self, key: (u32, u64), bits: u64) {
+        match self.rows.get(key).map(|entry| entry & !bits) {
+            Some(0) => {
+                self.rows.remove(key);
             }
-            heat => heat.is_some(),
-        });
+            Some(entry) => {
+                self.rows.insert(key, entry);
+            }
+            None => {}
+        }
     }
 
-    /// Frees closed segment `seg`'s row: no page of it heats again.
+    /// Adds one unit of heat to `key`, flagging it hot once its heat
+    /// reaches `threshold`.
+    fn bump(&mut self, key: (u32, u64), threshold: u64) {
+        let entry = self.rows.get(key).unwrap_or(0) + 1;
+        if entry & HEAT >= threshold && entry & HOT == 0 {
+            self.flag(key, entry, HOT);
+        } else {
+            self.rows.insert(key, entry);
+        }
+    }
+
+    /// Zeroes `key`'s heat; the next scan unlists it.
+    fn clear(&mut self, key: (u32, u64)) {
+        self.unset(key, HEAT);
+    }
+
+    /// Notes that `key`'s page left its frame: if heated, the next scan
+    /// checks it for staleness.
+    pub(super) fn moved(&mut self, key: (u32, u64)) {
+        match self.rows.get(key) {
+            Some(entry) if entry & HEAT != 0 && entry & MOVED == 0 => {
+                self.flag(key, entry, MOVED);
+            }
+            _ => {}
+        }
+    }
+
+    /// Frees closed segment `seg`'s row: no page of it heats again, and
+    /// its listed keys read vacant until a scan unlists them.
     pub(super) fn segment_closed(&mut self, seg: u32) {
         self.rows.free_row(seg);
     }
 
-    /// Whether no key has heat. Exact between ticks, which end with a
-    /// prune.
-    fn is_empty(&self) -> bool {
-        self.live.is_empty()
+    /// Every key with heat, and its heat.
+    fn heated(&self) -> impl Iterator<Item = ((u32, u64), u64)> + '_ {
+        let heats = self.rows.entries().map(|(key, entry)| (key, entry & HEAT));
+        heats.filter(|&(_, heat)| heat != 0)
+    }
+
+    /// One promotion scan. `seized` is the SPCM's count of frames seized
+    /// by force: when it changed since the last scan, every heated key
+    /// counts as moved. Reads each listed key once: clears the heat of a
+    /// stale one, unlists it unless it stays hot, and returns the
+    /// candidates — hot keys at or above `threshold` that `state` finds
+    /// live, with their heat. Adds the number of keys read to `read`.
+    ///
+    /// The result is that of reading every heated key; debug builds
+    /// check it against that full walk.
+    pub(super) fn scan<E>(
+        &mut self,
+        threshold: u64,
+        seized: u64,
+        read: &mut u64,
+        mut state: impl FnMut((u32, u64)) -> Result<HeatState, E>,
+    ) -> Result<Vec<Candidate>, E> {
+        #[cfg(debug_assertions)]
+        let before: Vec<((u32, u64), u64)> = self.heated().collect();
+        if seized != self.seized {
+            self.seized = seized;
+            let keys: Vec<(u32, u64)> = self.heated().map(|(key, _)| key).collect();
+            for key in keys {
+                self.moved(key);
+            }
+        }
+        *read += self.listed.len() as u64;
+        let mut cands = Vec::new();
+        let mut i = 0;
+        // A key is unlisted only once read, so an error leaves it listed.
+        while let Some(&key) = self.listed.get(i) {
+            let entry = self.rows.get(key).unwrap_or(0);
+            let heat = entry & HEAT;
+            let hot = entry & HOT != 0 && heat >= threshold;
+            // A moved key is checked at any heat, a hot one while it is
+            // at the threshold; a hot key stays listed unless it is stale.
+            let keep = if hot || (heat != 0 && entry & MOVED != 0) {
+                match state(key)? {
+                    HeatState::Stale => {
+                        self.clear(key);
+                        false
+                    }
+                    HeatState::Live if hot => {
+                        cands.push((heat, key));
+                        true
+                    }
+                    _ => hot,
+                }
+            } else {
+                false
+            };
+            if keep {
+                if entry & MOVED != 0 {
+                    self.unset(key, MOVED);
+                }
+                i += 1;
+            } else {
+                self.unset(key, HOT | MOVED);
+                self.listed.swap_remove(i);
+            }
+        }
+        #[cfg(debug_assertions)]
+        self.check_scan(threshold, before, &cands, &mut state)?;
+        Ok(cands)
+    }
+
+    /// The oracle for [`Self::scan`]: walks the heat `before` the scan as
+    /// the full scan did and checks the candidates, which keys were
+    /// cleared, and that every hot key is still flagged and listed.
+    #[cfg(debug_assertions)]
+    fn check_scan<E>(
+        &self,
+        threshold: u64,
+        before: Vec<((u32, u64), u64)>,
+        cands: &[Candidate],
+        state: &mut impl FnMut((u32, u64)) -> Result<HeatState, E>,
+    ) -> Result<(), E> {
+        let mut want = Vec::new();
+        let mut kept = 0;
+        for (key, heat) in before {
+            let now = state(key)?;
+            let after = if now == HeatState::Stale { 0 } else { heat };
+            debug_assert_eq!(
+                self.get(key),
+                after,
+                "scan left key {key:?} at the wrong heat"
+            );
+            kept += usize::from(after != 0);
+            if now == HeatState::Live && heat >= threshold {
+                want.push((heat, key));
+            }
+        }
+        debug_assert_eq!(self.heated().count(), kept, "the scan heated a key");
+        let mut got = cands.to_vec();
+        got.sort_unstable();
+        want.sort_unstable();
+        debug_assert_eq!(
+            got, want,
+            "the listed scan's candidates diverged from a full walk"
+        );
+        let mut hot = 0;
+        for (key, entry) in self.rows.entries() {
+            hot += usize::from(entry & HOT != 0);
+            let unlisted = entry & HEAT >= threshold && entry & HOT == 0;
+            debug_assert!(!unlisted && entry & MOVED == 0, "key {key:?} is misflagged");
+        }
+        debug_assert_eq!(hot, self.listed.len(), "a listed key is not flagged hot");
+        Ok(())
     }
 }
 
@@ -88,7 +251,8 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
         }
         let entry = kernel.segment(seg).ok().and_then(|s| s.entry(page));
         if entry.is_some_and(|e| tiers.tier_of(e.frame) != MemTier::Dram) {
-            self.heat.bump((seg.as_u32(), page.as_u64()));
+            let threshold = self.config.promotion_threshold.max(1);
+            self.heat.bump((seg.as_u32(), page.as_u64()), threshold);
             self.promo_stats.heat_events += 1;
         }
     }
@@ -429,12 +593,12 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
         Ok(true)
     }
 
-    /// One tick's promotion pass: prune stale heat, rank the live
+    /// One tick's promotion pass: clear stale heat, rank the live
     /// candidates (heat descending, page ascending — a total order, so
     /// the pass is a pure function of the run), and promote the top
     /// `promotion_budget`.
     pub(super) fn promote_hot(&mut self, env: &mut Env<'_>) -> Result<u64, ManagerError> {
-        if !self.promotion_on() || env.kernel.tiers().is_dram_only() || self.heat.is_empty() {
+        if !self.promotion_on() || env.kernel.tiers().is_dram_only() {
             return Ok(0);
         }
         // A bankrupt manager is shedding DRAM, not acquiring it: the
@@ -445,34 +609,27 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
         }
         let tiers = *env.kernel.tiers();
         let threshold = self.config.promotion_threshold.max(1);
-        let mut stale: Vec<(u32, u64)> = Vec::new();
-        let mut cands: Vec<(u64, (u32, u64))> = Vec::new();
-        for &key in &self.heat.live {
-            let heat = self.heat.get(key);
-            if heat == 0 {
-                continue; // cleared, awaiting the prune
-            }
-            let Some(seg) = self.managed.get(&key.0).map(|m| m.id) else {
-                stale.push(key); // segment closed or unmanaged
-                continue;
+        let (_, seized, _, _) = env.spcm.revocation_stats();
+        let (managed, kernel) = (&self.managed, &*env.kernel);
+        let state = |key: (u32, u64)| -> Result<HeatState, ManagerError> {
+            let Some(seg) = managed.get(&key.0).map(|m| m.id) else {
+                return Ok(HeatState::Stale); // segment closed or unmanaged
             };
-            let Some(entry) = env.kernel.segment(seg)?.entry(PageNumber(key.1)) else {
-                stale.push(key); // no longer resident
-                continue;
+            let Some(entry) = kernel.segment(seg)?.entry(PageNumber(key.1)) else {
+                return Ok(HeatState::Stale); // no longer resident
             };
-            if tiers.tier_of(entry.frame) == MemTier::Dram {
-                stale.push(key); // reached DRAM on its own
-                continue;
-            }
-            if entry.flags.contains(PageFlags::PINNED) {
-                continue; // quarantined in place; keep the heat
-            }
-            if heat >= threshold {
-                cands.push((heat, key));
-            }
-        }
-        for key in stale {
-            self.heat.clear(key);
+            Ok(if tiers.tier_of(entry.frame) == MemTier::Dram {
+                HeatState::Stale // reached DRAM on its own
+            } else if entry.flags.contains(PageFlags::PINNED) {
+                HeatState::Pinned // quarantined in place; keep the heat
+            } else {
+                HeatState::Live
+            })
+        };
+        let read = &mut self.promo_stats.heat_keys_read;
+        let mut cands = self.heat.scan(threshold, seized, read, state)?;
+        if cands.is_empty() {
+            return Ok(0);
         }
         top_k(&mut cands, self.config.promotion_budget as usize);
         self.begin_promotion_pass();
@@ -486,7 +643,6 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
                 promoted += 1;
             }
         }
-        self.heat.prune();
         Ok(promoted)
     }
 }
@@ -506,8 +662,8 @@ fn promotion_victim(e: &PageEntry, tiers: &TierLayout) -> bool {
 /// Sorts the `k` largest candidates to the front of `cands` — heat
 /// descending, then `(segment, page)` ascending, a total order — and
 /// drops the rest. Selection first, so only the kept `k` are sorted.
-fn top_k(cands: &mut Vec<(u64, (u32, u64))>, k: usize) {
-    let order = |a: &(u64, (u32, u64)), b: &(u64, (u32, u64))| b.0.cmp(&a.0).then(a.1.cmp(&b.1));
+fn top_k(cands: &mut Vec<Candidate>, k: usize) {
+    let order = |a: &Candidate, b: &Candidate| b.0.cmp(&a.0).then(a.1.cmp(&b.1));
     if k < cands.len() {
         if k > 0 {
             cands.select_nth_unstable_by(k - 1, order);
@@ -520,9 +676,14 @@ fn top_k(cands: &mut Vec<(u64, (u32, u64))>, k: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaotic::ChaoticManager;
     use crate::default_manager::DefaultSegmentManager;
     use crate::machine::Machine;
-    use epcm_core::types::AccessKind;
+    use epcm_core::types::{AccessKind, UserId};
+    use epcm_sim::chaos::ChaosEvent;
+    use epcm_sim::rng::{Rng, Zipf};
+    use proptest::prelude::*;
+    use std::convert::Infallible;
 
     /// A 16/64/0 tiered machine whose default manager holds a 48-page
     /// segment with the 16 pages it touched first on DRAM and the rest
@@ -645,7 +806,7 @@ mod tests {
         for round in 0..400 {
             // Few distinct heats and keys, so ties on heat are common.
             let n = rng.index(40);
-            let mut cands: Vec<(u64, (u32, u64))> = Vec::new();
+            let mut cands: Vec<Candidate> = Vec::new();
             while cands.len() < n {
                 let key = (rng.index(4) as u32, rng.index(16) as u64);
                 if cands.iter().all(|c| c.1 != key) {
@@ -658,6 +819,247 @@ mod tests {
             want.truncate(k);
             top_k(&mut cands, k);
             assert_eq!(cands, want, "round {round}, k {k}");
+        }
+    }
+
+    /// A sampling hit on `page`: its access rights revoked, then a touch.
+    fn sampling_hit(m: &mut Machine, seg: SegmentId, page: u64) {
+        let revoke = PageFlags::READ | PageFlags::WRITE;
+        m.kernel_mut()
+            .modify_page_flags(seg, PageNumber(page), 1, PageFlags::MANAGER_B, revoke)
+            .unwrap();
+        m.touch(seg, page, AccessKind::Read).unwrap();
+    }
+
+    #[test]
+    fn forced_seizure_clears_heat_below_the_threshold() {
+        // A plain default manager's segment holds all of DRAM, so every
+        // frame the promoting manager is granted is on SlowMem.
+        let layout = TierLayout::new(16, 128, 0);
+        let mut m = Machine::builder(layout.total() as usize)
+            .tiers(layout)
+            .build();
+        let plain = m.register_manager(Box::new(DefaultSegmentManager::server()));
+        m.set_default_manager(plain);
+        let hog = m.create_segment(SegmentKind::Anonymous, 16).unwrap();
+        for p in 0..16 {
+            m.touch(hog, p, AccessKind::Write).unwrap();
+        }
+        let config = DefaultManagerConfig {
+            promotion_budget: 4,
+            ..DefaultManagerConfig::default()
+        };
+        let inner = DefaultSegmentManager::with_config(ManagerMode::Server, config);
+        let id = m.register_manager(Box::new(ChaoticManager::around(inner)));
+        let seg = m
+            .create_segment_with(SegmentKind::Anonymous, 8, id, UserId::SYSTEM)
+            .unwrap();
+        for p in 0..8 {
+            m.touch(seg, p, AccessKind::Read).unwrap();
+        }
+        let heat = |m: &Machine| {
+            let mgr = m.manager(id).unwrap().as_any();
+            let chaotic = mgr.downcast_ref::<ChaoticManager>().unwrap();
+            chaotic.inner().heat.get((seg.as_u32(), 0))
+        };
+        sampling_hit(&mut m, seg, 0);
+        assert_eq!(heat(&m), 1, "one hit, below the threshold of 2");
+        // The manager's reclaim lies, so a demand for every frame stands,
+        // expires, and is seized by force at the next tick, page 0 with
+        // it; the manager's own tick then scans.
+        m.with_manager(id, |mgr, _| {
+            let chaotic = mgr.as_any_mut().downcast_mut::<ChaoticManager>();
+            chaotic.unwrap().inject(ChaosEvent::Byzantine);
+            Ok(())
+        })
+        .unwrap();
+        m.revoke(id, m.spcm().granted_to(id)).unwrap();
+        let grace = m.spcm().revocation_config().grace;
+        m.kernel_mut().charge(grace + Micros::new(1));
+        m.tick().unwrap();
+        assert!(m.spcm().revocation_stats().1 > 0, "nothing was seized");
+        assert!(m
+            .kernel()
+            .segment(seg)
+            .unwrap()
+            .entry(PageNumber(0))
+            .is_none());
+        // A refault (a minimal fault, which heats nothing) and one hit.
+        m.touch(seg, 0, AccessKind::Read).unwrap();
+        assert!(!on_dram(&m, seg, 0));
+        sampling_hit(&mut m, seg, 0);
+        assert_eq!(heat(&m), 1, "the seized page kept its old heat");
+    }
+
+    #[test]
+    fn promotion_scan_reads_only_hot_and_moved_keys() {
+        // The benchmark's tiered machine and manager tuning, Zipf(0.9)
+        // loads over a file a third larger than memory, one tick per
+        // 1024 loads.
+        let layout = TierLayout::new(512, 2048, 512);
+        let mut m = Machine::builder(layout.total() as usize)
+            .tiers(layout)
+            .build();
+        let id = m.register_manager(Box::new(DefaultSegmentManager::with_config(
+            ManagerMode::Server,
+            DefaultManagerConfig {
+                sample_batch: 128,
+                promotion_budget: 16,
+                ..DefaultManagerConfig::default()
+            },
+        )));
+        m.set_default_manager(id);
+        let pages = layout.total() * 4 / 3;
+        m.store_mut().create("f", (pages * BASE_PAGE_SIZE) as usize);
+        let seg = m.open_file("f").unwrap();
+        for p in 0..pages {
+            m.touch(seg, p, AccessKind::Read).unwrap();
+        }
+        let zipf = Zipf::new(pages, 0.9);
+        let mut rng = Rng::seed_from(42);
+        let (mut read, mut heated) = (0, 0);
+        for _ in 0..200 {
+            for _ in 0..1024 {
+                m.touch(seg, zipf.sample(&mut rng), AccessKind::Read)
+                    .unwrap();
+            }
+            // The manager's tick by hand, to see the lists as the
+            // promotion scan starts (no market, so no rebalance stage).
+            let (listed, all, keys_read) = m
+                .with_manager(id, |mgr, env| {
+                    let d = mgr
+                        .as_any_mut()
+                        .downcast_mut::<DefaultSegmentManager>()
+                        .unwrap();
+                    d.drain_writebacks(env);
+                    if d.free_count(env.kernel) < d.config.low_water {
+                        let _ = d.ensure_free(env, d.config.target_free);
+                    }
+                    let listed = d.heat.listed.len() as u64;
+                    let all = d.heat.heated().count() as u64;
+                    let before = d.promo_stats.heat_keys_read;
+                    d.promote_hot(env)?;
+                    d.sampling_sweep(env)?;
+                    Ok((listed, all, d.promo_stats.heat_keys_read - before))
+                })
+                .unwrap();
+            assert_eq!(keys_read, listed);
+            read += keys_read;
+            heated += all;
+        }
+        let stats = m.manager(id).unwrap().as_any();
+        let stats = stats.downcast_ref::<DefaultSegmentManager>().unwrap();
+        assert!(stats.promotion_stats().to_free + stats.promotion_stats().swapped > 0);
+        assert!(read * 4 < heated, "read {read} of {heated} heated keys");
+    }
+
+    /// Where the reference world of `heat_table_matches_full_scan_reference`
+    /// keeps a page: `None` when not resident, else on DRAM or not.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Page {
+        resident: Option<bool>,
+        pinned: bool,
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The listed heat table clears the same keys and offers the same
+        /// candidates as the full scan over a `BTreeMap` of heat, on
+        /// random streams of heat bumps, clears, evictions, refaults,
+        /// demotions, pins, segment closes, forced seizures and scans
+        /// that promote some candidates.
+        #[test]
+        fn heat_table_matches_full_scan_reference(
+            ops in proptest::collection::vec((0u8..12, 0u32..3, 0u64..8, 0u64..8), 1..400),
+            threshold in 1u64..4,
+        ) {
+            let mut dense = HeatTable::default();
+            let mut model: BTreeMap<(u32, u64), u64> = BTreeMap::new();
+            let mut world = [[Page::default(); 8]; 3];
+            let mut closed = [false; 3];
+            let mut seized = 0;
+            for (kind, seg, page, bits) in ops {
+                let key = (seg, page);
+                let (s, p) = (seg as usize, page as usize);
+                let resident = world[s][p].resident;
+                match kind {
+                    _ if closed[s] => {}
+                    // Heat comes only to a page resident below DRAM.
+                    0..=2 if resident == Some(false) => {
+                        dense.bump(key, threshold);
+                        *model.entry(key).or_insert(0) += 1;
+                    }
+                    3 if resident.is_some() => {
+                        world[s][p] = Page::default();
+                        dense.moved(key);
+                    }
+                    4 if resident.is_none() => world[s][p].resident = Some(bits % 2 == 0),
+                    5 if resident.is_some() => world[s][p].pinned ^= true,
+                    // A demotion: a DRAM page takes a lower-tier frame.
+                    6 if resident == Some(true) => world[s][p].resident = Some(false),
+                    // A forced seizure: the page goes, the table is not told.
+                    7 if resident.is_some() => {
+                        world[s][p] = Page::default();
+                        seized += 1;
+                    }
+                    8 if bits == 0 => {
+                        closed[s] = true;
+                        world[s] = [Page::default(); 8];
+                        dense.segment_closed(seg);
+                        model.retain(|k, _| k.0 != seg);
+                    }
+                    9 => {
+                        dense.clear(key);
+                        model.remove(&key);
+                    }
+                    10 | 11 => {
+                        let state = |(seg, page): (u32, u64)| {
+                            let at = world[seg as usize][page as usize];
+                            Ok::<_, Infallible>(match at.resident {
+                                _ if closed[seg as usize] => HeatState::Stale,
+                                None | Some(true) => HeatState::Stale,
+                                Some(false) if at.pinned => HeatState::Pinned,
+                                Some(false) => HeatState::Live,
+                            })
+                        };
+                        let listed = dense.listed.len() as u64;
+                        let fallback = seized != dense.seized;
+                        let mut read = 0;
+                        let mut got = dense.scan(threshold, seized, &mut read, state).unwrap();
+                        // The reference: every heated key, as the full scan read them.
+                        let mut want = Vec::new();
+                        model.retain(|&key, &mut heat| match state(key).unwrap() {
+                            HeatState::Stale => false,
+                            HeatState::Pinned => true,
+                            HeatState::Live => {
+                                if heat >= threshold {
+                                    want.push((heat, key));
+                                }
+                                true
+                            }
+                        });
+                        got.sort_unstable();
+                        want.sort_unstable();
+                        prop_assert_eq!(&got, &want);
+                        if !fallback {
+                            prop_assert_eq!(read, listed);
+                        }
+                        // Promote the first `bits` candidates onto DRAM.
+                        for &(_, key) in got.iter().take(bits as usize) {
+                            world[key.0 as usize][key.1 as usize].resident = Some(true);
+                            dense.clear(key);
+                            model.remove(&key);
+                        }
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(dense.get(key), model.get(&key).copied().unwrap_or(0));
+                let heated: Vec<((u32, u64), u64)> = dense.heated().collect();
+                let want: Vec<((u32, u64), u64)> = model.iter().map(|(&k, &h)| (k, h)).collect();
+                prop_assert_eq!(heated, want);
+                prop_assert!(dense.listed.len() <= 24);
+            }
         }
     }
 }

@@ -106,6 +106,16 @@ impl<T: Vacant> PageRows<T> {
             row.slots = Vec::new();
         }
     }
+
+    /// Every entry with its key, segment by segment, page by page.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = ((u32, u64), T)> + '_ {
+        let rows = self.rows.iter().zip(0..);
+        let slots = rows.flat_map(|(row, seg)| {
+            let pages = row.slots.iter().zip(0..);
+            pages.map(move |(&e, page)| ((seg, page), e))
+        });
+        slots.filter(|&(_, e)| e != T::VACANT)
+    }
 }
 
 #[cfg(test)]
@@ -121,13 +131,6 @@ impl<T: Vacant> PageRows<T> {
         (0..self.rows.len() as u32)
             .filter(|&s| self.holds_row(s))
             .count()
-    }
-
-    /// Every entry with its segment, read straight from the rows.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (u32, T)> + '_ {
-        let rows = self.rows.iter().zip(0..);
-        let slots = rows.flat_map(|(row, seg)| row.slots.iter().map(move |&e| (seg, e)));
-        slots.filter(|&(_, e)| e != T::VACANT)
     }
 }
 
@@ -158,6 +161,6 @@ mod tests {
         t.free_row(2);
         assert_eq!((t.len(), t.row_len(2), t.get((2, 4))), (1, 0, None));
         assert_eq!(t.allocated(), 1);
-        assert_eq!(t.entries().collect::<Vec<_>>(), [(0, 9)]);
+        assert_eq!(t.entries().collect::<Vec<_>>(), [((0, 0), 9)]);
     }
 }

@@ -128,6 +128,11 @@ impl KeyTable {
         self.slot(key) >= COPY
     }
 
+    /// Copies of `key` in the queue.
+    fn copies(&self, key: Key) -> u32 {
+        self.slot(key) / COPY
+    }
+
     /// One copy of `key` entered the queue.
     fn added(&mut self, key: Key) {
         self.set(key, self.slot(key) + COPY);
@@ -299,15 +304,45 @@ impl ReplacementPolicy for FifoPolicy {
 /// sampled reference moves the page to the protected end.
 #[derive(Debug, Default)]
 pub struct LruPolicy {
-    // Front = least recently used.
+    // Front = least recently used. A reference queues the key again at
+    // the back instead of searching for it: every copy ahead of a key's
+    // last is stale, and is skipped as if it had moved.
     order: VecDeque<Key>,
     keys: KeyTable,
+    /// Stale copies in `order`.
+    stale: usize,
 }
 
 impl LruPolicy {
     /// Creates an empty LRU.
     pub fn new() -> Self {
         LruPolicy::default()
+    }
+
+    /// Whether `key`, just popped from the front, is a stale copy; if so
+    /// it is dropped.
+    fn drop_stale(&mut self, key: Key) -> bool {
+        if self.keys.copies(key) < 2 {
+            return false;
+        }
+        self.keys.dropped(key);
+        self.stale -= 1;
+        true
+    }
+
+    /// Sweeps the stale copies out once they outnumber the rest, which
+    /// keeps the queue within twice its live size at O(1) amortised cost
+    /// per reference.
+    fn compact(&mut self) {
+        let keys = &mut self.keys;
+        self.order.retain(|&key| {
+            let last = keys.copies(key) == 1;
+            if !last {
+                keys.dropped(key);
+            }
+            last
+        });
+        self.stale = 0;
     }
 }
 
@@ -326,9 +361,13 @@ impl ReplacementPolicy for LruPolicy {
 
     fn note_referenced(&mut self, seg: SegmentId, page: PageNumber) {
         let key = (seg, page);
-        if let Some(pos) = self.order.iter().position(|&k| k == key) {
-            self.order.remove(pos);
+        if self.keys.contains(key) {
             self.order.push_back(key);
+            self.keys.added(key);
+            self.stale += 1;
+            if self.stale > self.order.len() / 2 {
+                self.compact();
+            }
         }
     }
 
@@ -336,10 +375,13 @@ impl ReplacementPolicy for LruPolicy {
         &mut self,
         probe: &mut dyn FnMut(SegmentId, PageNumber) -> Probe,
     ) -> Option<Key> {
-        let mut budget = self.order.len();
+        let mut budget = self.order.len() - self.stale;
         while budget > 0 {
-            budget -= 1;
             let key = self.order.pop_front()?;
+            if self.drop_stale(key) {
+                continue;
+            }
+            budget -= 1;
             if self.keys.revive(key) {
                 self.keys.dropped(key);
                 continue;
@@ -359,7 +401,7 @@ impl ReplacementPolicy for LruPolicy {
     }
 
     fn len(&self) -> usize {
-        self.order.len() - self.keys.dead
+        self.order.len() - self.stale - self.keys.dead
     }
 }
 
