@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use epcm_core::types::ManagerId;
+use epcm_managers::market::dram_frames;
 use epcm_managers::policy::{ClockPolicy, Probe, ReplacementPolicy};
 use epcm_managers::{MarketConfig, MemoryMarket};
 use epcm_sim::clock::Timestamp;
@@ -50,15 +51,16 @@ fn bench(c: &mut Criterion) {
 
     c.bench_function("market_billing_64_accounts", |b| {
         let mut market = MemoryMarket::new(MarketConfig::default());
-        let holdings: Vec<(ManagerId, u64)> =
-            (0..64).map(|i| (ManagerId(i), 256 + i as u64)).collect();
+        let holdings: Vec<_> = (0..64)
+            .map(|i| (ManagerId(i), dram_frames(256 + i as u64)))
+            .collect();
         for &(m, _) in &holdings {
             market.open_account(m, None);
         }
         let mut t = 0u64;
         b.iter(|| {
             t += 1_000;
-            market.bill(Timestamp::from_micros(t), &holdings, true)
+            market.bill(Timestamp::from_micros(t), &holdings, true, None)
         });
     });
 }

@@ -12,68 +12,28 @@
 //! them instead of paging them out, and a later fault delivers a fresh
 //! minimal-fault page.
 //!
-//! Non-discardable dirty pages are swapped conventionally, so the manager
-//! is safe for general heaps.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! Pages that are not garbage keep the engine's default, swap, so the
+//! manager is safe for general heaps: they get retried writes,
+//! quarantine, laundry rescue and asynchronous writeback like any other
+//! store-backed page. Dropped pages are counted in
+//! [`DefaultManagerStats::discards`](crate::DefaultManagerStats::discards).
 
 use epcm_core::flags::PageFlags;
 use epcm_core::kernel::Kernel;
-use epcm_core::types::{PageNumber, SegmentId, BASE_PAGE_SIZE};
-use epcm_sim::disk::{Block, FileId};
+use epcm_core::types::{PageNumber, SegmentId};
 
-use crate::generic::{Disposition, Fill, GenericManager, Specialization};
-use crate::manager::{Env, ManagerError, ManagerMode};
+use crate::generic::{Disposition, GenericManager, Specialization};
+use crate::manager::ManagerMode;
 
 /// The discardable-pages specialisation.
 ///
 /// Pages carrying [`PageFlags::MANAGER_A`] (set via [`mark_discardable`])
-/// are dropped at eviction; everything else swaps normally.
-#[derive(Debug, Default)]
-pub struct DiscardableSpec {
-    /// Per-segment swap file and the set of pages with valid swap copies.
-    swap: BTreeMap<u32, (FileId, BTreeSet<u64>)>,
-    /// Dirty pages discarded instead of written back.
-    discarded: u64,
-}
-
-impl DiscardableSpec {
-    /// Creates the specialisation.
-    pub fn new() -> Self {
-        DiscardableSpec::default()
-    }
-
-    /// Number of dirty pages dropped without writeback so far.
-    pub fn discarded(&self) -> u64 {
-        self.discarded
-    }
-}
+/// are dropped at eviction and refault as minimal faults; everything else
+/// swaps.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DiscardableSpec;
 
 impl Specialization for DiscardableSpec {
-    fn fill(
-        &mut self,
-        env: &mut Env<'_>,
-        seg: SegmentId,
-        page: PageNumber,
-        block: &mut Block,
-    ) -> Result<Fill, ManagerError> {
-        if let Some((file, swapped)) = self.swap.get_mut(&seg.as_u32()) {
-            // The swap copy stays valid while the page is clean; dirty
-            // evictions overwrite it (dropping the entry here would lose
-            // data on a later clean eviction).
-            if swapped.contains(&page.as_u64()) {
-                let offset = page.as_u64() * BASE_PAGE_SIZE;
-                let latency = env.store.read(*file, offset, block.make_mut())?;
-                env.kernel.charge(latency);
-                return Ok(Fill::Filled);
-            }
-        }
-        // Discarded or never-written page: minimal fault (fresh zero/stale
-        // same-user frame) — exactly the "reallocation without zero-fill"
-        // saving the paper credits V++ with.
-        Ok(Fill::Minimal)
-    }
-
     fn evict_disposition(
         &self,
         _seg: SegmentId,
@@ -83,32 +43,8 @@ impl Specialization for DiscardableSpec {
         if flags.contains(PageFlags::MANAGER_A) {
             Disposition::Discard
         } else {
-            Disposition::WriteBack
+            Disposition::Swap
         }
-    }
-
-    fn write_back(
-        &mut self,
-        env: &mut Env<'_>,
-        seg: SegmentId,
-        page: PageNumber,
-        data: &[u8],
-    ) -> Result<(), ManagerError> {
-        let (file, swapped) = match self.swap.get_mut(&seg.as_u32()) {
-            Some(entry) => entry,
-            None => {
-                let f = env.store.create(&format!("gc-swap-{}", seg.as_u32()), 0);
-                self.swap
-                    .entry(seg.as_u32())
-                    .or_insert((f, BTreeSet::new()))
-            }
-        };
-        let latency = env
-            .store
-            .write(*file, page.as_u64() * BASE_PAGE_SIZE, data)?;
-        env.kernel.charge(latency);
-        swapped.insert(page.as_u64());
-        Ok(())
     }
 }
 
@@ -117,7 +53,7 @@ pub type DiscardableManager = GenericManager<DiscardableSpec>;
 
 /// Creates a discardable-pages manager running in the faulting process.
 pub fn discardable_manager() -> DiscardableManager {
-    GenericManager::new(DiscardableSpec::new(), ManagerMode::FaultingProcess)
+    GenericManager::new(DiscardableSpec, ManagerMode::FaultingProcess)
 }
 
 /// Marks `count` pages starting at `page` as discardable: their contents
@@ -168,7 +104,8 @@ pub fn unmark_discardable(
 mod tests {
     use super::*;
     use crate::machine::Machine;
-    use epcm_core::types::{AccessKind, SegmentKind};
+    use crate::spcm::AllocationPolicy;
+    use epcm_core::types::{AccessKind, SegmentKind, BASE_PAGE_SIZE};
 
     fn setup(frames: usize) -> (Machine, epcm_core::ManagerId, SegmentId) {
         let mut m = Machine::new(frames);
@@ -178,28 +115,66 @@ mod tests {
         (m, id, seg)
     }
 
-    #[test]
-    fn live_pages_survive_eviction_via_swap() {
-        let (mut m, id, seg) = setup(64);
-        for p in 0..8u64 {
-            m.store_bytes(seg, p * BASE_PAGE_SIZE, &[p as u8; 8])
-                .unwrap();
-        }
+    fn stats(m: &Machine, id: epcm_core::ManagerId) -> crate::DefaultManagerStats {
+        m.manager(id)
+            .unwrap()
+            .as_any()
+            .downcast_ref::<DiscardableManager>()
+            .unwrap()
+            .manager_stats()
+    }
+
+    fn shrink(m: &mut Machine, id: epcm_core::ManagerId, count: u64) {
         m.with_manager(id, |mgr, env| {
             let mgr = mgr
                 .as_any_mut()
                 .downcast_mut::<DiscardableManager>()
                 .unwrap();
-            mgr.shrink(env, 8).map(|_| ())
+            mgr.shrink(env, count).map(|_| ())
         })
         .unwrap();
-        for p in 0..8u64 {
+    }
+
+    #[test]
+    fn live_pages_round_trip_through_swap() {
+        // A 48-frame quota: 96 dirty pages that are not garbage cannot all
+        // stay resident, nor all stay rescuable in the pool.
+        let mut m = Machine::builder(256)
+            .allocation(AllocationPolicy::Quota { per_manager: 48 })
+            .build();
+        let id = m.register_manager(Box::new(discardable_manager()));
+        m.set_default_manager(id);
+        let seg = m.create_segment(SegmentKind::Anonymous, 96).unwrap();
+        for p in 0..96u64 {
+            m.store_bytes(seg, p * BASE_PAGE_SIZE, &[p as u8; 8])
+                .unwrap();
+        }
+        for p in (0..96u64).rev() {
             let mut buf = [0u8; 8];
             m.load(seg, p * BASE_PAGE_SIZE, &mut buf).unwrap();
             assert_eq!(buf, [p as u8; 8], "live page {p} lost");
         }
-        // Swap file exists and was written.
-        assert!(m.store().write_count() >= 8);
+        let s = stats(&m, id);
+        assert!(s.swap_ins > 0 && s.writebacks > 0, "{s:?}");
+        assert_eq!(s.discards, 0);
+    }
+
+    #[test]
+    fn discarded_page_drops_its_swap_copy() {
+        let (mut m, id, seg) = setup(64);
+        m.store_bytes(seg, 0, b"old data").unwrap();
+        // Swapped out, then rescued from the laundry: a swap copy exists.
+        shrink(&mut m, id, 1);
+        assert_eq!(stats(&m, id).writebacks, 1);
+        m.store_bytes(seg, 0, b"garbage!").unwrap();
+        mark_discardable(m.kernel_mut(), seg, PageNumber(0), 1).unwrap();
+        shrink(&mut m, id, 1);
+        assert_eq!(stats(&m, id).discards, 1);
+        // The refault is a minimal fault, not a read of the stale copy.
+        let reads = m.store().read_count();
+        m.touch(seg, 0, AccessKind::Read).unwrap();
+        assert_eq!(m.store().read_count(), reads);
+        assert_eq!(stats(&m, id).swap_ins, 0);
     }
 
     #[test]
@@ -210,14 +185,7 @@ mod tests {
         }
         mark_discardable(m.kernel_mut(), seg, PageNumber(0), 8).unwrap();
         let writes_before = m.store().write_count();
-        m.with_manager(id, |mgr, env| {
-            let mgr = mgr
-                .as_any_mut()
-                .downcast_mut::<DiscardableManager>()
-                .unwrap();
-            mgr.shrink(env, 8).map(|_| ())
-        })
-        .unwrap();
+        shrink(&mut m, id, 8);
         assert_eq!(
             m.store().write_count(),
             writes_before,
@@ -238,14 +206,7 @@ mod tests {
         m.store_bytes(seg, 0, b"keep me!").unwrap();
         mark_discardable(m.kernel_mut(), seg, PageNumber(0), 1).unwrap();
         unmark_discardable(m.kernel_mut(), seg, PageNumber(0), 1).unwrap();
-        m.with_manager(id, |mgr, env| {
-            let mgr = mgr
-                .as_any_mut()
-                .downcast_mut::<DiscardableManager>()
-                .unwrap();
-            mgr.shrink(env, 1).map(|_| ())
-        })
-        .unwrap();
+        shrink(&mut m, id, 1);
         let mut buf = [0u8; 8];
         m.load(seg, 0, &mut buf).unwrap();
         assert_eq!(&buf, b"keep me!");
@@ -272,14 +233,7 @@ mod tests {
                     mark_discardable(m.kernel_mut(), seg, PageNumber(p), 1).unwrap();
                 }
             }
-            m.with_manager(id, |mgr, env| {
-                let mgr = mgr
-                    .as_any_mut()
-                    .downcast_mut::<DiscardableManager>()
-                    .unwrap();
-                mgr.shrink(env, 24).map(|_| ())
-            })
-            .unwrap();
+            shrink(&mut m, id, 24);
             m.store().write_count()
         };
         let unmarked_io = run(false);

@@ -18,12 +18,14 @@
 //!   protection fault restores it on a batch of contiguous pages (§2.3);
 //! * on tiered machines, a demotion stage in the clock and at tick time
 //!   when the market bill is in the red, and a hot-page promotion ladder;
-//! * for *store-backed* pages — a spec's fill says [`Fill::File`], or its
-//!   disposition says [`Disposition::File`] or [`Disposition::Swap`] —
-//!   the store mechanisms: reads and writes retried with backoff on the
-//!   virtual clock, dirty pages quarantined in place when their store is
-//!   dead, evicted frames kept rescuable in the pool (the laundry), and
-//!   a writeback pipeline that carries every store writeback.
+//! * for *store-backed* pages — a spec's disposition says
+//!   [`Disposition::File`] or [`Disposition::Swap`] (the default), or its
+//!   fill says [`Fill::File`] — the store mechanisms: reads and writes
+//!   retried with backoff on the virtual clock, dirty pages quarantined
+//!   in place when their store is dead, evicted frames kept rescuable in
+//!   the pool (the laundry), and a writeback pipeline that carries every
+//!   store writeback. An evicted page leaves only through them, or is
+//!   dropped ([`Disposition::Discard`]).
 //!
 //! A store writeback has one path: the dirty page's bytes land on the
 //! store at once (with retry and quarantine), and its disk *time* is
@@ -95,11 +97,10 @@ pub enum Fill {
 /// Where an evicted page's data goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Disposition {
-    /// A dirty page goes to [`Specialization::write_back`] (conventional).
-    WriteBack,
-    /// A dirty page is dropped — it can be discarded or regenerated more
-    /// cheaply than paged (the paper's index-regeneration and
-    /// garbage-page cases).
+    /// The page's data is dropped, and so is any swap copy: it can be
+    /// discarded or regenerated more cheaply than paged (the paper's
+    /// index-regeneration and garbage-page cases). Its next fault is the
+    /// spec's fill.
     Discard,
     /// Store-backed and persistent: a dirty page is written to block
     /// `page` of this file, at eviction and at segment close.
@@ -157,33 +158,15 @@ pub trait Specialization: fmt::Debug {
 
     /// Where the data of an evicted (or, at segment close, a dirty) page
     /// goes. Also asked for clean victims: only store-backed pages stay
-    /// rescuable in the pool. Default: write back.
+    /// rescuable in the pool. Default: the engine's swap.
     fn evict_disposition(&self, seg: SegmentId, page: PageNumber, flags: PageFlags) -> Disposition {
         let _ = (seg, page, flags);
-        Disposition::WriteBack
-    }
-
-    /// Writes a page to backing store (only called when
-    /// [`Specialization::evict_disposition`] said [`Disposition::WriteBack`]).
-    /// Default: nowhere (data is lost; pair with `Discard` or a `fill`
-    /// that regenerates).
-    ///
-    /// # Errors
-    ///
-    /// Implementations report [`ManagerError`] for store failures.
-    fn write_back(
-        &mut self,
-        env: &mut Env<'_>,
-        seg: SegmentId,
-        page: PageNumber,
-        data: &[u8],
-    ) -> Result<(), ManagerError> {
-        let _ = (env, seg, page, data);
-        Ok(())
+        Disposition::Swap
     }
 }
 
-/// A no-op specialisation: plain minimal-fault anonymous memory.
+/// A no-op specialisation: plain minimal-fault anonymous memory that
+/// swaps.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlainSpec;
 
@@ -467,8 +450,8 @@ pub struct GenericManager<S, P = ClockPolicy> {
     stats: DefaultManagerStats,
     io_stats: IoRetryStats,
     /// Accounting for the CompressedRam tier backend (the `compress.rs`
-    /// RLE scheme refitted as a tier): pages demoted into zram frames are
-    /// compressed on the way in.
+    /// RLE scheme): pages demoted into zram frames are compressed on the
+    /// way in.
     zram_stats: CompressStats,
     /// Every store writeback's disk time, one ticket per written page.
     /// Idle between operations in synchronous mode.

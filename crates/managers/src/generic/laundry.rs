@@ -480,7 +480,7 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
                     .get_or_insert_with(|| env.store.create(&format!("swap-{}", seg.as_u32()), 0));
                 Some((f, true))
             }
-            Disposition::WriteBack | Disposition::Discard => None,
+            Disposition::Discard => None,
         }
     }
 

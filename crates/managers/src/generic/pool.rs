@@ -239,10 +239,16 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
         // Synchronous mode: the victim's writeback is waited for at once.
         let wait = !self.config.async_writeback;
         let mut ticket = None;
+        if disposition == Disposition::Discard {
+            // A dropped page's swap copy is stale: its next fault must
+            // be the spec's fill, not a swap-in.
+            if let Some(ms) = self.managed.get_mut(&seg.as_u32()) {
+                ms.swapped.clear(page.as_u64());
+            }
+        }
         if entry.flags.contains(PageFlags::DIRTY) {
             match disposition {
                 Disposition::Discard => self.stats.discards += 1,
-                Disposition::WriteBack => self.spec_write_back(env, seg, page)?,
                 Disposition::File(_) | Disposition::Swap => {
                     let before = env.kernel.now();
                     match self.writeback(env, seg, page, disposition, wait) {
@@ -278,21 +284,6 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
         }
         self.stats.reclaimed += 1;
         Ok(true)
-    }
-
-    /// Hands a dirty page to the spec's own [`Specialization::write_back`]
-    /// (charging the 4 KB copy out of the frame).
-    pub(super) fn spec_write_back(
-        &mut self,
-        env: &mut Env<'_>,
-        seg: SegmentId,
-        page: PageNumber,
-    ) -> Result<(), ManagerError> {
-        let block = env.kernel.manager_read_block(seg, page)?;
-        env.kernel.charge(env.kernel.costs().page_copy_4k);
-        self.spec.write_back(env, seg, page, block.as_slice())?;
-        self.stats.writebacks += 1;
-        Ok(())
     }
 
     /// Handles a missing-page fault: a laundry rescue, else a swap-in,
@@ -576,9 +567,7 @@ mod tests {
 
     /// A spec that discards dirty "scratch" pages instead of writing back.
     #[derive(Debug, Default)]
-    struct ScratchSpec {
-        write_backs: u64,
-    }
+    struct ScratchSpec;
 
     impl Specialization for ScratchSpec {
         fn evict_disposition(
@@ -589,22 +578,11 @@ mod tests {
         ) -> Disposition {
             Disposition::Discard
         }
-
-        fn write_back(
-            &mut self,
-            _env: &mut Env<'_>,
-            _seg: SegmentId,
-            _page: PageNumber,
-            _data: &[u8],
-        ) -> Result<(), ManagerError> {
-            self.write_backs += 1;
-            Ok(())
-        }
     }
 
     #[test]
     fn discard_disposition_skips_writeback() {
-        let (mut m, id) = machine_with(ScratchSpec::default(), 128);
+        let (mut m, id) = machine_with(ScratchSpec, 128);
         let seg = m.create_segment(SegmentKind::Anonymous, 16).unwrap();
         for p in 0..8 {
             m.touch(seg, p, AccessKind::Write).unwrap();
@@ -625,8 +603,8 @@ mod tests {
             .downcast_ref::<GenericManager<ScratchSpec>>()
             .unwrap();
         assert!(mgr.manager_stats().discards >= 1);
-        assert_eq!(mgr.spec().write_backs, 0);
         assert_eq!(mgr.manager_stats().writebacks, 0);
+        assert_eq!(m.store().write_count(), 0);
     }
 
     /// A placement spec that wants even-colored frames for even pages.
@@ -676,32 +654,23 @@ mod tests {
         })
         .unwrap();
         assert!(m.kernel().resident_pages(seg).unwrap() <= 4);
-        // Re-touch the evicted pages: fresh minimal faults.
+        // Re-touch the evicted pages: rescued from the laundry.
         for p in 0..8 {
             m.touch(seg, p, AccessKind::Read).unwrap();
         }
         assert_eq!(m.kernel().resident_pages(seg).unwrap(), 8);
     }
 
-    /// Plain minimal faults, but evicted pages go to swap.
-    #[derive(Debug)]
-    struct SwapSpec;
-
-    impl Specialization for SwapSpec {
-        fn evict_disposition(&self, _: SegmentId, _: PageNumber, _: PageFlags) -> Disposition {
-            Disposition::Swap
-        }
-    }
-
-    /// Any spec that says `Swap` gets the store mechanisms: data survives
-    /// eviction under a frame quota, read back from the engine's swap.
+    /// A spec that overrides no hook swaps: a plain manager under a frame
+    /// quota writes more pages than it can hold and reads every byte
+    /// back from the engine's swap.
     #[test]
-    fn swap_disposition_keeps_data_for_any_spec() {
+    fn plain_spec_keeps_data_through_swap() {
         let mut m = Machine::builder(256)
             .allocation(crate::spcm::AllocationPolicy::Quota { per_manager: 48 })
             .build();
         let id = m.register_manager(Box::new(GenericManager::new(
-            SwapSpec,
+            PlainSpec,
             ManagerMode::FaultingProcess,
         )));
         m.set_default_manager(id);
@@ -719,7 +688,7 @@ mod tests {
             .manager(id)
             .unwrap()
             .as_any()
-            .downcast_ref::<GenericManager<SwapSpec>>()
+            .downcast_ref::<GenericManager<PlainSpec>>()
             .unwrap();
         let stats = mgr.manager_stats();
         assert!(stats.swap_ins > 0, "{stats:?}");

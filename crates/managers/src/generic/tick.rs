@@ -47,7 +47,6 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
                     to @ Disposition::File(_) => {
                         waited = self.writeback(env, segment, p, to, true)?.is_some();
                     }
-                    Disposition::WriteBack => self.spec_write_back(env, segment, p)?,
                     Disposition::Swap | Disposition::Discard => {}
                 }
             }

@@ -26,10 +26,11 @@
 //! * [`discard`] — discardable pages without writeback (the Subramanian
 //!   case study from related work).
 //! * [`coloring`] — page-colored frame allocation.
-//! * [`pinning`] — a conventional pin-style manager for comparison.
 //! * [`batch`] — the §2.4 batch-program lifecycle: save drams, run a
 //!   timeslice, swap out.
-//! * [`compress`] — compressed swap (real RLE over real page bytes).
+//! * [`chaotic`] — a misbehaving manager for the chaos experiments.
+//! * [`compress`] — the `CompressedRam` tier's page compression (real RLE
+//!   over real page bytes).
 //!
 //! # Quickstart
 //!
@@ -62,7 +63,6 @@ pub mod machine;
 pub mod manager;
 pub mod market;
 mod page_rows;
-pub mod pinning;
 pub mod policy;
 pub mod prefetch;
 pub mod shard;

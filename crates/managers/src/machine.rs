@@ -464,7 +464,7 @@ impl Machine {
 
     /// Runs `f` against a registered manager with the full environment —
     /// the hatch applications use to invoke manager-specific operations
-    /// (marking pages discardable, requesting prefetch, pinning).
+    /// (marking pages discardable, requesting prefetch).
     ///
     /// # Errors
     ///
@@ -1262,9 +1262,7 @@ impl Machine {
     ///
     /// The first manager failure encountered.
     pub fn tick(&mut self) -> Result<(), MachineError> {
-        let bankrupt = self
-            .spcm
-            .bill_traced(&self.kernel, self.event_tracer.as_ref());
+        let bankrupt = self.spcm.bill(&self.kernel, self.event_tracer.as_ref());
         for mgr in bankrupt {
             let held = self.spcm.granted_to(mgr);
             self.revoke(mgr, held.div_ceil(2))?;

@@ -85,13 +85,6 @@ pub enum ManagerError {
         /// Page of the denied access.
         page: epcm_core::PageNumber,
     },
-    /// Pinning beyond the manager's quota (the related-work limitation:
-    /// "the operating system cannot allow a significant percentage of its
-    /// page frame pool to be pinned").
-    PinQuotaExceeded {
-        /// The quota in pages.
-        limit: u64,
-    },
 }
 
 impl fmt::Display for ManagerError {
@@ -106,9 +99,6 @@ impl fmt::Display for ManagerError {
             }
             ManagerError::Store(e) => write!(f, "store: {e}"),
             ManagerError::Spcm(e) => write!(f, "spcm: {e}"),
-            ManagerError::PinQuotaExceeded { limit } => {
-                write!(f, "pin quota of {limit} pages exceeded")
-            }
             ManagerError::ProtectionDenied { segment, page } => {
                 write!(f, "access denied by protection on {page} of {segment}")
             }
@@ -161,7 +151,7 @@ pub trait SegmentManager: fmt::Debug {
     fn as_any(&self) -> &dyn std::any::Any;
 
     /// Mutable type-erased self (for manager-specific commands like
-    /// pinning or marking pages discardable).
+    /// shrinking a footprint or marking pages discardable).
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 
     /// Called once by the machine at registration to fix the id.

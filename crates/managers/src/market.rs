@@ -211,14 +211,14 @@ impl Account {
 ///
 /// ```
 /// use epcm_core::types::ManagerId;
-/// use epcm_managers::market::{MarketConfig, MemoryMarket};
+/// use epcm_managers::market::{dram_frames, MarketConfig, MemoryMarket};
 /// use epcm_sim::clock::Timestamp;
 ///
 /// let mut market = MemoryMarket::new(MarketConfig::default());
 /// market.open_account(ManagerId(1), None);
 /// // One second passes holding 256 frames (1 MB), market contended:
 /// let bankrupt = market.bill(
-///     Timestamp::from_micros(1_000_000), &[(ManagerId(1), 256)], true);
+///     Timestamp::from_micros(1_000_000), &[(ManagerId(1), dram_frames(256))], true, None);
 /// assert!(bankrupt.is_empty());
 /// assert!(market.balance(ManagerId(1)).unwrap() > 0.0);
 /// ```
@@ -237,6 +237,14 @@ pub struct MemoryMarket {
     /// static `charge_per_mb_sec * tier_multipliers` path, so ledgers
     /// of price-schedule-free runs stay float-identical across builds.
     tier_rents: Option<[f64; MemTier::COUNT]>,
+}
+
+/// A holding of `frames` DRAM frames and nothing else, as
+/// [`MemoryMarket::bill`] takes a flat machine's holdings.
+pub fn dram_frames(frames: u64) -> [u64; MemTier::COUNT] {
+    let mut by_tier = [0; MemTier::COUNT];
+    by_tier[MemTier::Dram.index()] = frames;
+    by_tier
 }
 
 /// Renders a period charge as the milli-dram integer the trace carries.
@@ -410,81 +418,6 @@ impl MemoryMarket {
         Some(balance)
     }
 
-    /// Advances the ledger to `now`: pays income, charges `M*D*T` for the
-    /// supplied holdings (unless the market is uncontended and configured
-    /// free), and applies the savings tax. Returns the managers whose
-    /// balance went negative — the SPCM "has the ability to force the
-    /// return of memory from processes that have exhausted their dram
-    /// supply".
-    pub fn bill(
-        &mut self,
-        now: Timestamp,
-        holdings: &[(ManagerId, u64)],
-        contended: bool,
-    ) -> Vec<ManagerId> {
-        self.bill_traced(now, holdings, contended, None)
-    }
-
-    /// [`MemoryMarket::bill`], additionally recording one
-    /// [`EventKind::MarketCharge`] per charged holding into `tracer`
-    /// (charge and resulting balance in millidrams).
-    pub fn bill_traced(
-        &mut self,
-        now: Timestamp,
-        holdings: &[(ManagerId, u64)],
-        contended: bool,
-        tracer: Option<&SharedTracer>,
-    ) -> Vec<ManagerId> {
-        let dt = now.saturating_duration_since(self.last_billed);
-        self.last_billed = now;
-        if dt == Micros::ZERO {
-            return Vec::new();
-        }
-        let secs = dt.as_secs_f64();
-        for a in self.accounts.values_mut() {
-            let income = a.income_per_sec * secs;
-            a.balance += income;
-            self.total_income += income;
-        }
-        if contended || !self.config.free_when_uncontended {
-            let rate = match self.tier_rents {
-                Some(rents) => rents[MemTier::Dram.index()],
-                None => self.config.charge_per_mb_sec,
-            };
-            for &(mgr, frames) in holdings {
-                if let Some(a) = self.accounts.get_mut(&mgr.0) {
-                    let charge =
-                        rate * (frames as f64 * BASE_PAGE_SIZE as f64 / (1024.0 * 1024.0)) * secs;
-                    a.balance -= charge;
-                    self.total_charged += charge;
-                    if let Some(t) = tracer {
-                        t.record(TraceEvent::new(
-                            now.as_micros(),
-                            EventKind::MarketCharge {
-                                manager: mgr.0,
-                                charged: charge_milli(charge),
-                                balance: (a.balance * 1000.0).round() as i64,
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-        for a in self.accounts.values_mut() {
-            if a.balance > self.config.savings_cap {
-                let tax = (a.balance - self.config.savings_cap)
-                    * (self.config.savings_tax_per_sec * secs).min(1.0);
-                a.balance -= tax;
-                self.total_tax += tax;
-            }
-        }
-        self.accounts
-            .iter()
-            .filter(|(_, a)| a.balance < 0.0)
-            .map(|(&id, _)| ManagerId(id))
-            .collect()
-    }
-
     /// The price in drams of holding `frames[t]` frames of each tier for
     /// `duration`: the sum over tiers of `M * D * T` scaled by that
     /// tier's multiplier.
@@ -509,12 +442,16 @@ impl MemoryMarket {
             .sum()
     }
 
-    /// [`MemoryMarket::bill_traced`] for tiered machines: each holding is
-    /// a per-tier frame vector priced by [`MemoryMarket::quote_tiered`].
-    /// Income, the uncontended-free rule, the savings tax and bankruptcy
-    /// reporting are identical to the flat path; only the charge
-    /// expression changes.
-    pub fn bill_tiered_traced(
+    /// Advances the ledger to `now`: pays income, charges each holding —
+    /// a per-tier frame vector, DRAM-only on a flat machine — its
+    /// [`MemoryMarket::quote_tiered`] price (unless the market is
+    /// uncontended and configured free), and applies the savings tax.
+    /// Each charge is recorded as one [`EventKind::MarketCharge`] into
+    /// `tracer` (charge and resulting balance in millidrams). Returns the
+    /// managers whose balance went negative — the SPCM "has the ability
+    /// to force the return of memory from processes that have exhausted
+    /// their dram supply".
+    pub fn bill(
         &mut self,
         now: Timestamp,
         holdings: &[(ManagerId, [u64; MemTier::COUNT])],
@@ -636,7 +573,7 @@ mod tests {
     fn income_accrues() {
         let mut m = mkt();
         m.open_account(ManagerId(1), Some(10.0));
-        let bankrupt = m.bill(SEC, &[], true);
+        let bankrupt = m.bill(SEC, &[], true, None);
         assert!(bankrupt.is_empty());
         assert!((m.balance(ManagerId(1)).unwrap() - 10.0).abs() < 1e-9);
     }
@@ -647,14 +584,15 @@ mod tests {
         m.open_account(ManagerId(1), Some(0.0));
         // Give a starting balance via income trick: bill once with income.
         m.open_account(ManagerId(1), Some(100.0));
-        m.bill(SEC, &[], true);
+        m.bill(SEC, &[], true, None);
         m.open_account(ManagerId(1), Some(0.0));
         let before = m.balance(ManagerId(1)).unwrap();
         // 2 MB for 1 second at D=1 dram/MB-sec = 2 drams.
         m.bill(
             Timestamp::from_micros(2_000_000),
-            &[(ManagerId(1), 512)],
+            &[(ManagerId(1), dram_frames(512))],
             true,
+            None,
         );
         let after = m.balance(ManagerId(1)).unwrap();
         assert!(
@@ -668,13 +606,14 @@ mod tests {
     fn uncontended_memory_is_free() {
         let mut m = mkt();
         m.open_account(ManagerId(1), Some(0.0));
-        m.bill(SEC, &[(ManagerId(1), 1024)], false);
+        m.bill(SEC, &[(ManagerId(1), dram_frames(1024))], false, None);
         assert_eq!(m.balance(ManagerId(1)).unwrap(), 0.0);
         // Contended: same holding now costs.
         m.bill(
             Timestamp::from_micros(2_000_000),
-            &[(ManagerId(1), 1024)],
+            &[(ManagerId(1), dram_frames(1024))],
             true,
+            None,
         );
         assert!(m.balance(ManagerId(1)).unwrap() < 0.0);
     }
@@ -683,7 +622,7 @@ mod tests {
     fn bankruptcy_is_reported() {
         let mut m = mkt();
         m.open_account(ManagerId(1), Some(0.0));
-        let bankrupt = m.bill(SEC, &[(ManagerId(1), 2560)], true); // 10 MB, no income
+        let bankrupt = m.bill(SEC, &[(ManagerId(1), dram_frames(2560))], true, None); // 10 MB, no income
         assert_eq!(bankrupt, vec![ManagerId(1)]);
     }
 
@@ -695,7 +634,7 @@ mod tests {
             ..MarketConfig::default()
         });
         m.open_account(ManagerId(1), Some(10.0));
-        m.bill(SEC, &[], true); // balance 10, cap 5 -> tax 0.5*5 = 2.5
+        m.bill(SEC, &[], true, None); // balance 10, cap 5 -> tax 0.5*5 = 2.5
         let b = m.balance(ManagerId(1)).unwrap();
         assert!((b - 7.5).abs() < 1e-9, "balance {b}");
         assert!(m.total_tax() > 0.0);
@@ -705,7 +644,7 @@ mod tests {
     fn debit_charges_and_conserves() {
         let mut m = mkt();
         m.open_account(ManagerId(1), Some(10.0));
-        m.bill(SEC, &[], true); // +10 income
+        m.bill(SEC, &[], true, None); // +10 income
         m.debit(ManagerId(1), 4.0);
         assert!((m.balance(ManagerId(1)).unwrap() - 6.0).abs() < 1e-9);
         assert!((m.total_charged() - 4.0).abs() < 1e-9);
@@ -731,7 +670,7 @@ mod tests {
         let q = m.quote(256, Micros::from_secs(10));
         assert!((q - 10.0).abs() < 1e-9);
         assert!(!m.can_afford(ManagerId(1), 256, Micros::from_secs(10)));
-        m.bill(SEC, &[], true); // +100 income
+        m.bill(SEC, &[], true, None); // +100 income
         assert!(m.can_afford(ManagerId(1), 256, Micros::from_secs(10)));
     }
 
@@ -766,11 +705,11 @@ mod tests {
         for step in 1..50u64 {
             t += step * 37_000;
             let holdings = [
-                (ManagerId(0), step * 10),
-                (ManagerId(1), 500),
-                (ManagerId(3), 2000),
+                (ManagerId(0), dram_frames(step * 10)),
+                (ManagerId(1), dram_frames(500)),
+                (ManagerId(3), dram_frames(2000)),
             ];
-            m.bill(Timestamp::from_micros(t), &holdings, step % 3 != 0);
+            m.bill(Timestamp::from_micros(t), &holdings, step % 3 != 0, None);
             m.charge_io(ManagerId(2), step);
         }
         assert!(
@@ -784,9 +723,9 @@ mod tests {
     fn billing_is_idempotent_at_same_instant() {
         let mut m = mkt();
         m.open_account(ManagerId(1), Some(10.0));
-        m.bill(SEC, &[], true);
+        m.bill(SEC, &[], true, None);
         let b = m.balance(ManagerId(1)).unwrap();
-        m.bill(SEC, &[(ManagerId(1), 99999)], true);
+        m.bill(SEC, &[(ManagerId(1), dram_frames(99999))], true, None);
         assert_eq!(m.balance(ManagerId(1)).unwrap(), b);
     }
 
@@ -865,7 +804,7 @@ mod tests {
         let q = m.quote_tiered(&[256, 0, 0], SEC.duration_since(Timestamp::ZERO));
         assert!((q - dyn_quote).abs() < 1e-12);
         // Flat billing charges the dram rent.
-        let bankrupt = m.bill(SEC, &[(ManagerId(1), 256)], true);
+        let bankrupt = m.bill(SEC, &[(ManagerId(1), dram_frames(256))], true, None);
         assert_eq!(bankrupt, vec![ManagerId(1)]);
         assert!((m.balance(ManagerId(1)).unwrap() + dyn_quote).abs() < 1e-9);
     }
@@ -881,10 +820,10 @@ mod tests {
             t += 13_000 + step * 911;
             m.set_tier_rents([1.0 + (step % 7) as f64, 0.5, 0.1]);
             let holdings = [
-                (ManagerId((step % 8) as u32), step * 3),
-                (ManagerId(((step + 3) % 8) as u32), 700),
+                (ManagerId((step % 8) as u32), dram_frames(step * 3)),
+                (ManagerId(((step + 3) % 8) as u32), dram_frames(700)),
             ];
-            m.bill(Timestamp::from_micros(t), &holdings, step % 4 != 0);
+            m.bill(Timestamp::from_micros(t), &holdings, step % 4 != 0, None);
             m.charge_io(ManagerId(((step + 5) % 8) as u32), step % 9);
             if step % 50 == 0 {
                 m.settle_account(ManagerId(((step / 50) % 8) as u32));

@@ -13,14 +13,19 @@
 //! timestamps: a prefetch issued at `t` for the `k`-th page ahead arrives
 //! at `t + k × block_time`; the byte transfer happens at fault time but
 //! the clock is only charged the unexpired remainder.
+//!
+//! An evicted page of a file segment goes back to its file block
+//! ([`Disposition::File`]), so file pages get the engine's retried
+//! writes, laundry rescue and writeback at close; anonymous pages swap.
 
 use std::collections::BTreeMap;
 
+use epcm_core::flags::PageFlags;
 use epcm_core::types::{PageNumber, SegmentId, SegmentKind, BASE_PAGE_SIZE};
 use epcm_sim::clock::{Micros, Timestamp};
 use epcm_sim::disk::{Block, Device, FileId};
 
-use crate::generic::{Fill, GenericManager, Specialization};
+use crate::generic::{Disposition, Fill, GenericManager, Specialization};
 use crate::manager::{Env, ManagerError, ManagerMode};
 
 /// Counters for prefetch effectiveness.
@@ -142,6 +147,12 @@ impl Specialization for PrefetchSpec {
             self.stats.issued += 1;
         }
         Ok(Fill::Filled)
+    }
+
+    fn evict_disposition(&self, seg: SegmentId, _page: PageNumber, _: PageFlags) -> Disposition {
+        self.files
+            .get(&seg.as_u32())
+            .map_or(Disposition::Swap, |&f| Disposition::File(f))
     }
 }
 

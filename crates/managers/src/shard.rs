@@ -57,7 +57,7 @@ use crate::chaotic::ChaoticManager;
 use crate::default_manager::{DefaultManagerConfig, DefaultSegmentManager};
 use crate::machine::Machine;
 use crate::manager::ManagerMode;
-use crate::market::{MarketConfig, MemoryMarket, PriceSchedule};
+use crate::market::{dram_frames, MarketConfig, MemoryMarket, PriceSchedule};
 use crate::spcm::{AllocationPolicy, RevocationConfig};
 
 /// Configures one sharded multi-tenant run. The *logical* workload —
@@ -1467,30 +1467,22 @@ pub fn try_run_with(
             let demand: u64 = reports.iter().map(|r| r.resident + r.faults).sum();
             let capacity = layout.total_frames();
             let contended = demand > capacity;
-            let holdings: Vec<(ManagerId, u64)> = reports
+            // Each lane's barrier holdings, priced per tier at the posted
+            // rents on a tiered economy and all DRAM otherwise; spill
+            // leases are DRAM.
+            let holdings: Vec<(ManagerId, [u64; MemTier::COUNT])> = reports
                 .iter()
                 .map(|r| {
-                    (
-                        ManagerId(r.lane as u32),
-                        r.resident + leases[r.lane as usize],
-                    )
+                    let mut frames = if tiered {
+                        r.resident_by_tier
+                    } else {
+                        dram_frames(r.resident)
+                    };
+                    frames[MemTier::Dram.index()] += leases[r.lane as usize];
+                    (ManagerId(r.lane as u32), frames)
                 })
                 .collect();
-            let bankrupt = if tiered {
-                // Tiered billing: each lane's barrier holdings priced
-                // per tier at the posted rents; spill leases are DRAM.
-                let by_tier: Vec<(ManagerId, [u64; MemTier::COUNT])> = reports
-                    .iter()
-                    .map(|r| {
-                        let mut frames = r.resident_by_tier;
-                        frames[MemTier::Dram.index()] += leases[r.lane as usize];
-                        (ManagerId(r.lane as u32), frames)
-                    })
-                    .collect();
-                market.bill_tiered_traced(barrier, &by_tier, contended, None)
-            } else {
-                market.bill(barrier, &holdings, contended)
-            };
+            let bankrupt = market.bill(barrier, &holdings, contended, None);
             for mgr in &bankrupt {
                 let lane = u64::from(mgr.0);
                 let seized = pool.release_all(lane);

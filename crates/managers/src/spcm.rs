@@ -16,7 +16,7 @@ use epcm_core::tier::{MemTier, TierLayout};
 use epcm_core::types::{FrameId, ManagerId, PageNumber, SegmentId};
 use epcm_sim::clock::{Micros, Timestamp};
 
-use crate::market::MemoryMarket;
+use crate::market::{dram_frames, MemoryMarket};
 
 /// A physical-placement constraint on a frame request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -691,41 +691,33 @@ impl SystemPageCacheManager {
         Ok(())
     }
 
-    /// Runs a market billing period (no-op under other policies). Returns
-    /// the bankrupt managers the machine must force reclamation from, and
-    /// clears the contention signal for the next period.
-    pub fn bill(&mut self, kernel: &Kernel) -> Vec<ManagerId> {
-        self.bill_traced(kernel, None)
-    }
-
-    /// [`SystemPageCacheManager::bill`], additionally recording market
-    /// charges into `tracer` (the [`Machine`](crate::Machine) passes its
-    /// shared event tracer here).
-    pub fn bill_traced(
+    /// Runs a market billing period (no-op under other policies),
+    /// recording market charges into `tracer` (the
+    /// [`Machine`](crate::Machine) passes its shared event tracer here).
+    /// Returns the bankrupt managers the machine must force reclamation
+    /// from, and clears the contention signal for the next period.
+    pub fn bill(
         &mut self,
         kernel: &Kernel,
         tracer: Option<&epcm_trace::SharedTracer>,
     ) -> Vec<ManagerId> {
-        let now = kernel.now();
         let contended = self.contended;
         self.contended = false;
         if !matches!(self.policy, AllocationPolicy::Market { .. }) {
             return Vec::new();
         }
-        // On tiered machines, bill per tier (M*D*T scaled by the tier
-        // multiplier); flat machines keep the original single-rate path
-        // so their ledgers stay float-identical to pre-tier builds.
-        let tiered = if kernel.tiers().is_dram_only() {
-            None
+        // Tiered machines bill each manager's frames by the tier they sit
+        // in; flat machines bill the grant counts, all DRAM.
+        let holdings = if kernel.tiers().is_dram_only() {
+            let holdings = self.holdings().into_iter();
+            holdings.map(|(m, n)| (m, dram_frames(n))).collect()
         } else {
-            Some(Self::tiered_holdings(kernel))
+            Self::tiered_holdings(kernel)
         };
-        let holdings = self.holdings();
         match &mut self.policy {
-            AllocationPolicy::Market { market, .. } => match tiered {
-                Some(by_tier) => market.bill_tiered_traced(now, &by_tier, contended, tracer),
-                None => market.bill_traced(now, &holdings, contended, tracer),
-            },
+            AllocationPolicy::Market { market, .. } => {
+                market.bill(kernel.now(), &holdings, contended, tracer)
+            }
             _ => Vec::new(),
         }
     }
@@ -985,7 +977,7 @@ mod tests {
         assert_eq!(g, Grant::Deferred);
         // Earn income for 20 virtual seconds, then retry.
         k.charge(Micros::from_secs(20));
-        let bankrupt = spcm.bill(&k);
+        let bankrupt = spcm.bill(&k, None);
         assert!(bankrupt.is_empty());
         let g2 = spcm
             .request_frames(&mut k, ManagerId(1), free, 256, PhysConstraint::Any)

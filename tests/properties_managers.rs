@@ -5,6 +5,7 @@
 
 use epcm::core::{AccessKind, ManagerId, SegmentId, SegmentKind, BASE_PAGE_SIZE};
 use epcm::managers::default_manager::{DefaultManagerConfig, DefaultSegmentManager};
+use epcm::managers::market::dram_frames;
 use epcm::managers::{AllocationPolicy, Machine, ManagerMode, MarketConfig, MemoryMarket};
 use epcm::sim::clock::{Micros, Timestamp};
 use proptest::prelude::*;
@@ -26,12 +27,12 @@ proptest! {
         let mut t = 0u64;
         for (dt, frames, contended) in steps {
             t += dt;
-            let holdings: Vec<(ManagerId, u64)> = incomes
+            let holdings: Vec<_> = incomes
                 .iter()
                 .enumerate()
-                .map(|(i, _)| (ManagerId(i as u32), frames / (i as u64 + 1)))
+                .map(|(i, _)| (ManagerId(i as u32), dram_frames(frames / (i as u64 + 1))))
                 .collect();
-            market.bill(Timestamp::from_micros(t), &holdings, contended);
+            market.bill(Timestamp::from_micros(t), &holdings, contended, None);
             market.charge_io(ManagerId(0), frames % 7);
         }
         prop_assert!(market.ledger_residual().abs() < 1e-6,
@@ -51,8 +52,9 @@ proptest! {
         // frames >= 3000 at D=1 dram/MB-s costs >= ~11.7 drams/s > income.
         let bankrupt = market.bill(
             Timestamp::from_micros(10_000_000),
-            &[(ManagerId(1), frames)],
+            &[(ManagerId(1), dram_frames(frames))],
             true,
+            None,
         );
         prop_assert_eq!(bankrupt, vec![ManagerId(1)]);
     }

@@ -253,7 +253,7 @@ fn batched_abi_promotion_bills_identically_to_direct() {
         // Accounts open at zero: bank one virtual second of a fat income
         // rate so the manager is comfortably solvent for the whole run.
         market.open_account(ManagerId(1), Some(1_000.0));
-        market.bill(Timestamp::from_micros(1_000_000), &[], true);
+        market.bill(Timestamp::from_micros(1_000_000), &[], true, None);
         let mut m = Machine::builder(layout.total() as usize)
             .tiers(layout)
             .allocation(AllocationPolicy::Market {

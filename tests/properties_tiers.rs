@@ -58,7 +58,7 @@ proptest! {
             let h2 = [z, d, s];
             expected += market.quote_tiered(&h1, Micros::new(dt));
             expected += market.quote_tiered(&h2, Micros::new(dt));
-            market.bill_tiered_traced(
+            market.bill(
                 Timestamp::from_micros(t),
                 &[(ManagerId(1), h1), (ManagerId(2), h2)],
                 true,
@@ -187,7 +187,7 @@ fn bankrupt_manager_demotes_to_cut_its_bill() {
     // fat income rate, then cut the rate to a trickle so holding DRAM
     // burns the balance down.
     market.open_account(ManagerId(1), Some(10.0));
-    market.bill(Timestamp::from_micros(1_000_000), &[], true);
+    market.bill(Timestamp::from_micros(1_000_000), &[], true, None);
     market.open_account(ManagerId(1), Some(0.05));
     let mut m = Machine::builder(96)
         .tiers(layout)
