@@ -6,6 +6,7 @@ use std::cell::RefCell;
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use epcm_core::flags::PageFlags;
 use epcm_core::kernel::Kernel;
+use epcm_core::ring::{RingOp, RingPort, DEFAULT_RING_CAPACITY};
 use epcm_core::tier::TierLayout;
 use epcm_core::translate::MappingTable;
 use epcm_core::types::{
@@ -13,6 +14,7 @@ use epcm_core::types::{
 };
 use epcm_managers::default_manager::{DefaultManagerConfig, DefaultSegmentManager};
 use epcm_managers::{Machine, ManagerMode};
+use epcm_sim::rng::{Rng, Zipf};
 use epcm_workloads::runner::PAPER_FRAMES;
 
 fn bench(c: &mut Criterion) {
@@ -61,6 +63,47 @@ fn bench(c: &mut Criterion) {
                 .reference(seg, PageNumber(0), AccessKind::Read)
                 .unwrap()
         });
+    });
+
+    // An 8-byte load from a resident page: one reference and one copy.
+    c.bench_function("kernel_load_hit_8b", |b| {
+        let mut m = Machine::with_default_manager(256);
+        let seg = m.create_segment(SegmentKind::Anonymous, 4).unwrap();
+        m.touch(seg, 0, AccessKind::Write).unwrap();
+        let mut buf = [0u8; 8];
+        b.iter(|| {
+            m.kernel_mut()
+                .load(seg, black_box(64), &mut buf)
+                .unwrap()
+                .is_completed()
+        });
+    });
+
+    // One ring op with its own doorbell, as a manager's fault path issues
+    // it: a flag change on a boot-pool page.
+    c.bench_function("ring_call_singleton", |b| {
+        let mut k = Kernel::new(256);
+        let mut port = RingPort::with_capacity(DEFAULT_RING_CAPACITY);
+        b.iter(|| {
+            port.call(
+                &mut k,
+                RingOp::ModifyPageFlags {
+                    seg: SegmentId::FRAME_POOL,
+                    page: PageNumber(black_box(3)),
+                    count: 1,
+                    set: PageFlags::MANAGER_B,
+                    clear: PageFlags::empty(),
+                },
+            )
+            .unwrap()
+        });
+    });
+
+    // One Zipf(0.9) draw over 4096 ranks, the tier benchmark's stream.
+    c.bench_function("zipf_sample_4096", |b| {
+        let zipf = Zipf::new(4096, 0.9);
+        let mut rng = Rng::seed_from(42);
+        b.iter(|| zipf.sample(&mut rng));
     });
 
     // Cached 4 KB UIO read.

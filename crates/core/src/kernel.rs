@@ -159,6 +159,29 @@ enum Resolved {
     },
 }
 
+/// A reference's outcome, with the frame a completed one resolved to
+/// (the first, for a large page).
+enum Referenced {
+    Completed(FrameId),
+    Fault(FaultEvent),
+}
+
+/// What referencing every page under a load's or store's bytes found.
+enum Span {
+    /// A page faulted, so no byte may move.
+    Fault(FaultEvent),
+    /// The bytes lie within one page: the first frame its reference
+    /// resolved to, the page's frame count and the bytes' offset in it.
+    OnePage {
+        frame: FrameId,
+        page_frames: u64,
+        in_page: u64,
+    },
+    /// The bytes straddle pages (or there are none): the copy resolves
+    /// each page.
+    Pages,
+}
+
 /// The V++ kernel.
 ///
 /// # Example
@@ -766,6 +789,22 @@ impl Kernel {
         page: PageNumber,
         access: AccessKind,
     ) -> Result<AccessOutcome, KernelError> {
+        Ok(match self.reference_frame(seg, page, access)? {
+            Referenced::Completed(_) => AccessOutcome::Completed,
+            Referenced::Fault(fault) => AccessOutcome::Fault(fault),
+        })
+    }
+
+    /// [`Kernel::reference`], returning the frame a completed reference
+    /// resolved to. Inlined into both callers: left as a call, it made a
+    /// hit `reference` about a third slower on the host.
+    #[inline(always)]
+    fn reference_frame(
+        &mut self,
+        seg: SegmentId,
+        page: PageNumber,
+        access: AccessKind,
+    ) -> Result<Referenced, KernelError> {
         match self.resolve(seg, page, access.is_write())? {
             Resolved::Own {
                 segment,
@@ -777,10 +816,10 @@ impl Kernel {
                     Some(entry) => {
                         let effective = entry.flags & prot_mask;
                         if effective.permits(access) {
-                            self.complete_reference(segment, opage, access);
-                            Ok(AccessOutcome::Completed)
+                            let frame = self.complete_reference(segment, opage, access);
+                            Ok(Referenced::Completed(frame))
                         } else {
-                            Ok(AccessOutcome::Fault(self.make_fault(
+                            Ok(Referenced::Fault(self.make_fault(
                                 segment,
                                 opage,
                                 FaultKind::Protection { flags: entry.flags },
@@ -790,7 +829,7 @@ impl Kernel {
                             )))
                         }
                     }
-                    None => Ok(AccessOutcome::Fault(self.make_fault(
+                    None => Ok(Referenced::Fault(self.make_fault(
                         segment,
                         opage,
                         FaultKind::Missing,
@@ -809,7 +848,7 @@ impl Kernel {
             } => {
                 if !prot_mask.contains(PageFlags::WRITE) {
                     // The binding itself forbids writing.
-                    return Ok(AccessOutcome::Fault(self.make_fault(
+                    return Ok(Referenced::Fault(self.make_fault(
                         hold_segment,
                         hold_page,
                         FaultKind::Protection { flags: prot_mask },
@@ -821,7 +860,7 @@ impl Kernel {
                 // If the source side has no data yet, that missing fault
                 // must resolve first (against the source's manager).
                 if self.segment(source_segment)?.entry(source_page).is_none() {
-                    return Ok(AccessOutcome::Fault(self.make_fault(
+                    return Ok(Referenced::Fault(self.make_fault(
                         source_segment,
                         source_page,
                         FaultKind::Missing,
@@ -830,7 +869,7 @@ impl Kernel {
                         page,
                     )));
                 }
-                Ok(AccessOutcome::Fault(self.make_fault(
+                Ok(Referenced::Fault(self.make_fault(
                     hold_segment,
                     hold_page,
                     FaultKind::CopyOnWrite {
@@ -845,7 +884,12 @@ impl Kernel {
         }
     }
 
-    fn complete_reference(&mut self, seg: SegmentId, page: PageNumber, access: AccessKind) {
+    fn complete_reference(
+        &mut self,
+        seg: SegmentId,
+        page: PageNumber,
+        access: AccessKind,
+    ) -> FrameId {
         self.stats.references += 1;
         // Hardware TLB first; a miss is refilled by the kernel ("simple
         // TLB misses are handled by the kernel") from the global hash
@@ -873,8 +917,11 @@ impl Kernel {
         // Tiered machines pay the slow-tier access latency on every
         // completed reference; DRAM (and single-tier machines) stay free.
         self.charge_tier_access(frame);
+        frame
     }
 
+    #[cold]
+    #[inline(never)]
     fn make_fault(
         &mut self,
         segment: SegmentId,
@@ -1570,14 +1617,9 @@ impl Kernel {
         offset: u64,
         buf: &mut [u8],
     ) -> Result<AccessOutcome, KernelError> {
-        self.access_bytes(seg, offset, buf.len() as u64, AccessKind::Read)?
-            .map_or_else(
-                || {
-                    self.copy_bytes_out(seg, offset, buf)?;
-                    Ok(AccessOutcome::Completed)
-                },
-                |fault| Ok(AccessOutcome::Fault(fault)),
-            )
+        Ok(self
+            .read_bytes(seg, offset, buf)?
+            .map_or(AccessOutcome::Completed, AccessOutcome::Fault))
     }
 
     /// Copies bytes into a segment (a CPU store, or a manager filling a
@@ -1592,38 +1634,91 @@ impl Kernel {
         offset: u64,
         buf: &[u8],
     ) -> Result<AccessOutcome, KernelError> {
-        self.access_bytes(seg, offset, buf.len() as u64, AccessKind::Write)?
-            .map_or_else(
-                || {
-                    self.copy_bytes_in(seg, offset, buf)?;
-                    Ok(AccessOutcome::Completed)
-                },
-                |fault| Ok(AccessOutcome::Fault(fault)),
-            )
+        Ok(self
+            .write_bytes(seg, offset, buf)?
+            .map_or(AccessOutcome::Completed, AccessOutcome::Fault))
     }
 
-    /// References every page covering `[offset, offset+len)`; `Ok(None)`
-    /// means all succeeded, `Ok(Some(fault))` is the first fault.
+    /// A load's references and copy: `Ok(Some(fault))` is the first fault,
+    /// and then no byte has moved. This, [`Self::write_bytes`] and
+    /// [`Self::access_bytes`] are inlined into their callers: returning
+    /// a [`Span`] through memory across the calls cost a one-page load
+    /// more host time than the second resolve it saves.
+    #[inline(always)]
+    fn read_bytes(
+        &mut self,
+        seg: SegmentId,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> Result<Option<FaultEvent>, KernelError> {
+        match self.access_bytes(seg, offset, buf.len() as u64, AccessKind::Read)? {
+            Span::Fault(fault) => return Ok(Some(fault)),
+            Span::OnePage {
+                frame,
+                page_frames,
+                in_page,
+            } => copy_frames_out(&self.frames, frame, page_frames, in_page, buf),
+            Span::Pages => self.copy_bytes_out(seg, offset, buf)?,
+        }
+        Ok(None)
+    }
+
+    /// A store's references and copy, as [`Self::read_bytes`].
+    #[inline(always)]
+    fn write_bytes(
+        &mut self,
+        seg: SegmentId,
+        offset: u64,
+        buf: &[u8],
+    ) -> Result<Option<FaultEvent>, KernelError> {
+        match self.access_bytes(seg, offset, buf.len() as u64, AccessKind::Write)? {
+            Span::Fault(fault) => return Ok(Some(fault)),
+            Span::OnePage {
+                frame,
+                page_frames,
+                in_page,
+            } => copy_frames_in(&mut self.frames, frame, page_frames, in_page, buf),
+            Span::Pages => self.copy_bytes_in(seg, offset, buf)?,
+        }
+        Ok(None)
+    }
+
+    /// References every page covering `[offset, offset+len)`, stopping at
+    /// the first fault, so no byte moves unless every page is accessible.
+    /// A range within one page comes back with the frame its reference
+    /// resolved to, ready to copy; a longer one is copied page by page.
+    #[inline(always)]
     fn access_bytes(
         &mut self,
         seg: SegmentId,
         offset: u64,
         len: u64,
         access: AccessKind,
-    ) -> Result<Option<FaultEvent>, KernelError> {
+    ) -> Result<Span, KernelError> {
         if len == 0 {
-            return Ok(None);
+            return Ok(Span::Pages);
         }
-        let page_size = self.segment(seg)?.page_size();
+        let s = self.segment(seg)?;
+        let (page_size, page_frames) = (s.page_size(), s.page_frames());
         let first = offset / page_size;
-        let last = (offset + len - 1) / page_size;
-        for p in first..=last {
-            match self.reference(seg, PageNumber(p), access)? {
-                AccessOutcome::Completed => {}
-                AccessOutcome::Fault(f) => return Ok(Some(f)),
+        let in_page = offset - first * page_size;
+        if in_page + len <= page_size {
+            let referenced = self.reference_frame(seg, PageNumber(first), access)?;
+            return Ok(match referenced {
+                Referenced::Completed(frame) => Span::OnePage {
+                    frame,
+                    page_frames,
+                    in_page,
+                },
+                Referenced::Fault(fault) => Span::Fault(fault),
+            });
+        }
+        for p in first..=(offset + len - 1) / page_size {
+            if let Referenced::Fault(fault) = self.reference_frame(seg, PageNumber(p), access)? {
+                return Ok(Span::Fault(fault));
             }
         }
-        Ok(None)
+        Ok(Span::Pages)
     }
 
     fn copy_bytes_out(
@@ -1798,10 +1893,9 @@ impl Kernel {
         self.stats.crossings += 1;
         self.require_file(seg)?;
         let blocks = block_count(buf.len() as u64);
-        match self.access_bytes(seg, offset, buf.len() as u64, AccessKind::Read)? {
+        match self.read_bytes(seg, offset, buf)? {
             Some(fault) => Ok(AccessOutcome::Fault(fault)),
             None => {
-                self.copy_bytes_out(seg, offset, buf)?;
                 self.stats.uio_reads += blocks;
                 self.clock.advance(
                     self.costs.kernel_call
@@ -1833,10 +1927,9 @@ impl Kernel {
         self.stats.crossings += 1;
         self.require_file(seg)?;
         let blocks = block_count(buf.len() as u64);
-        match self.access_bytes(seg, offset, buf.len() as u64, AccessKind::Write)? {
+        match self.write_bytes(seg, offset, buf)? {
             Some(fault) => Ok(AccessOutcome::Fault(fault)),
             None => {
-                self.copy_bytes_in(seg, offset, buf)?;
                 self.stats.uio_writes += blocks;
                 self.clock.advance(
                     self.costs.kernel_call
@@ -1893,32 +1986,44 @@ impl Kernel {
         if budget == 0 {
             return 0;
         }
-        self.stats.ring_batches += 1;
-        self.stats.crossings += 1;
-        self.clock.advance(self.costs.kernel_call);
+        self.ring_doorbell();
         let mut failed = false;
         for _ in 0..budget {
             let entry = sq.pop().expect("budget bounded by sq.len()");
-            if failed {
-                cq.push(CompletionEntry::Cancelled { token: entry.token })
-                    .expect("budget bounded by cq.free()");
-                continue;
-            }
-            let result = self.execute_ring_op(entry.op);
-            self.stats.ring_ops += 1;
-            failed = result.is_err();
-            cq.push(CompletionEntry::Op {
-                token: entry.token,
-                result,
-            })
-            .expect("budget bounded by cq.free()");
+            let completion = if failed {
+                CompletionEntry::Cancelled { token: entry.token }
+            } else {
+                let result = self.execute_ring_op(entry.op);
+                failed = result.is_err();
+                CompletionEntry::Op {
+                    token: entry.token,
+                    result,
+                }
+            };
+            cq.push(completion).expect("budget bounded by cq.free()");
         }
         budget
     }
 
-    /// Executes one ring operation at its service cost (no `kernel_call`
-    /// entry charge — the batch's doorbell already paid it).
+    /// A singleton batch without the queues: the doorbell, then `op`, at
+    /// exactly the cost and counts a [`Kernel::drain_ring`] of a ring
+    /// holding only `op` has.
+    pub(crate) fn call_ring_op(&mut self, op: RingOp) -> Result<(), KernelError> {
+        self.ring_doorbell();
+        self.execute_ring_op(op)
+    }
+
+    /// One batch's entry into the kernel: one crossing, one `kernel_call`.
+    fn ring_doorbell(&mut self) {
+        self.stats.ring_batches += 1;
+        self.stats.crossings += 1;
+        self.clock.advance(self.costs.kernel_call);
+    }
+
+    /// Executes and counts one ring operation at its service cost (no
+    /// `kernel_call` entry charge — the batch's doorbell already paid it).
     fn execute_ring_op(&mut self, op: RingOp) -> Result<(), KernelError> {
+        self.stats.ring_ops += 1;
         match op {
             RingOp::MigratePages {
                 src,
@@ -2994,5 +3099,210 @@ mod large_page_tests {
             .unwrap_err(),
             KernelError::PageSizeMismatch { .. }
         ));
+    }
+}
+
+#[cfg(test)]
+mod data_access_tests {
+    //! `load` and `store` copy a one-page range through the frame its
+    //! reference resolved to. These tests pin every shape of access to the
+    //! path that came before: reference each covered page, stopping at the
+    //! first fault, then copy, resolving each page again.
+    use super::*;
+
+    /// The access as it was, on `k`: the bytes `load` returned into `buf`
+    /// or `store` wrote from it.
+    fn old_access(
+        k: &mut Kernel,
+        seg: SegmentId,
+        offset: u64,
+        buf: &mut [u8],
+        access: AccessKind,
+    ) -> Result<AccessOutcome, KernelError> {
+        if !buf.is_empty() {
+            let page_size = k.segment(seg)?.page_size();
+            let last = (offset + buf.len() as u64 - 1) / page_size;
+            for p in offset / page_size..=last {
+                if let AccessOutcome::Fault(f) = k.reference(seg, PageNumber(p), access)? {
+                    return Ok(AccessOutcome::Fault(f));
+                }
+            }
+        }
+        match access {
+            AccessKind::Read => k.copy_bytes_out(seg, offset, buf)?,
+            AccessKind::Write => k.copy_bytes_in(seg, offset, buf)?,
+        }
+        Ok(AccessOutcome::Completed)
+    }
+
+    fn new_access(
+        k: &mut Kernel,
+        seg: SegmentId,
+        offset: u64,
+        buf: &mut [u8],
+        access: AccessKind,
+    ) -> Result<AccessOutcome, KernelError> {
+        match access {
+            AccessKind::Read => k.load(seg, offset, buf),
+            AccessKind::Write => k.store(seg, offset, buf),
+        }
+    }
+
+    /// Everything an access can change: counters, clock, translation
+    /// caches, every resident page's frame and flags, every frame's bytes.
+    fn observe(k: &Kernel) -> impl PartialEq + std::fmt::Debug {
+        let pages: Vec<_> = k
+            .segment_ids()
+            .flat_map(|s| {
+                let seg = k.segment(s).unwrap();
+                seg.resident()
+                    .map(move |(p, e)| (s, p, e.frame, e.flags))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let bytes: Vec<Vec<u8>> = k
+            .frames()
+            .ids()
+            .map(|f| {
+                let mut data = vec![0u8; BASE_PAGE_SIZE as usize];
+                k.frames().read(f, 0, &mut data);
+                data
+            })
+            .collect();
+        (
+            k.stats(),
+            k.now(),
+            k.mapping_stats(),
+            k.tlb_stats(),
+            pages,
+            bytes,
+        )
+    }
+
+    fn boot_to(k: &mut Kernel, seg: SegmentId, boot_page: u64, page: u64, n: u64) {
+        k.migrate_pages(
+            SegmentId::FRAME_POOL,
+            seg,
+            PageNumber(boot_page),
+            PageNumber(page),
+            n,
+            PageFlags::RW,
+            PageFlags::empty(),
+        )
+        .unwrap();
+    }
+
+    /// A tiered kernel and its segments: `plain` (4 pages: 0 and 1
+    /// writable, 2 read-only, 3 missing), `big` (16 KB pages: 0 resident,
+    /// 1 missing), and `child`, bound copy-on-write to `source` over
+    /// three pages with page 1's share already broken.
+    fn world() -> (Kernel, [SegmentId; 4]) {
+        let layout = TierLayout::new(16, 16, 32);
+        let mut k = Kernel::with_tiers(64, CostModel::decstation_5000_200(), layout);
+        let anon = |k: &mut Kernel, page_frames, pages| {
+            k.create_segment(
+                SegmentKind::Anonymous,
+                UserId::SYSTEM,
+                ManagerId(1),
+                page_frames,
+                pages,
+            )
+            .unwrap()
+        };
+        let plain = anon(&mut k, 1, 4);
+        boot_to(&mut k, plain, 20, 0, 3);
+        k.modify_page_flags(
+            plain,
+            PageNumber(2),
+            1,
+            PageFlags::empty(),
+            PageFlags::WRITE,
+        )
+        .unwrap();
+        let big = anon(&mut k, 4, 2);
+        let staging = k
+            .create_segment(SegmentKind::FramePool, UserId::SYSTEM, ManagerId(1), 1, 64)
+            .unwrap();
+        boot_to(&mut k, staging, 8, 8, 4);
+        k.compose_page(
+            staging,
+            big,
+            PageNumber(8),
+            PageNumber(0),
+            PageFlags::RW,
+            PageFlags::empty(),
+        )
+        .unwrap();
+        let source = anon(&mut k, 1, 4);
+        boot_to(&mut k, source, 40, 0, 3);
+        let child = anon(&mut k, 1, 4);
+        k.bind_region(
+            child,
+            PageNumber(0),
+            3,
+            source,
+            PageNumber(0),
+            true,
+            PageFlags::RW,
+        )
+        .unwrap();
+        boot_to(&mut k, child, 44, 1, 1);
+        // Distinct bytes in every frame, so a copy from the wrong one shows.
+        for f in 0..64u32 {
+            let data: Vec<u8> = (0..BASE_PAGE_SIZE as u32)
+                .map(|b| (b * 7 + f * 13) as u8)
+                .collect();
+            k.frames.write(FrameId::from_raw(f), 0, &data);
+        }
+        (k, [plain, big, source, child])
+    }
+
+    #[test]
+    fn one_page_copies_match_the_reference_then_resolve_path() {
+        let (mut new, [plain, big, source, child]) = world();
+        let mut old = new.clone();
+        let page = BASE_PAGE_SIZE;
+        use AccessKind::{Read, Write};
+        let cases = [
+            (plain, 8, 8, Read),
+            (plain, 8, 8, Write),
+            (plain, page - 6, 12, Read),     // straddles pages 0 and 1
+            (plain, page - 6, 12, Write),    // straddles pages 0 and 1
+            (plain, 2 * page - 4, 8, Write), // page 2 is read-only
+            (plain, 2 * page + 5, 3, Write), // one read-only page
+            (plain, 3 * page - 4, 8, Read),  // page 3 is missing
+            (plain, 0, 0, Read),
+            (plain, 0, 0, Write),
+            (plain, 4 * page, 8, Read), // out of range
+            (big, 4000, 200, Write),    // across two frames of one large page
+            (big, 4000, 200, Read),
+            (big, 3 * page + 100, 50, Write), // the large page's last frame
+            (big, 3 * page + 100, 50, Read),
+            (big, 4 * page - 8, 16, Read), // large page 1 is missing
+            (big, 4 * page - 8, 16, Write),
+            (child, 16, 8, Read),         // through the unbroken share
+            (child, 16, 8, Write),        // breaks nothing: a copy-on-write fault
+            (child, page + 16, 8, Write), // the broken share's own copy
+            (child, page + 16, 8, Read),
+            (child, 2 * page - 4, 8, Read), // broken page 1, then shared page 2
+            (child, 2 * page - 4, 8, Write), // copy-on-write fault on page 2
+            (source, 16, 8, Read),
+            (source, page + 16, 8, Read),
+        ];
+        for (i, &(seg, offset, len, access)) in cases.iter().enumerate() {
+            let fill = |b: usize| (i * 31 + b) as u8 | 1;
+            let mut a: Vec<u8> = (0..len as usize).map(fill).collect();
+            let mut b = a.clone();
+            let got = new_access(&mut new, seg, offset, &mut a, access);
+            let want = old_access(&mut old, seg, offset, &mut b, access);
+            assert_eq!(got, want, "case {i}");
+            assert_eq!(a, b, "case {i}: bytes");
+            assert_eq!(observe(&new), observe(&old), "case {i}: kernel");
+        }
+        // The cases hit each outcome.
+        assert!(new.stats().faults_missing > 0);
+        assert!(new.stats().faults_protection > 0);
+        assert!(new.stats().faults_cow > 0);
+        assert!(new.stats().slow_accesses > 0 && new.stats().zram_accesses > 0);
     }
 }

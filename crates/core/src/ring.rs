@@ -12,7 +12,10 @@
 //! page operation a manager issues rides it, either coalesced into one
 //! doorbell per batch ([`RingPort::submit`], then [`RingPort::flush`]) or
 //! with one doorbell per op ([`RingPort::call`]), which costs exactly
-//! what the paper's synchronous kernel call does.
+//! what the paper's synchronous kernel call does. A singleton call on an
+//! empty ring skips the queues — the kernel runs its op at once — at the
+//! identical modelled cost and counts: a batch of one has nothing to
+//! queue behind, so the host pays only for the op.
 //!
 //! The rings are fixed-capacity single-producer/single-consumer queues
 //! with monotonic head/tail counters (indices wrap modulo capacity, the
@@ -291,13 +294,18 @@ impl RingPort {
         if self.sq.is_full() {
             self.flush(kernel)?;
         }
-        let token = self.next_token;
-        self.next_token += 1;
-        self.submitted += 1;
+        let token = self.take_token();
         self.sq
             .push(SubmissionEntry { token, op })
             .expect("submission ring has room after flush");
         Ok(())
+    }
+
+    /// The next correlation token, counting one more op submitted.
+    fn take_token(&mut self) -> u64 {
+        self.submitted += 1;
+        self.next_token += 1;
+        self.next_token - 1
     }
 
     /// Rings the doorbell until the submission ring is empty and reaps
@@ -325,17 +333,29 @@ impl RingPort {
         first_err.map_or(Ok(()), Err)
     }
 
-    /// One op with its own doorbell: [`RingPort::submit`], then
-    /// [`RingPort::flush`]. A singleton batch charges exactly what the
+    /// One op with its own doorbell: what [`RingPort::submit`], then
+    /// [`RingPort::flush`] do. A singleton batch charges exactly what the
     /// synchronous kernel call does, so sites that must observe an op's
     /// effect before their next statement pay the paper's costs.
     ///
+    /// On an empty submission ring the op skips the queues: the kernel
+    /// rings the doorbell and runs it at once, with the same charge, the
+    /// same batch, crossing and op counts and the same token as the
+    /// singleton batch, and no queue traffic. Ops already queued go
+    /// first, in the same batch, as [`RingPort::submit`] then
+    /// [`RingPort::flush`] send them.
+    ///
     /// # Errors
     ///
-    /// The op's failure, as the synchronous call would report it.
+    /// The op's failure, as the synchronous call would report it (with
+    /// ops queued, the batch's first failure).
     pub fn call(&mut self, kernel: &mut Kernel, op: RingOp) -> Result<(), KernelError> {
-        self.submit(kernel, op)?;
-        self.flush(kernel)
+        if !self.sq.is_empty() {
+            self.submit(kernel, op)?;
+            return self.flush(kernel);
+        }
+        self.take_token();
+        kernel.call_ring_op(op)
     }
 }
 

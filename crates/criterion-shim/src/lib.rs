@@ -7,7 +7,8 @@
 //! [`Bencher::iter_batched`], [`criterion_group!`] and [`criterion_main!`]
 //! — with a simple calibrated wall-clock timer:
 //! each benchmark is warmed up, then timed over enough iterations to fill a
-//! short measurement window, and the mean ns/iteration is printed.
+//! short measurement window, and the mean time per iteration is printed
+//! (in ns, µs or ms, whichever reads best).
 //!
 //! No statistical analysis, plotting or HTML reports are produced; the
 //! point is that `cargo bench` compiles, runs and prints comparable
@@ -54,7 +55,7 @@ impl Criterion {
             Some((iters, total)) => {
                 let per_iter = total.as_nanos() as f64 / iters as f64;
                 println!(
-                    "{name:<40} {:>12} ns/iter ({iters} iterations)",
+                    "{name:<40} {:>12}/iter ({iters} iterations)",
                     fmt_ns(per_iter)
                 );
             }

@@ -10,9 +10,9 @@ use super::*;
 
 /// Entry counts per free-segment slot, indexed by slot number, beside
 /// the bitmap of the slots whose count is non-zero: the view the
-/// free-slot pickers mask the pool's residency bitmap with. Grows to the
-/// highest slot counted, which the free segment's size (the machine's
-/// frame count) bounds.
+/// tier-exchange partner pickers mask the pool's residency bitmap with.
+/// Grows to the highest slot counted, which the free segment's size (the
+/// machine's frame count) bounds.
 #[derive(Debug, Clone, Default)]
 struct SlotCounts {
     counts: Vec<u32>,
@@ -41,6 +41,70 @@ impl SlotCounts {
                 self.held.clear(slot.as_u64());
             }
         }
+    }
+}
+
+/// The laundry's keys by the free-segment slot holding their data: each
+/// slot's first key in a table indexed by slot number (its page narrowed
+/// to 32 bits, 8 bytes a slot), the further keys of a slot that holds
+/// several (and any page too large to narrow) in an ordered overflow
+/// set, and the bitmap of the slots holding any, which the free-slot
+/// pickers mask the pool's residency bitmap with. The table grows to the
+/// highest slot held, which the free segment's size (the machine's frame
+/// count) bounds.
+#[derive(Debug, Clone, Default)]
+struct SlotKeys {
+    /// Valid where `first_held` is set.
+    first: Vec<(u32, u32)>,
+    first_held: Bitmap,
+    more: BTreeSet<(u32, (u32, u64))>,
+    held: Bitmap,
+}
+
+impl SlotKeys {
+    fn hold(&mut self, slot: u32, key: (u32, u64)) {
+        let i = slot as usize;
+        match u32::try_from(key.1) {
+            Ok(page) if !self.first_held.test(slot.into()) => {
+                if i >= self.first.len() {
+                    self.first.resize(i + 1, (0, 0));
+                }
+                self.first[i] = (key.0, page);
+                self.first_held.set(slot.into());
+            }
+            _ => {
+                self.more.insert((slot, key));
+            }
+        }
+        self.held.set(slot.into());
+    }
+
+    /// Releases `key`'s hold on `slot`. Releasing a key the slot does not
+    /// hold is a bug in the index's owner.
+    fn release(&mut self, slot: u32, key: (u32, u64)) {
+        if self.first_of(slot) == Some(key) {
+            self.first_held.clear(slot.into());
+        } else {
+            let held = self.more.remove(&(slot, key));
+            debug_assert!(held, "slot {slot} released by {key:?} but not held");
+        }
+        if self.keys_at(slot).next().is_none() {
+            self.held.clear(slot.into());
+        }
+    }
+
+    fn first_of(&self, slot: u32) -> Option<(u32, u64)> {
+        let (seg, page) = *self.first.get(slot as usize)?;
+        self.first_held
+            .test(slot.into())
+            .then_some((seg, u64::from(page)))
+    }
+
+    /// The keys `slot` holds.
+    fn keys_at(&self, slot: u32) -> impl Iterator<Item = (u32, u64)> + '_ {
+        let range = (slot, (0, 0))..=(slot, (u32::MAX, u64::MAX));
+        let more = self.more.range(range).map(|&(_, key)| key);
+        self.first_of(slot).into_iter().chain(more)
     }
 }
 
@@ -128,10 +192,11 @@ pub(super) struct Laundry {
     /// queued entries: when they run out, the queue is swept and its live
     /// entries renumbered from 1.
     seq: u32,
-    /// Incremental mirror of the map's slots as a per-slot entry count,
-    /// so the free-slot picker and the append-run scanner check "is this
-    /// slot keeping laundry alive?" in O(1).
-    slots: SlotCounts,
+    /// Incremental index of the map by slot, so the free-slot picker and
+    /// the append-run scanner check "is this slot keeping laundry
+    /// alive?" in O(1), and [`Self::keys_in`] reads only the slots asked
+    /// for.
+    slots: SlotKeys,
     /// Entries whose writeback is still in flight ("promised free but
     /// not yet clean"). Always a subset of `map`; consumers that would
     /// clobber the slot's frame must stall to the ticket's completion
@@ -161,14 +226,14 @@ impl Laundry {
             seq: self.seq,
         };
         if let Some(old) = self.map.insert(key, entry) {
-            self.slots.release(slot_page(old.slot));
+            self.slots.release(old.slot, key);
         }
         self.order.push_back(OrderEntry {
             seg: key.0,
             seq: self.seq,
             page: key.1,
         });
-        self.slots.hold(slot);
+        self.slots.hold(entry.slot, key);
         if self.order.len() > 2 * self.map.len() + 64 {
             self.sweep();
         }
@@ -201,13 +266,13 @@ impl Laundry {
     /// in-flight writeback mark (the frame is leaving the pool's custody;
     /// the ticket itself still bills at completion).
     pub(super) fn remove(&mut self, key: (u32, u64)) -> Option<PageNumber> {
-        let slot = slot_page(self.map.remove(key)?.slot);
-        self.slots.release(slot);
+        let slot = self.map.remove(key)?.slot;
+        self.slots.release(slot, key);
         self.clear_unclean(key);
         if self.map.row_len(key.0) == 0 && self.closed.remove(&key.0) {
             self.free_rows(key.0);
         }
-        Some(slot)
+        Some(slot_page(slot))
     }
 
     /// Notes that segment `seg` closed: its laundry outlives it, and its
@@ -236,9 +301,7 @@ impl Laundry {
 
     /// Pops the oldest live key off the order queue, discarding the
     /// tombstones in front of it. The key keeps its entry in the map
-    /// until the caller removes it, which it must do before the next
-    /// [`Self::keys_in`]: that walks the queue, so it relies on every
-    /// mapped key having its live entry there.
+    /// until the caller removes it.
     pub(super) fn pop_oldest(&mut self) -> Option<(u32, u64)> {
         while let Some(front) = self.order.pop_front() {
             if front.live_in(&self.map).is_some() {
@@ -285,17 +348,9 @@ impl Laundry {
     /// The keys whose data sits in one of the free-pool `slots`
     /// (ascending), in ascending key order.
     fn keys_in(&self, slots: &[PageNumber]) -> Vec<(u32, u64)> {
-        if !slots.iter().any(|slot| self.slots.held.test(slot.as_u64())) {
-            return Vec::new();
-        }
-        let mut keys: Vec<(u32, u64)> = self
-            .order
+        let mut keys: Vec<(u32, u64)> = slots
             .iter()
-            .filter(|o| {
-                o.live_in(&self.map)
-                    .is_some_and(|e| slots.binary_search(&slot_page(e.slot)).is_ok())
-            })
-            .map(OrderEntry::key)
+            .flat_map(|&slot| self.slots.keys_at(slot_u32(slot)))
             .collect();
         keys.sort_unstable();
         keys
@@ -574,7 +629,8 @@ mod tests {
         assert_eq!(laundry.pop_oldest(), Some(a));
         assert_eq!(laundry.remove(a), Some(PageNumber(12)));
         assert_eq!(laundry.pop_oldest(), None);
-        assert!(laundry.slots.counts.iter().all(|&n| n == 0));
+        assert!(laundry.slots.first_held.words().iter().all(|&w| w == 0));
+        assert!(laundry.slots.more.is_empty());
         assert!(laundry.slots.held.words().iter().all(|&w| w == 0));
         assert_eq!(laundry.map.len(), 0);
     }
@@ -623,19 +679,21 @@ mod tests {
                             .as_any()
                             .downcast_ref::<DefaultSegmentManager>()
                             .unwrap();
-                        for slot in 0..64 {
-                            let count = |counts: &SlotCounts| counts.counts.get(slot).copied();
-                            let held = |counts: &SlotCounts| counts.held.test(slot as u64);
+                        for slot in 0..64u32 {
                             let l = &d.laundry;
-                            // Counted from the tables, by each entry's own slot.
-                            let laundry = l.map.entries();
-                            let laundry = laundry.filter(|e| e.1.slot as usize == slot).count();
+                            // Found in the tables, by each entry's own slot.
+                            let laundry = l.map.entries().filter(|e| e.1.slot == slot);
+                            let mut laundry: Vec<_> = laundry.map(|e| e.0).collect();
+                            laundry.sort_unstable();
                             let unclean = l.unclean.entries();
-                            let unclean = unclean.filter(|e| e.1.slot as usize == slot).count();
-                            assert_eq!(count(&l.slots).unwrap_or(0) as usize, laundry);
-                            assert_eq!(count(&l.unclean_slots).unwrap_or(0) as usize, unclean);
-                            assert_eq!(held(&l.slots), laundry > 0);
-                            assert_eq!(held(&l.unclean_slots), unclean > 0);
+                            let unclean = unclean.filter(|e| e.1.slot == slot).count();
+                            let mut indexed: Vec<_> = l.slots.keys_at(slot).collect();
+                            indexed.sort_unstable();
+                            assert_eq!(indexed, laundry);
+                            let counted = l.unclean_slots.counts.get(slot as usize);
+                            assert_eq!(counted.copied().unwrap_or(0) as usize, unclean);
+                            assert_eq!(l.slots.held.test(slot.into()), !laundry.is_empty());
+                            assert_eq!(l.unclean_slots.held.test(slot.into()), unclean > 0);
                         }
                         Ok((d.laundry.map.len() > 0, d.laundry.unclean.len() > 0))
                     })
@@ -865,11 +923,14 @@ mod tests {
                     let in_flight = model.unclean.keys().filter(|k| k.0 == seg).count();
                     prop_assert_eq!(dense.unclean.row_len(seg), in_flight);
                 }
-                let counts = |c: &SlotCounts| {
-                    (0..16).map(|i| c.counts.get(i).copied().unwrap_or(0)).collect::<Vec<_>>()
-                };
-                prop_assert_eq!(counts(&dense.slots), model.counts(false, 16));
-                prop_assert_eq!(counts(&dense.unclean_slots), model.counts(true, 16));
+                let held: Vec<u32> = (0..16).map(|i| dense.slots.keys_at(i).count() as u32).collect();
+                for (i, &n) in held.iter().enumerate() {
+                    prop_assert_eq!(dense.slots.held.test(i as u64), n > 0);
+                }
+                prop_assert_eq!(held, model.counts(false, 16));
+                let unclean = &dense.unclean_slots.counts;
+                let unclean: Vec<u32> = (0..16).map(|i| unclean.get(i).copied().unwrap_or(0)).collect();
+                prop_assert_eq!(unclean, model.counts(true, 16));
                 prop_assert!(dense.order.len() <= 2 * dense.map.len() + 65);
             }
             let all: Vec<PageNumber> = (0..16).map(PageNumber).collect();

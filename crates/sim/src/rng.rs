@@ -147,19 +147,35 @@ impl Rng {
 /// A Zipf-distributed sampler over `1..=n` with exponent `s`, using a
 /// precomputed CDF (database and file access patterns are classically
 /// Zipfian; the DBMS and scan workloads use this).
+///
+/// A draw is O(1) on average: a guide table (the cutpoint method) maps
+/// the draw's top bits to the short run of CDF entries its rank lies in,
+/// so the search covers that run instead of the whole CDF. The rank is
+/// exactly the first CDF index whose value is at least the draw, as a
+/// binary search over the whole CDF finds it.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[j]` is the first CDF index whose value is at least `j /
+    /// buckets`, for `j` in `0..=buckets`: the ranks of the draws in
+    /// bucket `j` lie in `guide[j]..=guide[j + 1]`.
+    guide: Vec<u32>,
+    /// `53 - log2(buckets)`: a 53-bit draw's bucket is `draw >> shift`.
+    shift: u32,
 }
+
+/// Bits of a draw: [`Rng::unit_f64`]'s precision.
+const DRAW_BITS: u32 = 53;
 
 impl Zipf {
     /// Builds the sampler.
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero or `s` is not finite.
+    /// Panics if `n` is zero or exceeds `u32::MAX`, or `s` is not finite.
     pub fn new(n: u64, s: f64) -> Self {
         assert!(n > 0, "Zipf needs a positive support");
+        assert!(u32::try_from(n).is_ok(), "Zipf support must fit a u32");
         assert!(s.is_finite(), "Zipf exponent must be finite");
         let mut cdf = Vec::with_capacity(n as usize);
         let mut acc = 0.0;
@@ -171,13 +187,38 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Zipf { cdf }
+        // At least 2n buckets (a power of two, so a bucket is a draw's
+        // top bits), so even a uniform CDF has at most one rank boundary
+        // in a bucket; with the end sentinel the table holds under 4n
+        // entries. One merged pass: bucket edges and CDF both ascend.
+        let buckets = (2 * n).next_power_of_two();
+        let shift = DRAW_BITS - buckets.trailing_zeros();
+        let mut guide = Vec::with_capacity(buckets as usize + 1);
+        let mut i = 0;
+        for j in 0..=buckets {
+            let edge = j as f64 / buckets as f64;
+            while i < cdf.len() && cdf[i] < edge {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        Zipf { cdf, guide, shift }
     }
 
-    /// Draws a rank in `0..n` (0 = most popular).
+    /// Draws a rank in `0..n` (0 = most popular). Consumes one
+    /// [`Rng::next_u64`], as [`Rng::unit_f64`] does.
     pub fn sample(&self, rng: &mut Rng) -> u64 {
-        let u = rng.unit_f64();
-        self.cdf.partition_point(|&c| c < u) as u64
+        self.rank_of(rng.next_u64() >> (64 - DRAW_BITS))
+    }
+
+    /// The rank of the 53-bit draw `x`, the uniform value `x / 2^53`:
+    /// the first CDF index whose value is at least it.
+    fn rank_of(&self, x: u64) -> u64 {
+        let u = x as f64 * (1.0 / (1u64 << DRAW_BITS) as f64);
+        let bucket = (x >> self.shift) as usize;
+        let lo = self.guide[bucket] as usize;
+        let hi = self.guide[bucket + 1] as usize;
+        (lo + self.cdf[lo..hi].partition_point(|&c| c < u)) as u64
     }
 }
 
@@ -315,6 +356,78 @@ mod tests {
         }
         for &c in &counts {
             assert!((c as i64 - 5_000).abs() < 500, "non-uniform: {counts:?}");
+        }
+    }
+
+    /// The rank a full binary search over the CDF gives the 53-bit draw
+    /// `x`: what [`Zipf::sample`] returned before it had a guide table.
+    fn searched_rank(zipf: &Zipf, x: u64) -> u64 {
+        let u = x as f64 * (1.0 / (1u64 << DRAW_BITS) as f64);
+        zipf.cdf.partition_point(|&c| c < u) as u64
+    }
+
+    /// Checks `zipf`'s rank of every bucket edge of its guide table, and
+    /// of the draw just below each, against the full binary search.
+    fn assert_edges_match(zipf: &Zipf) {
+        let max = (1u64 << DRAW_BITS) - 1;
+        let buckets = 1u64 << (DRAW_BITS - zipf.shift);
+        let edges =
+            (0..=buckets).flat_map(|j| [j << zipf.shift, (j << zipf.shift).wrapping_sub(1)]);
+        for x in edges.chain([0, max]).filter(|&x| x <= max) {
+            assert_eq!(zipf.rank_of(x), searched_rank(zipf, x), "draw {x}");
+        }
+    }
+
+    #[test]
+    fn uniform_zipf_ranks_start_on_bucket_edges() {
+        // With s = 0 and n a power of two every CDF value is a bucket edge,
+        // so each guide entry must point at the rank equal to its edge.
+        for n in [1, 2, 4, 8, 64, 4096] {
+            assert_edges_match(&Zipf::new(n, 0.0));
+        }
+    }
+
+    #[test]
+    fn zipf_guide_table_stays_within_four_entries_per_rank() {
+        for n in [1, 2, 3, 4, 5, 1000, 4096, 4097] {
+            let zipf = Zipf::new(n, 0.9);
+            assert!(zipf.guide.len() as u64 <= 4 * n, "n = {n}");
+            assert_eq!(zipf.guide.len() - 1, 1 << (DRAW_BITS - zipf.shift));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The guided draw is the full binary search's, on random draws
+        /// and on the edges of every bucket of the guide table (and of the
+        /// draw range), and it consumes the generator as
+        /// [`Rng::unit_f64`] does. `s` is 0 a quarter of the time (a
+        /// uniform CDF, many of whose values are bucket edges), 40 a
+        /// quarter (a CDF that is 1.0 after a handful of ranks), and
+        /// otherwise anywhere in `0..3`.
+        #[test]
+        fn guided_zipf_matches_binary_search(
+            n in 1u64..5000,
+            s in 0.0f64..3.0,
+            pick in 0u8..4,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let s = match pick {
+                0 => 0.0,
+                1 => 40.0,
+                _ => s,
+            };
+            let zipf = Zipf::new(n, s);
+            assert_edges_match(&zipf);
+            let (mut guided, mut searched) = (Rng::seed_from(seed), Rng::seed_from(seed));
+            for _ in 0..256 {
+                let rank = zipf.sample(&mut guided);
+                let u = searched.unit_f64();
+                proptest::prop_assert_eq!(rank, zipf.cdf.partition_point(|&c| c < u) as u64);
+                proptest::prop_assert!(rank < n);
+                proptest::prop_assert_eq!(&guided, &searched);
+            }
         }
     }
 

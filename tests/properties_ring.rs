@@ -10,7 +10,8 @@
 use std::collections::VecDeque;
 
 use epcm::core::ring::{
-    CompletionEntry, CompletionRing, Ring, RingFull, RingOp, SubmissionEntry, SubmissionRing,
+    CompletionEntry, CompletionRing, Ring, RingFull, RingOp, RingPort, SubmissionEntry,
+    SubmissionRing,
 };
 use epcm::core::{
     AccessKind, FrameId, Kernel, KernelError, KernelStats, ManagerId, PageFlags, PageNumber,
@@ -18,7 +19,7 @@ use epcm::core::{
 };
 use epcm::managers::default_manager::{DefaultManagerConfig, DefaultSegmentManager};
 use epcm::managers::{Machine, ManagerMode};
-use epcm::sim::clock::Micros;
+use epcm::sim::clock::{Micros, Timestamp};
 use proptest::prelude::*;
 
 // ----- helpers --------------------------------------------------------------
@@ -291,6 +292,48 @@ fn run_workload(accesses: &[(u8, u64, u8)], batched: bool) -> Machine {
     m
 }
 
+/// What one port step leaves behind: its result, the kernel's resident
+/// tables, every counter, the clock, and the port's submitted count.
+type PortStep = (
+    Result<(), KernelError>,
+    Vec<(u32, u64, usize, u16)>,
+    KernelStats,
+    Timestamp,
+    u64,
+);
+
+/// Runs `ops` through a port of `capacity` on a fresh model kernel. An op
+/// paired with `true` is a call: [`RingPort::call`] itself, or with
+/// `spelled_out` what it stands for, [`RingPort::submit`] then
+/// [`RingPort::flush`]. An op paired with `false` is only submitted; a
+/// final flush sends what is still queued.
+fn run_port(ops: &[(RingOp, bool)], capacity: usize, spelled_out: bool) -> Vec<PortStep> {
+    let (mut k, _) = model_kernel();
+    let mut port = RingPort::with_capacity(capacity);
+    let mut steps = Vec::new();
+    let mut observe = |k: &Kernel, port: &RingPort, result| {
+        let step = (
+            result,
+            kernel_fingerprint(k),
+            k.stats(),
+            k.now(),
+            port.submitted(),
+        );
+        steps.push(step);
+    };
+    for (op, call) in ops.iter().cloned() {
+        let result = match (call, spelled_out) {
+            (true, false) => port.call(&mut k, op),
+            (true, true) => port.submit(&mut k, op).and_then(|()| port.flush(&mut k)),
+            (false, _) => port.submit(&mut k, op),
+        };
+        observe(&k, &port, result);
+    }
+    let result = port.flush(&mut k);
+    observe(&k, &port, result);
+    steps
+}
+
 // ----- proptest models ------------------------------------------------------
 
 proptest! {
@@ -343,6 +386,27 @@ proptest! {
         fail_at in 0usize..80, // >= draws.len() means no injected failure
     ) {
         assert_drain_matches_sync(&draws, fail_at);
+    }
+
+    /// Model 2b: [`RingPort::call`] is [`RingPort::submit`] then
+    /// [`RingPort::flush`]. On random mixes of calls and queued
+    /// submissions of every op kind, at ring capacities that force
+    /// flushes, with and without an injected failure, every step leaves
+    /// the same resident tables, every `KernelStats` field, the clock and
+    /// the port's count, and returns the same error.
+    #[test]
+    fn port_call_matches_submit_then_flush(
+        draws in proptest::collection::vec((0u8..3, 0u64..64, 0u64..64, any::<bool>()), 1..40),
+        fail_at in 0usize..80, // >= draws.len() means no injected failure
+        capacity in 1usize..6,
+    ) {
+        let (_, seg) = model_kernel();
+        let kinds: Vec<(u8, u64, u64)> = draws.iter().map(|&(k, a, b, _)| (k, a, b)).collect();
+        let ops: Vec<(RingOp, bool)> = model_ops(seg, &kinds, fail_at)
+            .into_iter()
+            .zip(draws.iter().map(|d| d.3))
+            .collect();
+        prop_assert_eq!(run_port(&ops, capacity, false), run_port(&ops, capacity, true));
     }
 
     /// Model 3: coalescing batch sites is state-invisible. Any random
@@ -464,6 +528,35 @@ fn injected_failure_of_every_op_kind_matches_synchronous_calls() {
     ];
     for fail_at in 0..=draws.len() {
         assert_drain_matches_sync(&draws, fail_at);
+    }
+}
+
+/// A call on an empty ring and a call behind queued submissions, each
+/// with and without a failure, leave what `submit` then `flush` leave,
+/// step by step.
+#[test]
+fn port_call_matches_submit_then_flush_on_empty_and_queued_rings() {
+    let (_, seg) = model_kernel();
+    let draws = [
+        (1, 3, 0),
+        (0, 1, 2),
+        (2, 0, 3),
+        (0, 2, 0),
+        (1, 1, 0),
+        (0, 0, 1),
+    ];
+    let calls = [true, false, true, false, false, true];
+    for fail_at in 0..=draws.len() {
+        let ops: Vec<(RingOp, bool)> = model_ops(seg, &draws, fail_at)
+            .into_iter()
+            .zip(calls)
+            .collect();
+        for capacity in [1, 2, 8] {
+            let called = run_port(&ops, capacity, false);
+            assert_eq!(called, run_port(&ops, capacity, true), "fail_at {fail_at}");
+            let failed = called.iter().filter(|s| s.0.is_err()).count();
+            assert_eq!(failed > 0, fail_at < draws.len(), "fail_at {fail_at}");
+        }
     }
 }
 
