@@ -41,6 +41,25 @@ fn bench(c: &mut Criterion) {
         });
     });
 
+    // The same cycle behind 32 transactions that hold IX on the database
+    // and on the relation: a lock's cost must not grow with its holders.
+    c.bench_function("lock_cycle_behind_32_ix_holders", |b| {
+        let mut lm = LockManager::new();
+        for t in 0..32 {
+            lm.acquire(TxnId(t), Resource::Database, LockMode::IntentExclusive);
+            lm.acquire(TxnId(t), Resource::Relation(1), LockMode::IntentExclusive);
+        }
+        let mut t = 32u64;
+        b.iter(|| {
+            let txn = TxnId(t);
+            t += 1;
+            lm.acquire(txn, Resource::Database, LockMode::IntentExclusive);
+            lm.acquire(txn, Resource::Relation(1), LockMode::IntentExclusive);
+            lm.acquire(txn, Resource::Page(1, t % 1024), LockMode::Exclusive);
+            lm.release_all(txn);
+        });
+    });
+
     // The grant path: a waiter queued behind an X holder, granted by the
     // holder's `release_all_into`. Only the release is timed; the granted
     // waiter becomes the holder the next waiter queues behind.

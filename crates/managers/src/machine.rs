@@ -1139,18 +1139,21 @@ impl Machine {
                 mode,
             });
         }
-        let costs = self.kernel.costs().clone();
+        let costs = self.kernel.costs();
+        let (dispatch, resume) = match mode {
+            ManagerMode::FaultingProcess => (costs.fault_dispatch_inprocess, costs.resume_direct),
+            ManagerMode::Server => (
+                costs.fault_dispatch_ipc + costs.server_demux,
+                costs.ipc_reply + costs.resume_via_kernel,
+            ),
+        };
+        let trap_entry = costs.trap_entry;
         // Both dispatch legs of the upcall cross a protection boundary
         // (kernel→manager delivery, manager→kernel resume); the ringed ABI
         // amortizes the per-op kernel calls *inside* the handler, never
         // these two.
         self.kernel.note_crossings(2);
-        match mode {
-            ManagerMode::FaultingProcess => self.kernel.charge(costs.fault_dispatch_inprocess),
-            ManagerMode::Server => self
-                .kernel
-                .charge(costs.fault_dispatch_ipc + costs.server_demux),
-        }
+        self.kernel.charge(dispatch);
         self.stats.manager_calls += 1;
         let result = {
             let mut env = Env {
@@ -1160,15 +1163,10 @@ impl Machine {
             };
             mgr.handle_fault(&mut env, &fault)
         };
-        match mode {
-            ManagerMode::FaultingProcess => self.kernel.charge(costs.resume_direct),
-            ManagerMode::Server => self
-                .kernel
-                .charge(costs.ipc_reply + costs.resume_via_kernel),
-        }
+        self.kernel.charge(resume);
         self.managers.insert(fault.manager.0, mgr);
         // Attribute the trap entry (charged before dispatch) to the fault too.
-        let elapsed = self.kernel.now().duration_since(started) + costs.trap_entry;
+        let elapsed = self.kernel.now().duration_since(started) + trap_entry;
         self.stats.manager_time += elapsed;
         if let Some(t) = &mut self.trace {
             t.push(TraceStep::Resumed { elapsed });
