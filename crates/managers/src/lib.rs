@@ -76,8 +76,8 @@ pub use machine::{Machine, MachineBuilder, MachineError, MachineStats, TraceStep
 pub use manager::{Env, ManagerError, ManagerMode, SegmentManager};
 pub use market::{MarketConfig, MemoryMarket, PriceSchedule};
 pub use shard::{
-    CrossShardMsg, EpochPlan, EpochSummary, LaneFate, LaneReport, LaneResult, LaneStatus,
-    ShardEngineConfig, ShardEngineError, ShardRunReport, SpillPool, TenantWorkload,
+    EpochSummary, LaneFate, LaneResult, ShardEngineConfig, ShardEngineError, ShardRunReport,
+    SpillPool, TenantWorkload,
 };
 pub use spcm::{
     AllocationPolicy, Grant, PhysConstraint, Revocation, RevocationConfig, SpcmError,

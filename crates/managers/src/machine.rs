@@ -1127,9 +1127,11 @@ impl Machine {
     /// [`MachineError::UnknownManager`] or the manager's failure.
     pub fn dispatch(&mut self, fault: FaultEvent) -> Result<(), MachineError> {
         let started = self.kernel.now();
-        let mut mgr = self
+        // The manager is borrowed in place: `Env` below borrows only the
+        // kernel, store and SPCM, never the manager table.
+        let mgr = self
             .managers
-            .remove(&fault.manager.0)
+            .get_mut(&fault.manager.0)
             .ok_or(MachineError::UnknownManager(fault.manager))?;
         let mode = mgr.mode();
         if let Some(t) = &mut self.trace {
@@ -1155,16 +1157,15 @@ impl Machine {
         self.kernel.note_crossings(2);
         self.kernel.charge(dispatch);
         self.stats.manager_calls += 1;
-        let result = {
-            let mut env = Env {
+        let result = mgr.handle_fault(
+            &mut Env {
                 kernel: &mut self.kernel,
                 store: &mut self.store,
                 spcm: &mut self.spcm,
-            };
-            mgr.handle_fault(&mut env, &fault)
-        };
+            },
+            &fault,
+        );
         self.kernel.charge(resume);
-        self.managers.insert(fault.manager.0, mgr);
         // Attribute the trap entry (charged before dispatch) to the fault too.
         let elapsed = self.kernel.now().duration_since(started) + trap_entry;
         self.stats.manager_time += elapsed;

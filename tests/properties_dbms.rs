@@ -95,25 +95,90 @@ impl ModelLockManager {
 
 /// Releases `t` in both managers, checks that they grant the same
 /// waiters in the same order, and takes each grant off its waiter's
-/// count of queued requests; a waiter with none left is runnable.
+/// queued requests; a waiter with none left is runnable.
 fn release_both(
     lm: &mut LockManager,
     model: &mut ModelLockManager,
-    blocked: &mut BTreeMap<TxnId, u32>,
+    blocked: &mut BTreeMap<TxnId, Vec<Resource>>,
     t: TxnId,
 ) {
     let granted = lm.release_all(t);
     assert_eq!(granted, model.release_all(t));
-    for (w, _) in granted {
+    for (w, resource) in granted {
         let queued = blocked
             .get_mut(&w)
             .unwrap_or_else(|| panic!("{w} granted without waiting"));
-        *queued -= 1;
-        if *queued == 0 {
+        let at = queued
+            .iter()
+            .position(|&r| r == resource)
+            .unwrap_or_else(|| panic!("{w} granted {resource:?} it never queued for"));
+        queued.remove(at);
+        if queued.is_empty() {
             blocked.remove(&w);
         }
     }
 }
+
+/// Requests `mode` on `resource` for `t` in both managers, checks that
+/// they answer alike, and records a queued request as one `t` waits on.
+fn acquire_both(
+    lm: &mut LockManager,
+    model: &mut ModelLockManager,
+    blocked: &mut BTreeMap<TxnId, Vec<Resource>>,
+    t: TxnId,
+    resource: Resource,
+    mode: LockMode,
+) -> Acquire {
+    let got = lm.acquire(t, resource, mode);
+    assert_eq!(got, model.acquire(t, resource, mode));
+    if got == Acquire::Waiting {
+        blocked.entry(t).or_default().push(resource);
+    }
+    got
+}
+
+/// A waiting transaction `t` queues a second request on the resource it
+/// already waits for, then that resource's runnable holders release,
+/// lowest id first, until both requests are granted or no runnable
+/// holder is left. If one release grants the first request but not the
+/// second, `t` takes `other` before the next, so its held list names the
+/// resource twice with another grant between the two holds — the list
+/// whose release order the lock manager's `repeats` flag keeps. The
+/// caller asks for the second hold in X, which conflicts with every
+/// other holder, so the two grants come apart whenever another
+/// transaction still holds the resource.
+fn queue_twice_then_release(
+    lm: &mut LockManager,
+    model: &mut ModelLockManager,
+    blocked: &mut BTreeMap<TxnId, Vec<Resource>>,
+    t: TxnId,
+    (resource, mode): (Resource, LockMode),
+    (other, other_mode): (Resource, LockMode),
+) {
+    acquire_both(lm, model, blocked, t, resource, mode);
+    let queued = |blocked: &BTreeMap<TxnId, Vec<Resource>>| {
+        blocked
+            .get(&t)
+            .map_or(0, |q| q.iter().filter(|&&r| r == resource).count())
+    };
+    let mut took_other = false;
+    while queued(blocked) > 0 {
+        if queued(blocked) == 1 && !took_other && model.held(t).iter().any(|&(r, _)| r == resource)
+        {
+            took_other = true;
+            acquire_both(lm, model, blocked, t, other, other_mode);
+        }
+        let holder = (0..TXNS).map(TxnId).find(|&h| {
+            h != t && !blocked.contains_key(&h) && model.held(h).iter().any(|&(r, _)| r == resource)
+        });
+        let Some(holder) = holder else {
+            break;
+        };
+        release_both(lm, model, blocked, holder);
+    }
+}
+
+const TXNS: u64 = 40;
 
 const MODES: [LockMode; 5] = [
     LockMode::IntentShared,
@@ -186,9 +251,11 @@ proptest! {
     /// database, so holder counts run long; the script then mixes
     /// database, relation and page resources over three relations (the
     /// database mostly in IS and IX), re-acquires held resources, has
-    /// waiting transactions queue a second request, and reuses a `TxnId`
-    /// after its `release_all`. Only runnable transactions (no queued
-    /// request) release.
+    /// waiting transactions queue a second request (on the resource they
+    /// wait for, then released until both are granted: see
+    /// [`queue_twice_then_release`]), and reuses a `TxnId` after its
+    /// `release_all`. Only runnable transactions (no queued request)
+    /// release.
     #[test]
     fn lock_manager_matches_reference_model(
         crowd in proptest::collection::vec(any::<bool>(), 8..33),
@@ -197,7 +264,6 @@ proptest! {
             1..300,
         ),
     ) {
-        const TXNS: u64 = 40;
         // Database requests draw IS or IX 14 times in 17, else S, SIX or
         // X; other resources draw all five modes.
         let mode_of = |resource: Resource, i: usize| match resource {
@@ -207,8 +273,8 @@ proptest! {
         };
         let mut lm = LockManager::new();
         let mut model = ModelLockManager::default();
-        // Queued requests per waiting transaction.
-        let mut blocked: BTreeMap<TxnId, u32> = BTreeMap::new();
+        // Each waiting transaction's queued requests, in queue order.
+        let mut blocked: BTreeMap<TxnId, Vec<Resource>> = BTreeMap::new();
         for (id, &exclusive) in crowd.iter().enumerate() {
             let (t, mode) = (TxnId(id as u64), MODES[usize::from(exclusive)]);
             prop_assert_eq!(lm.acquire(t, Resource::Database, mode), Acquire::Granted);
@@ -224,16 +290,25 @@ proptest! {
                 _ => Resource::Page(rel, page),
             };
             match op {
-                // A waiting transaction's second request: it may queue
-                // behind its first, on the same resource or another.
+                // A waiting transaction's second request: op 0 may queue
+                // it behind its first on any resource; op 1 queues it on
+                // the resource the transaction already waits for and
+                // releases that resource's holders.
+                1 if waiting => {
+                    let wanted = blocked[&t][0];
+                    queue_twice_then_release(
+                        &mut lm,
+                        &mut model,
+                        &mut blocked,
+                        t,
+                        (wanted, LockMode::Exclusive),
+                        (resource, mode_of(resource, mode)),
+                    );
+                }
                 0..=5 if waiting && op > 0 => continue,
                 0..=5 => {
                     let mode = mode_of(resource, mode);
-                    let got = lm.acquire(t, resource, mode);
-                    prop_assert_eq!(got, model.acquire(t, resource, mode));
-                    if got == Acquire::Waiting {
-                        *blocked.entry(t).or_default() += 1;
-                    }
+                    acquire_both(&mut lm, &mut model, &mut blocked, t, resource, mode);
                 }
                 _ if waiting => continue,
                 6 => {

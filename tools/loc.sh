@@ -1,15 +1,26 @@
 #!/usr/bin/env bash
 # Prints each crate's non-test lines of code: for every .rs file under
 # crates/*/src, the lines above its first column-0 `#[cfg(test)]` (the
-# whole file when it has none), summed per crate.
+# whole file when it has none), summed per crate. After the total it
+# prints the same count for subsystems tracked on their own; those lines
+# are already inside their crate's line and the total.
 # Usage: tools/loc.sh [repo root]
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
+
+count() {
+  find "$1" -name '*.rs' -print0 | sort -z |
+    xargs -0 awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n + 0 }'
+}
+
 total=0
 for src in crates/*/src; do
-  n=$(find "$src" -name '*.rs' -print0 | sort -z |
-    xargs -0 awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n + 0 }')
+  n=$(count "$src")
   printf '%-28s %6d\n' "$src" "$n"
   total=$((total + n))
 done
 printf '%-28s %6d\n' total "$total"
+for sub in crates/managers/src/shard; do
+  [ -d "$sub" ] || continue
+  printf '%-28s %6d\n' "$sub" "$(count "$sub")"
+done
