@@ -37,13 +37,6 @@ pub enum KernelError {
         /// Occupied page.
         page: PageNumber,
     },
-    /// Source and destination segments have different page sizes.
-    PageSizeMismatch {
-        /// Source segment's page size in base pages.
-        src_pages: u64,
-        /// Destination segment's page size in base pages.
-        dst_pages: u64,
-    },
     /// A new bound region overlaps an existing one.
     RegionOverlap {
         /// The segment being bound into.
@@ -64,16 +57,12 @@ pub enum KernelError {
     BootSegmentImmutable,
     /// Backing-store failure surfaced through the kernel.
     Store(epcm_sim::disk::FileStoreError),
-    /// A large-page segment needs physically contiguous base frames and the
-    /// supplied frames are not contiguous.
-    FramesNotContiguous,
     /// A fault occurred while the kernel was already handling a fault for
     /// the same page — the infinite-recursion guard of §2.1 tripped,
     /// meaning a manager faulted on its own fault path.
     RecursiveFault(FaultEvent),
     /// `MigrateFrame` destination frame cannot take part in a tier
-    /// exchange: it still sits in the boot pool (unallocated) or it
-    /// backs a compound (multi-frame) page.
+    /// exchange: it still sits in the boot pool (unallocated).
     FrameNotExchangeable {
         /// The offending destination frame.
         frame: FrameId,
@@ -95,13 +84,6 @@ impl fmt::Display for KernelError {
             KernelError::DestinationOccupied { segment, page } => {
                 write!(f, "destination {page} of {segment} already holds a frame")
             }
-            KernelError::PageSizeMismatch {
-                src_pages,
-                dst_pages,
-            } => write!(
-                f,
-                "page size mismatch: source {src_pages} base pages, destination {dst_pages}"
-            ),
             KernelError::RegionOverlap { segment, page } => {
                 write!(
                     f,
@@ -124,9 +106,6 @@ impl fmt::Display for KernelError {
             KernelError::Store(e) => write!(f, "backing store: {e}"),
             KernelError::RecursiveFault(ev) => {
                 write!(f, "recursive fault while handling {ev}")
-            }
-            KernelError::FramesNotContiguous => {
-                write!(f, "large page requires physically contiguous base frames")
             }
             KernelError::FrameNotExchangeable { frame } => {
                 write!(f, "{frame} cannot take part in a tier exchange")
@@ -163,11 +142,6 @@ mod tests {
             page: PageNumber(3),
         };
         assert!(e.to_string().contains("page 3"));
-        let e = KernelError::PageSizeMismatch {
-            src_pages: 1,
-            dst_pages: 4,
-        };
-        assert!(e.to_string().contains("mismatch"));
     }
 
     #[test]

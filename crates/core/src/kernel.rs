@@ -159,8 +159,7 @@ enum Resolved {
     },
 }
 
-/// A reference's outcome, with the frame a completed one resolved to
-/// (the first, for a large page).
+/// A reference's outcome, with the frame a completed one resolved to.
 enum Referenced {
     Completed(FrameId),
     Fault(FaultEvent),
@@ -170,13 +169,9 @@ enum Referenced {
 enum Span {
     /// A page faulted, so no byte may move.
     Fault(FaultEvent),
-    /// The bytes lie within one page: the first frame its reference
-    /// resolved to, the page's frame count and the bytes' offset in it.
-    OnePage {
-        frame: FrameId,
-        page_frames: u64,
-        in_page: u64,
-    },
+    /// The bytes lie within one page: the frame its reference resolved
+    /// to and the bytes' offset in it.
+    OnePage { frame: FrameId, in_page: u64 },
     /// The bytes straddle pages (or there are none): the copy resolves
     /// each page.
     Pages,
@@ -198,7 +193,7 @@ enum Span {
 ///
 /// // Allocating = migrating frames out of the boot segment.
 /// let seg = kernel.create_segment(
-///     SegmentKind::Anonymous, UserId::SYSTEM, ManagerId::SYSTEM, 1, 16)?;
+///     SegmentKind::Anonymous, UserId::SYSTEM, ManagerId::SYSTEM, 16)?;
 /// kernel.migrate_pages(
 ///     SegmentId::FRAME_POOL, seg, 0.into(), 0.into(), 4,
 ///     PageFlags::RW, PageFlags::empty())?;
@@ -223,7 +218,7 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// Creates a kernel managing `frames` base page frames, with the
+    /// Creates a kernel managing `frames` 4 KB page frames, with the
     /// DECstation 5000/200 cost model.
     ///
     /// On initialisation the kernel creates the well-known boot segment
@@ -270,7 +265,6 @@ impl Kernel {
             SegmentKind::FramePool,
             UserId::SYSTEM,
             ManagerId::SYSTEM,
-            1,
             frames as u64,
         )
         .with_entries(frames_table.ids().map(|id| {
@@ -444,8 +438,8 @@ impl Kernel {
 
     // ----- segment lifecycle ----------------------------------------------
 
-    /// Creates a segment of `size_pages` pages, each `page_frames` base
-    /// frames large, owned by `user` and managed by `manager`.
+    /// Creates a segment of `size_pages` 4 KB pages, owned by `user` and
+    /// managed by `manager`.
     ///
     /// # Errors
     ///
@@ -455,20 +449,13 @@ impl Kernel {
         kind: SegmentKind,
         user: UserId,
         manager: ManagerId,
-        page_frames: u64,
         size_pages: u64,
     ) -> Result<SegmentId, KernelError> {
         // Each live or destroyed id holds a table slot, so memory runs out
         // long before the id space does.
         let id = SegmentId(u32::try_from(self.segments.len()).expect("segment ids exhausted"));
-        self.segments.push(Some(Segment::new(
-            id,
-            kind,
-            user,
-            manager,
-            page_frames,
-            size_pages,
-        )));
+        self.segments
+            .push(Some(Segment::new(id, kind, user, manager, size_pages)));
         self.clock.advance(self.costs.segment_ctl);
         Ok(id)
     }
@@ -596,7 +583,6 @@ impl Kernel {
     ///
     /// * [`KernelError::UnknownSegment`] for either segment.
     /// * [`KernelError::PageOutOfRange`] if a range exceeds its segment.
-    /// * [`KernelError::PageSizeMismatch`] for differing page sizes.
     /// * [`KernelError::RegionOverlap`] if overlapping an existing region
     ///   or resident pages.
     /// * [`KernelError::BindingTooDeep`] if the chain would exceed
@@ -612,20 +598,8 @@ impl Kernel {
         cow: bool,
         protection: PageFlags,
     ) -> Result<(), KernelError> {
-        let (seg_pf, seg_size) = {
-            let s = self.segment(seg)?;
-            (s.page_frames(), s.size_pages())
-        };
-        let (tgt_pf, tgt_size) = {
-            let t = self.segment(target)?;
-            (t.page_frames(), t.size_pages())
-        };
-        if seg_pf != tgt_pf {
-            return Err(KernelError::PageSizeMismatch {
-                src_pages: seg_pf,
-                dst_pages: tgt_pf,
-            });
-        }
+        let seg_size = self.segment(seg)?.size_pages();
+        let tgt_size = self.segment(target)?.size_pages();
         if at.as_u64() + pages > seg_size {
             return Err(KernelError::PageOutOfRange {
                 segment: seg,
@@ -986,8 +960,7 @@ impl Kernel {
     ///
     /// Fails atomically per page (earlier pages stay migrated) with
     /// [`KernelError::PageNotPresent`], [`KernelError::DestinationOccupied`],
-    /// [`KernelError::PageOutOfRange`], [`KernelError::PageSizeMismatch`] or
-    /// [`KernelError::UnknownSegment`].
+    /// [`KernelError::PageOutOfRange`] or [`KernelError::UnknownSegment`].
     #[allow(clippy::too_many_arguments)]
     pub fn migrate_pages(
         &mut self,
@@ -1065,14 +1038,6 @@ impl Kernel {
                 ..
             } => (hold_segment, hold_page, Some((source_segment, source_page))),
         };
-        let src_pf = self.segment(src_seg)?.page_frames();
-        let dst_pf = self.segment(dst_seg)?.page_frames();
-        if src_pf != dst_pf {
-            return Err(KernelError::PageSizeMismatch {
-                src_pages: src_pf,
-                dst_pages: dst_pf,
-            });
-        }
         if self.segment(dst_seg)?.entry(dst_pg).is_some() {
             return Err(KernelError::DestinationOccupied {
                 segment: dst_seg,
@@ -1096,16 +1061,11 @@ impl Kernel {
         // Security zeroing across users (skipped when a COW copy will
         // overwrite the whole page anyway).
         if self.frames.last_user(frame) != dst_user && cow_source.is_none() {
-            for i in 0..src_pf {
-                self.frames.zero(FrameId(frame.0 + i as u32));
-            }
+            self.frames.zero(frame);
             self.stats.zero_fills += 1;
-            self.clock.advance(self.costs.page_zero_4k * src_pf);
+            self.clock.advance(self.costs.page_zero_4k);
         }
-        for i in 0..src_pf {
-            self.frames
-                .set_last_user(FrameId(frame.0 + i as u32), dst_user);
-        }
+        self.frames.set_last_user(frame, dst_user);
 
         // Kernel-performed COW copy.
         if let Some((cs, cp)) = cow_source {
@@ -1116,14 +1076,9 @@ impl Kernel {
                     segment: cs,
                     page: cp,
                 })?;
-            for i in 0..src_pf {
-                self.frames.copy(
-                    FrameId(src_entry.frame.0 + i as u32),
-                    FrameId(frame.0 + i as u32),
-                );
-            }
+            self.frames.copy(src_entry.frame, frame);
             self.stats.cow_copies += 1;
-            self.clock.advance(self.costs.page_copy_4k * src_pf);
+            self.clock.advance(self.costs.page_copy_4k);
             flags |= PageFlags::DIRTY;
         }
 
@@ -1160,8 +1115,7 @@ impl Kernel {
     /// * [`KernelError::PageOutOfRange`] if `dst` is not a valid frame.
     /// * [`KernelError::PageNotPresent`] if `(seg, page)` has no frame.
     /// * [`KernelError::FrameNotExchangeable`] if `dst` still sits in the
-    ///   boot pool or backs a compound (multi-frame) page.
-    /// * [`KernelError::PageSizeMismatch`] if `seg` has compound pages.
+    ///   boot pool.
     pub fn migrate_frame(
         &mut self,
         seg: SegmentId,
@@ -1195,13 +1149,6 @@ impl Kernel {
                 size: self.frames.len() as u64,
             });
         }
-        let src_pf = self.segment(seg)?.page_frames();
-        if src_pf != 1 {
-            return Err(KernelError::PageSizeMismatch {
-                src_pages: src_pf,
-                dst_pages: 1,
-            });
-        }
         let src = self
             .segment(seg)?
             .entry(page)
@@ -1214,7 +1161,7 @@ impl Kernel {
             .frames
             .owner(dst)
             .ok_or(KernelError::FrameNotExchangeable { frame: dst })?;
-        if dst_seg == SegmentId::FRAME_POOL || self.segment(dst_seg)?.page_frames() != 1 {
+        if dst_seg == SegmentId::FRAME_POOL {
             return Err(KernelError::FrameNotExchangeable { frame: dst });
         }
 
@@ -1262,191 +1209,6 @@ impl Kernel {
             page: page.as_u64(),
             from_tier: from_tier.code(),
             to_tier: to_tier.code(),
-        });
-        Ok(())
-    }
-
-    // ----- large-page composition ----------------------------------------------
-
-    /// Composes one large page of `dst` (whose page size is `k` base
-    /// frames) out of `k` consecutive pages of `src` (base page size)
-    /// holding physically contiguous frames. This is how a manager builds
-    /// Alpha-style large pages from boot-pool frames obtained with an
-    /// address-range constraint.
-    ///
-    /// # Errors
-    ///
-    /// * [`KernelError::PageSizeMismatch`] unless `src` has base pages
-    ///   and `dst` pages are larger.
-    /// * [`KernelError::FramesNotContiguous`] if the source frames are
-    ///   not physically consecutive and ascending.
-    /// * [`KernelError::PageNotPresent`] / [`KernelError::DestinationOccupied`]
-    ///   as for migration.
-    pub fn compose_page(
-        &mut self,
-        src: SegmentId,
-        dst: SegmentId,
-        src_page: PageNumber,
-        dst_page: PageNumber,
-        set: PageFlags,
-        clear: PageFlags,
-    ) -> Result<(), KernelError> {
-        self.stats.crossings += 1;
-        let src_pf = self.segment(src)?.page_frames();
-        let k = self.segment(dst)?.page_frames();
-        if src_pf != 1 || k < 2 {
-            return Err(KernelError::PageSizeMismatch {
-                src_pages: src_pf,
-                dst_pages: k,
-            });
-        }
-        if !self.segment(dst)?.in_range(dst_page) {
-            return Err(KernelError::PageOutOfRange {
-                segment: dst,
-                page: dst_page,
-                size: self.segment(dst)?.size_pages(),
-            });
-        }
-        if self.segment(dst)?.entry(dst_page).is_some() {
-            return Err(KernelError::DestinationOccupied {
-                segment: dst,
-                page: dst_page,
-            });
-        }
-        // Validate presence and physical contiguity first (atomic check).
-        let mut first: Option<FrameId> = None;
-        for i in 0..k {
-            let p = src_page.offset(i);
-            let entry = self
-                .segment(src)?
-                .entry(p)
-                .ok_or(KernelError::PageNotPresent {
-                    segment: src,
-                    page: p,
-                })?;
-            match first {
-                None => first = Some(entry.frame),
-                Some(f) if entry.frame.0 == f.0 + i as u32 => {}
-                Some(_) => return Err(KernelError::FramesNotContiguous),
-            }
-        }
-        let first = first.expect("k >= 2");
-        let dst_user = self.segment(dst)?.user();
-        let mut flags = PageFlags::empty();
-        for i in 0..k {
-            let p = src_page.offset(i);
-            let entry = self
-                .segment_mut(src)?
-                .remove_entry(p)
-                .expect("validated present");
-            self.mapping.remove(src, p);
-            flags |= entry.flags;
-            if self.frames.last_user(entry.frame) != dst_user {
-                self.frames.zero(entry.frame);
-                self.stats.zero_fills += 1;
-                self.clock.advance(self.costs.page_zero_4k);
-            }
-            self.frames.set_last_user(entry.frame, dst_user);
-            self.frames.set_owner(entry.frame, Some((dst, dst_page)));
-        }
-        self.segment_mut(dst)?.insert_entry(
-            dst_page,
-            PageEntry {
-                frame: first,
-                flags: flags.apply(set, clear),
-            },
-        );
-        self.mapping.install(dst, dst_page, first);
-        self.stats.migrate_calls += 1;
-        self.stats.pages_migrated += 1;
-        // One kernel call total: `CostModel::migrate_pages` already folds
-        // the `kernel_call` entry cost in, so nothing else is added here
-        // (pinned by `single_kernel_call_charged_per_compose` in
-        // tests/properties_ring.rs).
-        self.clock.advance(self.costs.migrate_pages(k));
-        self.trace(EventKind::Compose {
-            segment: dst.0 as u64,
-            page: dst_page.as_u64(),
-            frames: k,
-        });
-        Ok(())
-    }
-
-    /// Decomposes one large page of `src` back into `k` base pages of
-    /// `dst` starting at `dst_page` (the reverse of
-    /// [`Kernel::compose_page`]); frame contents are preserved.
-    ///
-    /// # Errors
-    ///
-    /// Symmetric to [`Kernel::compose_page`].
-    pub fn decompose_page(
-        &mut self,
-        src: SegmentId,
-        dst: SegmentId,
-        src_page: PageNumber,
-        dst_page: PageNumber,
-        set: PageFlags,
-        clear: PageFlags,
-    ) -> Result<(), KernelError> {
-        self.stats.crossings += 1;
-        let k = self.segment(src)?.page_frames();
-        let dst_pf = self.segment(dst)?.page_frames();
-        if dst_pf != 1 || k < 2 {
-            return Err(KernelError::PageSizeMismatch {
-                src_pages: k,
-                dst_pages: dst_pf,
-            });
-        }
-        if dst_page.as_u64() + k > self.segment(dst)?.size_pages() {
-            return Err(KernelError::PageOutOfRange {
-                segment: dst,
-                page: dst_page,
-                size: self.segment(dst)?.size_pages(),
-            });
-        }
-        for i in 0..k {
-            let p = dst_page.offset(i);
-            if self.segment(dst)?.entry(p).is_some() {
-                return Err(KernelError::DestinationOccupied {
-                    segment: dst,
-                    page: p,
-                });
-            }
-        }
-        let entry =
-            self.segment_mut(src)?
-                .remove_entry(src_page)
-                .ok_or(KernelError::PageNotPresent {
-                    segment: src,
-                    page: src_page,
-                })?;
-        self.mapping.remove(src, src_page);
-        let dst_user = self.segment(dst)?.user();
-        for i in 0..k {
-            let frame = FrameId(entry.frame.0 + i as u32);
-            let p = dst_page.offset(i);
-            if self.frames.last_user(frame) != dst_user {
-                self.frames.zero(frame);
-                self.stats.zero_fills += 1;
-                self.clock.advance(self.costs.page_zero_4k);
-            }
-            self.frames.set_last_user(frame, dst_user);
-            self.frames.set_owner(frame, Some((dst, p)));
-            self.segment_mut(dst)?.insert_entry(
-                p,
-                PageEntry {
-                    frame,
-                    flags: entry.flags.apply(set, clear),
-                },
-            );
-            self.mapping.install(dst, p, frame);
-        }
-        self.stats.migrate_calls += 1;
-        self.stats.pages_migrated += 1;
-        self.clock.advance(self.costs.migrate_pages(k));
-        self.trace(EventKind::Decompose {
-            segment: src.0 as u64,
-            page: src_page.as_u64(),
         });
         Ok(())
     }
@@ -1653,11 +1415,7 @@ impl Kernel {
     ) -> Result<Option<FaultEvent>, KernelError> {
         match self.access_bytes(seg, offset, buf.len() as u64, AccessKind::Read)? {
             Span::Fault(fault) => return Ok(Some(fault)),
-            Span::OnePage {
-                frame,
-                page_frames,
-                in_page,
-            } => copy_frames_out(&self.frames, frame, page_frames, in_page, buf),
+            Span::OnePage { frame, in_page } => self.frames.read(frame, in_page as usize, buf),
             Span::Pages => self.copy_bytes_out(seg, offset, buf)?,
         }
         Ok(None)
@@ -1673,11 +1431,7 @@ impl Kernel {
     ) -> Result<Option<FaultEvent>, KernelError> {
         match self.access_bytes(seg, offset, buf.len() as u64, AccessKind::Write)? {
             Span::Fault(fault) => return Ok(Some(fault)),
-            Span::OnePage {
-                frame,
-                page_frames,
-                in_page,
-            } => copy_frames_in(&mut self.frames, frame, page_frames, in_page, buf),
+            Span::OnePage { frame, in_page } => self.frames.write(frame, in_page as usize, buf),
             Span::Pages => self.copy_bytes_in(seg, offset, buf)?,
         }
         Ok(None)
@@ -1698,22 +1452,16 @@ impl Kernel {
         if len == 0 {
             return Ok(Span::Pages);
         }
-        let s = self.segment(seg)?;
-        let (page_size, page_frames) = (s.page_size(), s.page_frames());
-        let first = offset / page_size;
-        let in_page = offset - first * page_size;
-        if in_page + len <= page_size {
+        let first = offset / BASE_PAGE_SIZE;
+        let in_page = offset % BASE_PAGE_SIZE;
+        if in_page + len <= BASE_PAGE_SIZE {
             let referenced = self.reference_frame(seg, PageNumber(first), access)?;
             return Ok(match referenced {
-                Referenced::Completed(frame) => Span::OnePage {
-                    frame,
-                    page_frames,
-                    in_page,
-                },
+                Referenced::Completed(frame) => Span::OnePage { frame, in_page },
                 Referenced::Fault(fault) => Span::Fault(fault),
             });
         }
-        for p in first..=(offset + len - 1) / page_size {
+        for p in first..=(offset + len - 1) / BASE_PAGE_SIZE {
             if let Referenced::Fault(fault) = self.reference_frame(seg, PageNumber(p), access)? {
                 return Ok(Span::Fault(fault));
             }
@@ -1727,15 +1475,13 @@ impl Kernel {
         offset: u64,
         buf: &mut [u8],
     ) -> Result<(), KernelError> {
-        let page_size = self.segment(seg)?.page_size();
-        let pf = self.segment(seg)?.page_frames();
         let mut done = 0u64;
         let len = buf.len() as u64;
         while done < len {
             let off = offset + done;
-            let page = PageNumber(off / page_size);
-            let in_page = off % page_size;
-            let chunk = (page_size - in_page).min(len - done);
+            let page = PageNumber(off / BASE_PAGE_SIZE);
+            let in_page = off % BASE_PAGE_SIZE;
+            let chunk = (BASE_PAGE_SIZE - in_page).min(len - done);
             let (oseg, opage) = match self.resolve(seg, page, false)? {
                 Resolved::Own { segment, page, .. } => (segment, page),
                 Resolved::CowPending {
@@ -1751,12 +1497,9 @@ impl Kernel {
                     segment: oseg,
                     page: opage,
                 })?;
-            // A page may span several base frames (large pages).
-            copy_frames_out(
-                &self.frames,
+            self.frames.read(
                 entry.frame,
-                pf,
-                in_page,
+                in_page as usize,
                 &mut buf[done as usize..(done + chunk) as usize],
             );
             done += chunk;
@@ -1770,15 +1513,13 @@ impl Kernel {
         offset: u64,
         buf: &[u8],
     ) -> Result<(), KernelError> {
-        let page_size = self.segment(seg)?.page_size();
-        let pf = self.segment(seg)?.page_frames();
         let mut done = 0u64;
         let len = buf.len() as u64;
         while done < len {
             let off = offset + done;
-            let page = PageNumber(off / page_size);
-            let in_page = off % page_size;
-            let chunk = (page_size - in_page).min(len - done);
+            let page = PageNumber(off / BASE_PAGE_SIZE);
+            let in_page = off % BASE_PAGE_SIZE;
+            let chunk = (BASE_PAGE_SIZE - in_page).min(len - done);
             let (oseg, opage) = match self.resolve(seg, page, true)? {
                 Resolved::Own { segment, page, .. } => (segment, page),
                 Resolved::CowPending { .. } => {
@@ -1794,11 +1535,9 @@ impl Kernel {
                     segment: oseg,
                     page: opage,
                 })?;
-            copy_frames_in(
-                &mut self.frames,
+            self.frames.write(
                 entry.frame,
-                pf,
-                in_page,
+                in_page as usize,
                 &buf[done as usize..(done + chunk) as usize],
             );
             done += chunk;
@@ -2061,46 +1800,6 @@ fn block_count(len: u64) -> u64 {
     len.div_ceil(BASE_PAGE_SIZE).max(1)
 }
 
-fn copy_frames_out(
-    frames: &FrameTable,
-    first: FrameId,
-    page_frames: u64,
-    offset: u64,
-    buf: &mut [u8],
-) {
-    let mut done = 0usize;
-    while done < buf.len() {
-        let off = offset + done as u64;
-        let frame_idx = off / BASE_PAGE_SIZE;
-        debug_assert!(frame_idx < page_frames, "offset beyond page");
-        let in_frame = (off % BASE_PAGE_SIZE) as usize;
-        let chunk = (BASE_PAGE_SIZE as usize - in_frame).min(buf.len() - done);
-        let frame = FrameId(first.0 + frame_idx as u32);
-        frames.read(frame, in_frame, &mut buf[done..done + chunk]);
-        done += chunk;
-    }
-}
-
-fn copy_frames_in(
-    frames: &mut FrameTable,
-    first: FrameId,
-    page_frames: u64,
-    offset: u64,
-    buf: &[u8],
-) {
-    let mut done = 0usize;
-    while done < buf.len() {
-        let off = offset + done as u64;
-        let frame_idx = off / BASE_PAGE_SIZE;
-        debug_assert!(frame_idx < page_frames, "offset beyond page");
-        let in_frame = (off % BASE_PAGE_SIZE) as usize;
-        let chunk = (BASE_PAGE_SIZE as usize - in_frame).min(buf.len() - done);
-        let frame = FrameId(first.0 + frame_idx as u32);
-        frames.write(frame, in_frame, &buf[done..done + chunk]);
-        done += chunk;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2110,14 +1809,8 @@ mod tests {
     }
 
     fn anon_segment(k: &mut Kernel, pages: u64) -> SegmentId {
-        k.create_segment(
-            SegmentKind::Anonymous,
-            UserId::SYSTEM,
-            ManagerId(1),
-            1,
-            pages,
-        )
-        .unwrap()
+        k.create_segment(SegmentKind::Anonymous, UserId::SYSTEM, ManagerId(1), pages)
+            .unwrap()
     }
 
     /// Allocate `n` frames from the boot pool into `seg` at `page`.
@@ -2282,13 +1975,7 @@ mod tests {
         let mut k = kernel();
         let file = anon_segment(&mut k, 16); // stands in for a data segment
         let aspace = k
-            .create_segment(
-                SegmentKind::AddressSpace,
-                UserId::SYSTEM,
-                ManagerId(1),
-                1,
-                32,
-            )
+            .create_segment(SegmentKind::AddressSpace, UserId::SYSTEM, ManagerId(1), 32)
             .unwrap();
         k.bind_region(
             aspace,
@@ -2422,34 +2109,13 @@ mod tests {
     }
 
     #[test]
-    fn binding_page_size_mismatch_rejected() {
-        let mut k = kernel();
-        let small = anon_segment(&mut k, 8);
-        let large = k
-            .create_segment(SegmentKind::Anonymous, UserId::SYSTEM, ManagerId(1), 4, 4)
-            .unwrap();
-        let err = k
-            .bind_region(
-                large,
-                PageNumber(0),
-                2,
-                small,
-                PageNumber(0),
-                false,
-                PageFlags::RW,
-            )
-            .unwrap_err();
-        assert!(matches!(err, KernelError::PageSizeMismatch { .. }));
-    }
-
-    #[test]
     fn migrate_zeroes_across_users() {
         let mut k = kernel();
         let alice = k
-            .create_segment(SegmentKind::Anonymous, UserId(1), ManagerId(1), 1, 4)
+            .create_segment(SegmentKind::Anonymous, UserId(1), ManagerId(1), 4)
             .unwrap();
         let bob = k
-            .create_segment(SegmentKind::Anonymous, UserId(2), ManagerId(1), 1, 4)
+            .create_segment(SegmentKind::Anonymous, UserId(2), ManagerId(1), 4)
             .unwrap();
         alloc(&mut k, alice, 0, 1);
         assert!(k.store(alice, 0, b"secret").unwrap().is_completed());
@@ -2474,10 +2140,10 @@ mod tests {
     fn migrate_same_user_skips_zeroing() {
         let mut k = kernel();
         let a = k
-            .create_segment(SegmentKind::Anonymous, UserId(1), ManagerId(1), 1, 4)
+            .create_segment(SegmentKind::Anonymous, UserId(1), ManagerId(1), 4)
             .unwrap();
         let b = k
-            .create_segment(SegmentKind::Anonymous, UserId(1), ManagerId(1), 1, 4)
+            .create_segment(SegmentKind::Anonymous, UserId(1), ManagerId(1), 4)
             .unwrap();
         alloc(&mut k, a, 0, 1);
         // Boot pool is SYSTEM so the first migration zero-fills...
@@ -2508,7 +2174,6 @@ mod tests {
                 SegmentKind::CachedFile(epcm_sim::disk::FileId::from_raw(0)),
                 UserId::SYSTEM,
                 ManagerId(1),
-                1,
                 4,
             )
             .unwrap();
@@ -2545,7 +2210,6 @@ mod tests {
                 SegmentKind::CachedFile(epcm_sim::disk::FileId::from_raw(0)),
                 UserId::SYSTEM,
                 ManagerId(1),
-                1,
                 4,
             )
             .unwrap();
@@ -2812,35 +2476,6 @@ mod tests {
     }
 
     #[test]
-    fn large_pages_migrate_and_store() {
-        let mut k = kernel();
-        // 16 KB pages: 4 base frames per page.
-        let big = k
-            .create_segment(SegmentKind::Anonymous, UserId::SYSTEM, ManagerId(1), 4, 2)
-            .unwrap();
-        // A 4-frame-per-page pool to allocate from.
-        let pool = k
-            .create_segment(SegmentKind::FramePool, UserId::SYSTEM, ManagerId(0), 4, 4)
-            .unwrap();
-        // Hand-build the pool pages from contiguous boot frames: pages 0..4
-        // of the boot segment are frames 0..4 (contiguous by construction),
-        // but boot pages are 1-frame pages, so migrate is size-mismatched:
-        let err = k
-            .migrate_pages(
-                SegmentId::FRAME_POOL,
-                pool,
-                PageNumber(0),
-                PageNumber(0),
-                1,
-                PageFlags::RW,
-                PageFlags::empty(),
-            )
-            .unwrap_err();
-        assert!(matches!(err, KernelError::PageSizeMismatch { .. }));
-        let _ = big;
-    }
-
-    #[test]
     fn clock_charges_accumulate() {
         let mut k = kernel();
         let t0 = k.now();
@@ -2871,238 +2506,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod large_page_tests {
-    use super::*;
-
-    fn setup() -> (Kernel, SegmentId, SegmentId) {
-        let mut k = Kernel::new(64);
-        // A base-page staging segment and a 16 KB-page segment.
-        let staging = k
-            .create_segment(SegmentKind::FramePool, UserId::SYSTEM, ManagerId(1), 1, 64)
-            .unwrap();
-        let big = k
-            .create_segment(SegmentKind::Anonymous, UserId::SYSTEM, ManagerId(1), 4, 4)
-            .unwrap();
-        (k, staging, big)
-    }
-
-    /// Moves boot pages `start..start+n` (physically contiguous by
-    /// construction) into the staging segment at the same indices.
-    fn stage(k: &mut Kernel, staging: SegmentId, start: u64, n: u64) {
-        k.migrate_pages(
-            SegmentId::FRAME_POOL,
-            staging,
-            PageNumber(start),
-            PageNumber(start),
-            n,
-            PageFlags::RW,
-            PageFlags::empty(),
-        )
-        .unwrap();
-    }
-
-    #[test]
-    fn compose_store_load_decompose_roundtrip() {
-        let (mut k, staging, big) = setup();
-        stage(&mut k, staging, 8, 4);
-        k.compose_page(
-            staging,
-            big,
-            PageNumber(8),
-            PageNumber(0),
-            PageFlags::RW,
-            PageFlags::empty(),
-        )
-        .unwrap();
-        assert_eq!(k.resident_pages(big).unwrap(), 1);
-        // Store across all four base frames of the large page.
-        let data: Vec<u8> = (0..16384u32).map(|i| (i % 241) as u8).collect();
-        assert!(k.store(big, 0, &data).unwrap().is_completed());
-        let mut back = vec![0u8; data.len()];
-        assert!(k.load(big, 0, &mut back).unwrap().is_completed());
-        assert_eq!(back, data);
-        // Decompose: data survives, spread over 4 base pages.
-        k.decompose_page(
-            big,
-            staging,
-            PageNumber(0),
-            PageNumber(40),
-            PageFlags::RW,
-            PageFlags::empty(),
-        )
-        .unwrap();
-        assert_eq!(k.resident_pages(big).unwrap(), 0);
-        let mut piece = vec![0u8; 4096];
-        assert!(k
-            .load(staging, 41 * 4096, &mut piece)
-            .unwrap()
-            .is_completed());
-        assert_eq!(&piece[..], &data[4096..8192]);
-    }
-
-    #[test]
-    fn compose_requires_contiguous_frames() {
-        let (mut k, staging, big) = setup();
-        // Stage pages 8,9 and 12,13: a hole in physical frames at slots 10,11.
-        stage(&mut k, staging, 8, 2);
-        stage(&mut k, staging, 12, 2);
-        // Move page 12's frame into slot 10: slots 8,9,10,11? slot 10 holds
-        // frame 12 -> not contiguous with 8,9.
-        k.migrate_pages(
-            staging,
-            staging,
-            PageNumber(12),
-            PageNumber(10),
-            1,
-            PageFlags::RW,
-            PageFlags::empty(),
-        )
-        .unwrap();
-        k.migrate_pages(
-            staging,
-            staging,
-            PageNumber(13),
-            PageNumber(11),
-            1,
-            PageFlags::RW,
-            PageFlags::empty(),
-        )
-        .unwrap();
-        let err = k
-            .compose_page(
-                staging,
-                big,
-                PageNumber(8),
-                PageNumber(0),
-                PageFlags::RW,
-                PageFlags::empty(),
-            )
-            .unwrap_err();
-        assert!(matches!(err, KernelError::FramesNotContiguous));
-        // Frames are untouched: all four staging slots still present.
-        assert_eq!(k.resident_pages(staging).unwrap(), 4);
-    }
-
-    #[test]
-    fn compose_missing_source_and_occupied_destination() {
-        let (mut k, staging, big) = setup();
-        stage(&mut k, staging, 0, 3); // only 3 of 4 pages
-        assert!(matches!(
-            k.compose_page(
-                staging,
-                big,
-                PageNumber(0),
-                PageNumber(0),
-                PageFlags::RW,
-                PageFlags::empty()
-            )
-            .unwrap_err(),
-            KernelError::PageNotPresent { .. }
-        ));
-        stage(&mut k, staging, 3, 1);
-        k.compose_page(
-            staging,
-            big,
-            PageNumber(0),
-            PageNumber(0),
-            PageFlags::RW,
-            PageFlags::empty(),
-        )
-        .unwrap();
-        stage(&mut k, staging, 8, 4);
-        assert!(matches!(
-            k.compose_page(
-                staging,
-                big,
-                PageNumber(8),
-                PageNumber(0),
-                PageFlags::RW,
-                PageFlags::empty()
-            )
-            .unwrap_err(),
-            KernelError::DestinationOccupied { .. }
-        ));
-    }
-
-    #[test]
-    fn large_page_reference_and_flags() {
-        let (mut k, staging, big) = setup();
-        stage(&mut k, staging, 4, 4);
-        k.compose_page(
-            staging,
-            big,
-            PageNumber(4),
-            PageNumber(1),
-            PageFlags::RW,
-            PageFlags::empty(),
-        )
-        .unwrap();
-        assert!(k
-            .reference(big, PageNumber(1), AccessKind::Write)
-            .unwrap()
-            .is_completed());
-        let attrs = k.get_page_attributes(big, PageNumber(1), 1).unwrap();
-        assert!(attrs[0].present);
-        assert!(attrs[0].flags.contains(PageFlags::DIRTY));
-        assert_eq!(attrs[0].phys_addr(), Some(4 * BASE_PAGE_SIZE));
-    }
-
-    #[test]
-    fn frames_conserved_through_composition() {
-        let (mut k, staging, big) = setup();
-        stage(&mut k, staging, 16, 4);
-        k.compose_page(
-            staging,
-            big,
-            PageNumber(16),
-            PageNumber(2),
-            PageFlags::RW,
-            PageFlags::empty(),
-        )
-        .unwrap();
-        // Boot 60 + staging 0 + big 1 entry (4 frames): count frames, not
-        // entries, for conservation.
-        let boot = k.resident_pages(SegmentId::FRAME_POOL).unwrap();
-        let big_frames = k.resident_pages(big).unwrap() * 4;
-        assert_eq!(boot + big_frames, 64);
-        // Owners of all four base frames point at the large page slot.
-        for i in 16..20u32 {
-            assert_eq!(k.frames().owner(FrameId(i)), Some((big, PageNumber(2))));
-        }
-    }
-
-    #[test]
-    fn decompose_into_wrong_size_rejected() {
-        let (mut k, staging, big) = setup();
-        stage(&mut k, staging, 0, 4);
-        k.compose_page(
-            staging,
-            big,
-            PageNumber(0),
-            PageNumber(0),
-            PageFlags::RW,
-            PageFlags::empty(),
-        )
-        .unwrap();
-        let other_big = k
-            .create_segment(SegmentKind::Anonymous, UserId::SYSTEM, ManagerId(1), 4, 4)
-            .unwrap();
-        assert!(matches!(
-            k.decompose_page(
-                big,
-                other_big,
-                PageNumber(0),
-                PageNumber(0),
-                PageFlags::RW,
-                PageFlags::empty()
-            )
-            .unwrap_err(),
-            KernelError::PageSizeMismatch { .. }
-        ));
-    }
-}
-
-#[cfg(test)]
 mod data_access_tests {
     //! `load` and `store` copy a one-page range through the frame its
     //! reference resolved to. These tests pin every shape of access to the
@@ -3120,9 +2523,8 @@ mod data_access_tests {
         access: AccessKind,
     ) -> Result<AccessOutcome, KernelError> {
         if !buf.is_empty() {
-            let page_size = k.segment(seg)?.page_size();
-            let last = (offset + buf.len() as u64 - 1) / page_size;
-            for p in offset / page_size..=last {
+            let last = (offset + buf.len() as u64 - 1) / BASE_PAGE_SIZE;
+            for p in offset / BASE_PAGE_SIZE..=last {
                 if let AccessOutcome::Fault(f) = k.reference(seg, PageNumber(p), access)? {
                     return Ok(AccessOutcome::Fault(f));
                 }
@@ -3193,23 +2595,16 @@ mod data_access_tests {
     }
 
     /// A tiered kernel and its segments: `plain` (4 pages: 0 and 1
-    /// writable, 2 read-only, 3 missing), `big` (16 KB pages: 0 resident,
-    /// 1 missing), and `child`, bound copy-on-write to `source` over
-    /// three pages with page 1's share already broken.
-    fn world() -> (Kernel, [SegmentId; 4]) {
+    /// writable, 2 read-only, 3 missing), and `child`, bound copy-on-write
+    /// to `source` over three pages with page 1's share already broken.
+    fn world() -> (Kernel, [SegmentId; 3]) {
         let layout = TierLayout::new(16, 16, 32);
         let mut k = Kernel::with_tiers(64, CostModel::decstation_5000_200(), layout);
-        let anon = |k: &mut Kernel, page_frames, pages| {
-            k.create_segment(
-                SegmentKind::Anonymous,
-                UserId::SYSTEM,
-                ManagerId(1),
-                page_frames,
-                pages,
-            )
-            .unwrap()
+        let anon = |k: &mut Kernel| {
+            k.create_segment(SegmentKind::Anonymous, UserId::SYSTEM, ManagerId(1), 4)
+                .unwrap()
         };
-        let plain = anon(&mut k, 1, 4);
+        let plain = anon(&mut k);
         boot_to(&mut k, plain, 20, 0, 3);
         k.modify_page_flags(
             plain,
@@ -3219,23 +2614,9 @@ mod data_access_tests {
             PageFlags::WRITE,
         )
         .unwrap();
-        let big = anon(&mut k, 4, 2);
-        let staging = k
-            .create_segment(SegmentKind::FramePool, UserId::SYSTEM, ManagerId(1), 1, 64)
-            .unwrap();
-        boot_to(&mut k, staging, 8, 8, 4);
-        k.compose_page(
-            staging,
-            big,
-            PageNumber(8),
-            PageNumber(0),
-            PageFlags::RW,
-            PageFlags::empty(),
-        )
-        .unwrap();
-        let source = anon(&mut k, 1, 4);
+        let source = anon(&mut k);
         boot_to(&mut k, source, 40, 0, 3);
-        let child = anon(&mut k, 1, 4);
+        let child = anon(&mut k);
         k.bind_region(
             child,
             PageNumber(0),
@@ -3254,12 +2635,12 @@ mod data_access_tests {
                 .collect();
             k.frames.write(FrameId::from_raw(f), 0, &data);
         }
-        (k, [plain, big, source, child])
+        (k, [plain, source, child])
     }
 
     #[test]
     fn one_page_copies_match_the_reference_then_resolve_path() {
-        let (mut new, [plain, big, source, child]) = world();
+        let (mut new, [plain, source, child]) = world();
         let mut old = new.clone();
         let page = BASE_PAGE_SIZE;
         use AccessKind::{Read, Write};
@@ -3273,13 +2654,7 @@ mod data_access_tests {
             (plain, 3 * page - 4, 8, Read),  // page 3 is missing
             (plain, 0, 0, Read),
             (plain, 0, 0, Write),
-            (plain, 4 * page, 8, Read), // out of range
-            (big, 4000, 200, Write),    // across two frames of one large page
-            (big, 4000, 200, Read),
-            (big, 3 * page + 100, 50, Write), // the large page's last frame
-            (big, 3 * page + 100, 50, Read),
-            (big, 4 * page - 8, 16, Read), // large page 1 is missing
-            (big, 4 * page - 8, 16, Write),
+            (plain, 4 * page, 8, Read),   // out of range
             (child, 16, 8, Read),         // through the unbroken share
             (child, 16, 8, Write),        // breaks nothing: a copy-on-write fault
             (child, page + 16, 8, Write), // the broken share's own copy

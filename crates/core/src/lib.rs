@@ -41,7 +41,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut kernel = Kernel::new(128);
 //! let seg = kernel.create_segment(
-//!     SegmentKind::Anonymous, UserId::SYSTEM, ManagerId(1), 1, 8)?;
+//!     SegmentKind::Anonymous, UserId::SYSTEM, ManagerId(1), 8)?;
 //!
 //! // (1) the application references a missing page and faults:
 //! let fault = match kernel.reference(seg, PageNumber(0), AccessKind::Write)? {

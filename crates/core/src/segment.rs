@@ -17,8 +17,7 @@ use crate::types::{FrameId, ManagerId, PageNumber, SegmentId, SegmentKind, UserI
 /// A page slot holding a frame and its state flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageEntry {
-    /// The first base frame of the page (a large page spans
-    /// `Segment::page_frames` physically contiguous base frames).
+    /// The frame holding the page.
     pub frame: FrameId,
     /// Protection and state flags.
     pub flags: PageFlags,
@@ -78,9 +77,6 @@ pub struct Segment {
     kind: SegmentKind,
     user: UserId,
     manager: ManagerId,
-    /// Base (4 KB) frames per page: 1 for normal segments, a power of two
-    /// for large-page segments (the Alpha-style page-size parameter).
-    page_frames: u64,
     /// Current size in pages; references beyond this are range errors.
     size_pages: u64,
     /// The page table, indexed by page number: a slot per page up to the
@@ -103,19 +99,13 @@ impl Segment {
         kind: SegmentKind,
         user: UserId,
         manager: ManagerId,
-        page_frames: u64,
         size_pages: u64,
     ) -> Self {
-        assert!(
-            page_frames.is_power_of_two(),
-            "page size must be a power-of-two multiple of the base page"
-        );
         Segment {
             id,
             kind,
             user,
             manager,
-            page_frames,
             size_pages,
             pages: Vec::new(),
             bits: Bitmap::default(),
@@ -169,16 +159,6 @@ impl Segment {
 
     pub(crate) fn set_manager(&mut self, manager: ManagerId) {
         self.manager = manager;
-    }
-
-    /// Base frames per page (1 = 4 KB pages).
-    pub fn page_frames(&self) -> u64 {
-        self.page_frames
-    }
-
-    /// The page size in bytes.
-    pub fn page_size(&self) -> u64 {
-        self.page_frames * crate::types::BASE_PAGE_SIZE
     }
 
     /// Current size in pages.
@@ -348,7 +328,6 @@ mod tests {
             SegmentKind::Anonymous,
             UserId(0),
             ManagerId(0),
-            1,
             64,
         )
     }
@@ -488,7 +467,6 @@ mod tests {
                 SegmentKind::Anonymous,
                 UserId(0),
                 ManagerId(0),
-                1,
                 pages,
             )
         };
@@ -513,33 +491,6 @@ mod tests {
         assert_eq!(s.vacant_from(PageNumber(199)).count(), 1);
         assert_eq!(s.vacant_from(PageNumber(200)).count(), 0);
         assert_eq!(s.vacant_from(PageNumber(0)).count(), 200 - 5);
-    }
-
-    #[test]
-    fn page_size_math() {
-        let s = Segment::new(
-            SegmentId(2),
-            SegmentKind::Anonymous,
-            UserId(0),
-            ManagerId(0),
-            4,
-            8,
-        );
-        assert_eq!(s.page_frames(), 4);
-        assert_eq!(s.page_size(), 16384);
-    }
-
-    #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn non_power_of_two_page_size_panics() {
-        Segment::new(
-            SegmentId(2),
-            SegmentKind::Anonymous,
-            UserId(0),
-            ManagerId(0),
-            3,
-            8,
-        );
     }
 
     #[test]

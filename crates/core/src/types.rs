@@ -8,9 +8,8 @@
 
 use std::fmt;
 
-/// The base page size: 4 KB, matching the DECstation 5000/200 the paper
-/// measured on. Larger page sizes are expressed as multiples of this (the
-/// Alpha-style multiple-page-size support of §2.1).
+/// The page size: 4 KB, matching the DECstation 5000/200 the paper
+/// measured on. Every segment's pages are this size.
 pub const BASE_PAGE_SIZE: u64 = 4096;
 
 /// Identifies a kernel segment.

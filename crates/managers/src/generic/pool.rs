@@ -19,7 +19,6 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
             SegmentKind::FramePool,
             epcm_core::UserId::SYSTEM,
             self.id,
-            1,
             frames,
         )?;
         self.free_seg = Some(seg);

@@ -475,18 +475,18 @@ impl Machine {
         id: ManagerId,
         f: impl FnOnce(&mut dyn SegmentManager, &mut Env<'_>) -> Result<R, ManagerError>,
     ) -> Result<R, MachineError> {
-        let mut mgr = self
+        // Borrowed in place, as in `dispatch`: `Env` borrows only the
+        // kernel, store and SPCM, never the manager table.
+        let mgr = self
             .managers
-            .remove(&id.0)
+            .get_mut(&id.0)
             .ok_or(MachineError::UnknownManager(id))?;
         let mut env = Env {
             kernel: &mut self.kernel,
             store: &mut self.store,
             spcm: &mut self.spcm,
         };
-        let result = f(mgr.as_mut(), &mut env);
-        self.managers.insert(id.0, mgr);
-        result.map_err(|source| MachineError::ManagerOp {
+        f(mgr.as_mut(), &mut env).map_err(|source| MachineError::ManagerOp {
             manager: id,
             source,
         })
@@ -526,7 +526,7 @@ impl Machine {
         if !self.managers.contains_key(&manager.0) {
             return Err(MachineError::UnknownManager(manager));
         }
-        let seg = self.kernel.create_segment(kind, user, manager, 1, pages)?;
+        let seg = self.kernel.create_segment(kind, user, manager, pages)?;
         self.with_manager(manager, |m, env| m.attach(env, seg))?;
         Ok(seg)
     }
@@ -617,7 +617,6 @@ impl Machine {
             SegmentKind::FramePool,
             UserId::SYSTEM,
             ManagerId::SYSTEM,
-            1,
             frames,
         )?;
         self.quarantine_seg = Some(seg);
@@ -738,8 +737,6 @@ impl Machine {
         count: u64,
         thorough: bool,
     ) -> Result<(u64, u64), MachineError> {
-        // Single-frame segments only: compound pages cannot be split back
-        // into boot home slots and are left for segment reassignment.
         let segs: Vec<SegmentId> = self
             .kernel
             .segment_ids()
@@ -747,7 +744,7 @@ impl Machine {
             .filter(|&s| {
                 self.kernel
                     .segment(s)
-                    .map(|seg| seg.manager() == manager && seg.page_frames() == 1)
+                    .map(|seg| seg.manager() == manager)
                     .unwrap_or(false)
             })
             .collect();
@@ -929,8 +926,7 @@ impl Machine {
             let residual = self.kernel.resident_pages(s)?;
             match heir {
                 // Data segments move to the default manager; the grant
-                // ledger follows any frames still resident (compound
-                // pages the seizure could not split).
+                // ledger follows any frames still resident.
                 Some(d) if !is_pool => {
                     self.stats.manager_calls += 1;
                     self.with_manager(d, |m, env| m.attach(env, s))?;
@@ -1427,7 +1423,7 @@ mod tests {
         // Create a segment naming a manager that was never registered.
         let seg = m
             .kernel_mut()
-            .create_segment(SegmentKind::Anonymous, UserId::SYSTEM, ManagerId(42), 1, 4)
+            .create_segment(SegmentKind::Anonymous, UserId::SYSTEM, ManagerId(42), 4)
             .unwrap();
         match m.touch(seg, 0, AccessKind::Read) {
             Err(MachineError::UnknownManager(id)) => assert_eq!(id, ManagerId(42)),

@@ -633,7 +633,7 @@ mod tests {
         let mut peak = 0;
         for _ in 0..200 {
             let seg = kernel
-                .create_segment(SegmentKind::Anonymous, UserId::SYSTEM, ManagerId(1), 1, 32)
+                .create_segment(SegmentKind::Anonymous, UserId::SYSTEM, ManagerId(1), 32)
                 .unwrap();
             for p in 0..32 {
                 policy.note_resident(seg, PageNumber(p));

@@ -136,11 +136,6 @@ impl<'a> Coordinator<'a> {
         // otherwise the static market of `shard_market`.
         let market = match &cfg.economy {
             Some(eco) => {
-                assert_eq!(
-                    eco.incomes.len(),
-                    cfg.lanes as usize,
-                    "economy incomes must cover every lane"
-                );
                 let mut market = MemoryMarket::new(eco.market.clone());
                 market.set_tier_rents(eco.schedule.prices());
                 market
@@ -470,13 +465,16 @@ fn shard_market(lanes: u32) -> MemoryMarket {
 ///
 /// # Errors
 ///
-/// [`ShardEngineError::WorkerPanicked`] when a worker dies.
+/// * [`ShardEngineError::NoLanes`], [`ShardEngineError::IncomesMismatch`]
+///   or [`ShardEngineError::TierLayoutMismatch`] for a configuration no
+///   run can use, before any worker starts.
+/// * [`ShardEngineError::WorkerPanicked`] when a worker dies.
 pub fn try_run_with(
     cfg: &ShardEngineConfig,
     shards: u32,
     workload: &dyn TenantWorkload,
 ) -> Result<ShardRunReport, ShardEngineError> {
-    assert!(cfg.lanes > 0, "the engine needs at least one lane");
+    check_config(cfg)?;
     let layout = cfg.layout(shards);
     let mut coordinator = Coordinator::new(cfg, layout);
     let lanes = thread::scope(|scope| {
@@ -527,6 +525,32 @@ pub fn try_run_with(
         Ok(lanes)
     })?;
     Ok(coordinator.finish(lanes))
+}
+
+/// Rejects the configurations the coordinator and the lanes cannot be
+/// built from.
+fn check_config(cfg: &ShardEngineConfig) -> Result<(), ShardEngineError> {
+    if cfg.lanes == 0 {
+        return Err(ShardEngineError::NoLanes);
+    }
+    let Some(eco) = &cfg.economy else {
+        return Ok(());
+    };
+    if eco.incomes.len() != cfg.lanes as usize {
+        return Err(ShardEngineError::IncomesMismatch {
+            lanes: cfg.lanes,
+            incomes: eco.incomes.len(),
+        });
+    }
+    match eco.tiers {
+        Some(layout) if layout.total() != cfg.frames_per_lane => {
+            Err(ShardEngineError::TierLayoutMismatch {
+                layout: layout.total(),
+                frames_per_lane: cfg.frames_per_lane,
+            })
+        }
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]

@@ -115,7 +115,8 @@ pub(super) fn build_tenant(cfg: &ShardEngineConfig, lane: u64) -> Tenant {
 /// The lane's machine. In a tiered economy it carries the paper's
 /// per-machine SPCM economy — a tier ladder plus a lane-local market
 /// ledger enforcing admission (affordability), demotion (manager in the
-/// red) and revocation (bankruptcy) locally, at tick granularity.
+/// red) and revocation (bankruptcy) locally, at tick granularity. The
+/// engine has checked that the layout covers the lane's frames.
 fn lane_machine(cfg: &ShardEngineConfig) -> Machine {
     let mut builder = Machine::builder(cfg.frames_per_lane as usize);
     if let Some((eco, layout)) = cfg
@@ -123,11 +124,6 @@ fn lane_machine(cfg: &ShardEngineConfig) -> Machine {
         .as_ref()
         .and_then(|e| e.tiers.map(|layout| (e, layout)))
     {
-        assert_eq!(
-            layout.total(),
-            cfg.frames_per_lane,
-            "economy tier layout must cover exactly the lane's frames"
-        );
         builder = builder.tiers(layout).allocation(AllocationPolicy::Market {
             market: MemoryMarket::new(eco.market.clone()),
             horizon: eco.horizon,

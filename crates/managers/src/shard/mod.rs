@@ -392,6 +392,22 @@ pub enum ShardEngineError {
         /// The panic payload, if it was a string.
         message: String,
     },
+    /// The configuration has no lanes.
+    NoLanes,
+    /// An economy run's incomes do not give each lane exactly one.
+    IncomesMismatch {
+        /// Lanes configured.
+        lanes: u32,
+        /// Incomes supplied.
+        incomes: usize,
+    },
+    /// An economy run's tier layout does not cover exactly a lane's frames.
+    TierLayoutMismatch {
+        /// Frames the tier layout holds.
+        layout: u64,
+        /// Frames each lane's machine has.
+        frames_per_lane: u64,
+    },
 }
 
 impl fmt::Display for ShardEngineError {
@@ -400,6 +416,17 @@ impl fmt::Display for ShardEngineError {
             ShardEngineError::WorkerPanicked { shard, message } => {
                 write!(f, "shard {shard} worker panicked: {message}")
             }
+            ShardEngineError::NoLanes => write!(f, "the engine needs at least one lane"),
+            ShardEngineError::IncomesMismatch { lanes, incomes } => {
+                write!(f, "economy has {incomes} incomes for {lanes} lanes")
+            }
+            ShardEngineError::TierLayoutMismatch {
+                layout,
+                frames_per_lane,
+            } => write!(
+                f,
+                "economy tier layout holds {layout} frames, a lane has {frames_per_lane}"
+            ),
         }
     }
 }
@@ -472,8 +499,9 @@ pub fn run(cfg: &ShardEngineConfig, shards: u32) -> ShardRunReport {
 ///
 /// # Panics
 ///
-/// Panics (with shard context) if a worker dies outside per-lane
-/// containment; use [`try_run_with`] to handle that as an error.
+/// Panics on a configuration [`try_run_with`] rejects, or (with shard
+/// context) if a worker dies outside per-lane containment; use
+/// [`try_run_with`] to handle either as an error.
 pub fn run_with(
     cfg: &ShardEngineConfig,
     shards: u32,
@@ -626,7 +654,9 @@ mod tests {
         }
         let err = try_run_with(&tiny(), 2, &PanickyWorkload)
             .expect_err("a panicking workload must not produce a report");
-        let ShardEngineError::WorkerPanicked { message, .. } = err;
+        let ShardEngineError::WorkerPanicked { message, .. } = err else {
+            panic!("expected a worker panic, got {err}");
+        };
         assert!(
             message.contains("synthetic workload failure"),
             "panic context lost: {message}"
@@ -667,6 +697,48 @@ mod tests {
             promotion_threshold: 2,
         });
         cfg
+    }
+
+    #[test]
+    fn zero_lanes_is_a_config_error() {
+        let cfg = ShardEngineConfig { lanes: 0, ..tiny() };
+        let workload = DefaultTenantWorkload { seed: cfg.seed };
+        assert_eq!(
+            try_run_with(&cfg, 2, &workload),
+            Err(ShardEngineError::NoLanes)
+        );
+    }
+
+    #[test]
+    fn economy_incomes_must_match_the_lanes() {
+        let mut cfg = eco_tiny();
+        if let Some(eco) = &mut cfg.economy {
+            eco.incomes.pop();
+        }
+        let workload = DefaultTenantWorkload { seed: cfg.seed };
+        assert_eq!(
+            try_run_with(&cfg, 2, &workload),
+            Err(ShardEngineError::IncomesMismatch {
+                lanes: 4,
+                incomes: 3
+            })
+        );
+    }
+
+    #[test]
+    fn economy_tiers_must_cover_a_lane() {
+        let mut cfg = eco_tiny();
+        if let Some(eco) = &mut cfg.economy {
+            eco.tiers = Some(TierLayout::new(8, 6, 4));
+        }
+        let workload = DefaultTenantWorkload { seed: cfg.seed };
+        assert_eq!(
+            try_run_with(&cfg, 2, &workload),
+            Err(ShardEngineError::TierLayoutMismatch {
+                layout: 18,
+                frames_per_lane: 16
+            })
+        );
     }
 
     #[test]

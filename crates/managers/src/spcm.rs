@@ -203,7 +203,7 @@ impl From<epcm_core::KernelError> for SpcmError {
 /// let mut kernel = Kernel::new(128);
 /// let mut spcm = SystemPageCacheManager::new(AllocationPolicy::FirstCome, 8);
 /// let free_seg = kernel.create_segment(
-///     SegmentKind::FramePool, UserId::SYSTEM, ManagerId(1), 1, 64)?;
+///     SegmentKind::FramePool, UserId::SYSTEM, ManagerId(1), 64)?;
 /// let grant = spcm.request_frames(
 ///     &mut kernel, ManagerId(1), free_seg, 16, PhysConstraint::Any)?;
 /// assert_eq!(grant, Grant::Granted(16));
@@ -556,98 +556,6 @@ impl SystemPageCacheManager {
         Ok(Grant::Granted(n as u64))
     }
 
-    /// Requests `pages` *large* pages for `manager`, composed from
-    /// physically contiguous boot-pool frames and installed in `dst`
-    /// (whose page size must be a multiple of the base page). This is the
-    /// placement-control path for Alpha-style multiple page sizes: only
-    /// the SPCM, which sees the whole frame pool in physical order, can
-    /// find the contiguous runs.
-    ///
-    /// # Errors
-    ///
-    /// [`SpcmError::Kernel`] on composition failure.
-    pub fn request_large_pages(
-        &mut self,
-        kernel: &mut Kernel,
-        manager: ManagerId,
-        dst: SegmentId,
-        pages: u64,
-    ) -> Result<Grant, SpcmError> {
-        self.requests += 1;
-        let k = kernel.segment(dst)?.page_frames();
-        if k < 2 {
-            self.refusals += 1;
-            return Ok(Grant::Refused);
-        }
-        let frames_wanted = pages * k;
-        let available = self.available(kernel);
-        if available < k {
-            self.deferrals += 1;
-            self.contended = true;
-            return Ok(Grant::Deferred);
-        }
-        let budget = frames_wanted.min(available) / k;
-        // Find runs of `k` consecutive resident boot pages; in the boot
-        // segment, page number == frame index, so page-contiguity is
-        // frame-contiguity.
-        let resident: Vec<u64> = kernel
-            .segment(SegmentId::FRAME_POOL)?
-            .resident()
-            .map(|(p, _)| p.as_u64())
-            .collect();
-        let mut runs: Vec<u64> = Vec::new();
-        let mut i = 0;
-        while i < resident.len() && (runs.len() as u64) < budget {
-            let start = resident[i];
-            let mut len = 1usize;
-            while i + len < resident.len()
-                && resident[i + len] == start + len as u64
-                && (len as u64) < k
-            {
-                len += 1;
-            }
-            if len as u64 == k {
-                runs.push(start);
-            }
-            i += len;
-        }
-        if runs.is_empty() {
-            self.deferrals += 1;
-            self.contended = true;
-            return Ok(Grant::Deferred);
-        }
-        // Destination slots: lowest empty large-page slots.
-        let dst_size = kernel.segment(dst)?.size_pages();
-        let occupied: std::collections::BTreeSet<u64> = kernel
-            .segment(dst)?
-            .resident()
-            .map(|(p, _)| p.as_u64())
-            .collect();
-        let mut slots = (0..dst_size).filter(|p| !occupied.contains(p));
-        let mut granted = 0u64;
-        for &start in &runs {
-            let Some(slot) = slots.next() else { break };
-            kernel.compose_page(
-                SegmentId::FRAME_POOL,
-                dst,
-                PageNumber(start),
-                PageNumber(slot),
-                PageFlags::RW,
-                PageFlags::empty(),
-            )?;
-            granted += 1;
-        }
-        if granted == 0 {
-            self.deferrals += 1;
-            return Ok(Grant::Deferred);
-        }
-        if granted < pages {
-            self.contended = true;
-        }
-        *self.granted.entry(manager.0).or_insert(0) += granted * k;
-        Ok(Grant::Granted(granted))
-    }
-
     /// Returns frames from `src` pages back to the global pool. Each frame
     /// migrates to its home boot-segment slot (page number == physical
     /// frame index), which is empty by the conservation invariant.
@@ -833,7 +741,6 @@ mod tests {
                 SegmentKind::FramePool,
                 UserId::SYSTEM,
                 ManagerId(1),
-                1,
                 frames as u64,
             )
             .unwrap();
@@ -1107,96 +1014,5 @@ mod tests {
         spcm.request_frames(&mut k, ManagerId(1), free, 4, PhysConstraint::Any)
             .unwrap();
         assert!(spcm.to_string().contains("4 frames granted"));
-    }
-}
-
-#[cfg(test)]
-mod large_page_tests {
-    use super::*;
-    use epcm_core::types::{SegmentKind, UserId};
-
-    fn setup(frames: usize) -> (Kernel, SystemPageCacheManager, SegmentId) {
-        let mut kernel = Kernel::new(frames);
-        let spcm = SystemPageCacheManager::new(AllocationPolicy::FirstCome, 0);
-        let big = kernel
-            .create_segment(SegmentKind::Anonymous, UserId::SYSTEM, ManagerId(1), 4, 16)
-            .unwrap();
-        (kernel, spcm, big)
-    }
-
-    #[test]
-    fn grants_composed_large_pages() {
-        let (mut k, mut spcm, big) = setup(64);
-        let g = spcm
-            .request_large_pages(&mut k, ManagerId(1), big, 3)
-            .unwrap();
-        assert_eq!(g, Grant::Granted(3));
-        assert_eq!(k.resident_pages(big).unwrap(), 3);
-        assert_eq!(spcm.granted_to(ManagerId(1)), 12); // frames, not pages
-                                                       // Each large page's frame is 4-aligned relative to its run start
-                                                       // and physically contiguous (compose_page verified it).
-        for (_, e) in k.segment(big).unwrap().resident() {
-            assert!(k.frames().is_valid(e.frame));
-        }
-    }
-
-    #[test]
-    fn fragmented_pool_defers() {
-        let (mut k, mut spcm, big) = setup(64);
-        // Fragment the pool: pull out every 4th frame as base pages.
-        let scratch = k
-            .create_segment(SegmentKind::FramePool, UserId::SYSTEM, ManagerId(2), 1, 64)
-            .unwrap();
-        for i in (0..64).step_by(4) {
-            k.migrate_pages(
-                SegmentId::FRAME_POOL,
-                scratch,
-                PageNumber(i),
-                PageNumber(i),
-                1,
-                PageFlags::RW,
-                PageFlags::empty(),
-            )
-            .unwrap();
-        }
-        // No run of 4 contiguous frames remains.
-        let g = spcm
-            .request_large_pages(&mut k, ManagerId(1), big, 1)
-            .unwrap();
-        assert_eq!(g, Grant::Deferred);
-    }
-
-    #[test]
-    fn base_page_segment_is_refused() {
-        let mut kernel = Kernel::new(16);
-        let mut spcm = SystemPageCacheManager::new(AllocationPolicy::FirstCome, 0);
-        let small = kernel
-            .create_segment(SegmentKind::Anonymous, UserId::SYSTEM, ManagerId(1), 1, 4)
-            .unwrap();
-        let g = spcm
-            .request_large_pages(&mut kernel, ManagerId(1), small, 1)
-            .unwrap();
-        assert_eq!(g, Grant::Refused);
-    }
-
-    #[test]
-    fn partial_grant_when_pool_is_short() {
-        let (mut k, mut spcm, big) = setup(8); // only 2 large pages possible
-        let g = spcm
-            .request_large_pages(&mut k, ManagerId(1), big, 5)
-            .unwrap();
-        assert_eq!(g, Grant::Granted(2));
-    }
-
-    #[test]
-    fn large_page_data_roundtrip_through_spcm_grant() {
-        let (mut k, mut spcm, big) = setup(64);
-        spcm.request_large_pages(&mut k, ManagerId(1), big, 1)
-            .unwrap();
-        let data: Vec<u8> = (0..16384u32).map(|i| (i % 239) as u8).collect();
-        assert!(k.store(big, 0, &data).unwrap().is_completed());
-        let mut back = vec![0u8; data.len()];
-        assert!(k.load(big, 0, &mut back).unwrap().is_completed());
-        assert_eq!(back, data);
     }
 }

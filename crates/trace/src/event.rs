@@ -50,9 +50,9 @@ pub mod tier_code {
 }
 
 /// What happened. One variant per operation class in the kernel interface
-/// (Table: `MigratePages`, `ComposePage`, `ModifyPageFlags`, `UioRead`,
-/// `UioWrite`, fault delivery) plus the management-layer events that give
-/// the economy and reclaim activity an audit trail.
+/// (Table: `MigratePages`, `ModifyPageFlags`, `UioRead`, `UioWrite`,
+/// fault delivery) plus the management-layer events that give the economy
+/// and reclaim activity an audit trail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// The kernel delivered a page fault to a manager.
@@ -76,22 +76,6 @@ pub enum EventKind {
         to_segment: u64,
         /// Number of pages moved.
         pages: u64,
-    },
-    /// `ComposePage` assembled a large page from small frames.
-    Compose {
-        /// Segment holding the composed page.
-        segment: u64,
-        /// Page number of the composed page.
-        page: u64,
-        /// Number of small frames consumed.
-        frames: u64,
-    },
-    /// `DecomposePage` broke a large page back into small frames.
-    Decompose {
-        /// Segment holding the page.
-        segment: u64,
-        /// Page number of the decomposed page.
-        page: u64,
     },
     /// `ModifyPageFlags` changed protection/attribute flags.
     FlagChange {
@@ -327,8 +311,6 @@ impl EventKind {
         match self {
             EventKind::Fault { .. } => "fault",
             EventKind::Migrate { .. } => "migrate",
-            EventKind::Compose { .. } => "compose",
-            EventKind::Decompose { .. } => "decompose",
             EventKind::FlagChange { .. } => "flag_change",
             EventKind::MarketCharge { .. } => "market_charge",
             EventKind::Reclaim { .. } => "reclaim",
@@ -391,12 +373,6 @@ impl fmt::Display for TraceEvent {
                 to_segment,
                 pages,
             } => write!(f, "from={from_segment} to={to_segment} pages={pages}"),
-            EventKind::Compose {
-                segment,
-                page,
-                frames,
-            } => write!(f, "seg={segment} page={page} frames={frames}"),
-            EventKind::Decompose { segment, page } => write!(f, "seg={segment} page={page}"),
             EventKind::FlagChange {
                 segment,
                 page,
@@ -541,15 +517,6 @@ mod tests {
                 to_segment: 2,
                 pages: 3,
             },
-            EventKind::Compose {
-                segment: 1,
-                page: 0,
-                frames: 16,
-            },
-            EventKind::Decompose {
-                segment: 1,
-                page: 0,
-            },
             EventKind::FlagChange {
                 segment: 1,
                 page: 0,
@@ -666,8 +633,6 @@ mod tests {
             [
                 "fault",
                 "migrate",
-                "compose",
-                "decompose",
                 "flag_change",
                 "market_charge",
                 "reclaim",

@@ -202,13 +202,9 @@ impl GreedyManager {
             return Ok(s);
         }
         let frames = env.kernel.frames().len() as u64;
-        let seg = env.kernel.create_segment(
-            SegmentKind::FramePool,
-            UserId::SYSTEM,
-            self.id,
-            1,
-            frames,
-        )?;
+        let seg =
+            env.kernel
+                .create_segment(SegmentKind::FramePool, UserId::SYSTEM, self.id, frames)?;
         self.free_seg = Some(seg);
         Ok(seg)
     }

@@ -14,14 +14,8 @@ fn kernel() -> Kernel {
 }
 
 fn anon(k: &mut Kernel, pages: u64) -> SegmentId {
-    k.create_segment(
-        SegmentKind::Anonymous,
-        UserId::SYSTEM,
-        ManagerId(1),
-        1,
-        pages,
-    )
-    .unwrap()
+    k.create_segment(SegmentKind::Anonymous, UserId::SYSTEM, ManagerId(1), pages)
+        .unwrap()
 }
 
 fn fill(k: &mut Kernel, seg: SegmentId, page: u64) {

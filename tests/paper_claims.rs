@@ -123,7 +123,6 @@ fn claim_minimal_configuration_needs_no_managers() {
             SegmentKind::Anonymous,
             UserId::SYSTEM,
             ManagerId::SYSTEM,
-            1,
             16,
         )
         .unwrap();

@@ -95,7 +95,6 @@ fn setup() -> (Kernel, Vec<SegmentId>) {
                     SegmentKind::Anonymous,
                     UserId::SYSTEM,
                     epcm::core::ManagerId(1),
-                    1,
                     PAGES_PER_SEG,
                 )
                 .expect("create segment"),
@@ -261,26 +260,88 @@ proptest! {
         prop_assert!(once.contains(set - clear));
     }
 
-    /// Load/store roundtrip across arbitrary offsets and lengths.
+    /// Loads and stores of 1 B–12 KB at random offsets agree with a flat
+    /// `Vec<u8>` model of the segment. The pages are populated in random
+    /// order from scattered boot frames, so a chunk copied through the
+    /// wrong frame shows. One page stays missing: a range covering it
+    /// faults on that page and moves no byte.
     #[test]
     fn load_store_roundtrip(
-        offset in 0u64..(PAGES_PER_SEG - 2) * 4096,
-        data in proptest::collection::vec(any::<u8>(), 1..2000),
+        page_keys in proptest::collection::vec(any::<u64>(), PAGES_PER_SEG as usize),
+        frame_keys in proptest::collection::vec(any::<u64>(), FRAMES),
+        missing in 0..PAGES_PER_SEG,
+        accesses in proptest::collection::vec(
+            (any::<bool>(), 0..SEG_BYTES, 1u64..=3 * PAGE, any::<u64>()),
+            1..24,
+        ),
     ) {
         let (mut kernel, segs) = setup();
-        let seg = segs[3];
-        // Populate every page the write touches.
-        let first = offset / 4096;
-        let last = (offset + data.len() as u64 - 1) / 4096;
-        for (i, p) in (first..=last).enumerate() {
-            kernel.migrate_pages(SegmentId::FRAME_POOL, seg, PageNumber(i as u64), PageNumber(p),
+        let seg = segs[1];
+        let mut pages: Vec<u64> = (0..PAGES_PER_SEG).filter(|&p| p != missing).collect();
+        pages.sort_by_key(|&p| page_keys[p as usize]);
+        let mut frames: Vec<u64> = (0..FRAMES as u64).collect();
+        frames.sort_by_key(|&f| frame_keys[f as usize]);
+        for (&page, &frame) in pages.iter().zip(&frames) {
+            kernel.migrate_pages(SegmentId::FRAME_POOL, seg, PageNumber(frame), PageNumber(page),
                 1, PageFlags::RW, PageFlags::empty()).expect("populate");
         }
-        prop_assert!(kernel.store(seg, offset, &data).expect("store").is_completed());
-        let mut back = vec![0u8; data.len()];
-        prop_assert!(kernel.load(seg, offset, &mut back).expect("load").is_completed());
-        prop_assert_eq!(back, data);
+        let mut model = vec![0u8; SEG_BYTES as usize];
+        for (store, offset, len, seed) in accesses {
+            let len = len.min(SEG_BYTES - offset);
+            let span = offset as usize..(offset + len) as usize;
+            let covers_missing = (offset / PAGE..=(offset + len - 1) / PAGE).contains(&missing);
+            let data = pattern(seed, span.len());
+            let outcome = if store {
+                let outcome = kernel.store(seg, offset, &data).expect("store");
+                if outcome.is_completed() {
+                    model[span].copy_from_slice(&data);
+                }
+                outcome
+            } else {
+                let mut buf = data.clone();
+                let outcome = kernel.load(seg, offset, &mut buf).expect("load");
+                let want = if outcome.is_completed() { &model[span] } else { &data[..] };
+                prop_assert!(buf == want, "load of {len} B at {offset}: wrong bytes");
+                outcome
+            };
+            match outcome {
+                AccessOutcome::Completed => prop_assert!(!covers_missing),
+                AccessOutcome::Fault(f) => {
+                    prop_assert!(covers_missing, "unexpected fault {f:?}");
+                    prop_assert_eq!((f.segment, f.page), (seg, PageNumber(missing)));
+                    prop_assert!(matches!(f.kind, FaultKind::Missing));
+                }
+            }
+            prop_assert!(
+                frame_bytes(&kernel, seg) == model,
+                "segment diverged from the model after {len} B at {offset}"
+            );
+        }
     }
+}
+
+const PAGE: u64 = 4096;
+const SEG_BYTES: u64 = PAGES_PER_SEG * PAGE;
+
+/// `len` bytes with no period that divides a page, different for each
+/// `seed`, so a chunk moved to or from the wrong frame or offset shows.
+fn pattern(seed: u64, len: usize) -> Vec<u8> {
+    (0..len as u64)
+        .map(|i| ((i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+        .collect()
+}
+
+/// The segment's bytes read straight from its frames, zeros where no
+/// frame is present: an oracle that does not go through `load`.
+fn frame_bytes(kernel: &Kernel, seg: SegmentId) -> Vec<u8> {
+    let mut out = vec![0u8; SEG_BYTES as usize];
+    for (page, entry) in kernel.segment(seg).expect("segment").resident() {
+        let at = (page.as_u64() * PAGE) as usize;
+        kernel
+            .frames()
+            .read(entry.frame, 0, &mut out[at..at + PAGE as usize]);
+    }
+    out
 }
 
 /// Out-of-range and misuse always produce errors, never corruption.
@@ -421,7 +482,6 @@ fn table_segments() -> Vec<SegmentId> {
                     SegmentKind::Anonymous,
                     UserId::SYSTEM,
                     epcm::core::ManagerId(1),
-                    1,
                     1,
                 )
                 .expect("create segment")
@@ -629,7 +689,7 @@ proptest! {
     ) {
         let mut kernel = Kernel::new(PT_FRAMES as usize);
         let seg = kernel
-            .create_segment(SegmentKind::Anonymous, UserId::SYSTEM, epcm::core::ManagerId(1), 1, size)
+            .create_segment(SegmentKind::Anonymous, UserId::SYSTEM, epcm::core::ManagerId(1), size)
             .expect("create segment");
         let mut boot: PageModel = (0..PT_FRAMES)
             .map(|i| (i, (kernel.segment(SegmentId::FRAME_POOL).expect("boot").entry(PageNumber(i)).expect("boot page").frame, PageFlags::RW)))
@@ -695,7 +755,6 @@ fn foreign_ids(n: usize) -> Vec<SegmentId> {
                     UserId::SYSTEM,
                     epcm::core::ManagerId(1),
                     1,
-                    1,
                 )
                 .expect("create segment")
         })
@@ -718,7 +777,7 @@ proptest! {
         for (create, pick) in ops {
             if create || live.len() == 1 {
                 let id = kernel
-                    .create_segment(SegmentKind::Anonymous, UserId::SYSTEM, epcm::core::ManagerId(1), 1, 4)
+                    .create_segment(SegmentKind::Anonymous, UserId::SYSTEM, epcm::core::ManagerId(1), 4)
                     .expect("create segment");
                 prop_assert!(id > last, "{} reused or out of order after {}", id, last);
                 last = id;

@@ -67,7 +67,7 @@ proptest! {
         let mut kernel = epcm::core::Kernel::new(256);
         let mut spcm = SystemPageCacheManager::new(AllocationPolicy::FirstCome, 16);
         let free = kernel
-            .create_segment(SegmentKind::FramePool, epcm::core::UserId::SYSTEM, ManagerId(1), 1, 256)
+            .create_segment(SegmentKind::FramePool, epcm::core::UserId::SYSTEM, ManagerId(1), 256)
             .expect("free segment");
         let mut expected = 0u64;
         for ask in requests {
@@ -377,7 +377,6 @@ impl epcm::managers::SegmentManager for HoarderManager {
                     SegmentKind::FramePool,
                     epcm::core::UserId::SYSTEM,
                     self.id,
-                    1,
                     frames,
                 )?;
                 self.free_seg = Some(s);
@@ -798,7 +797,7 @@ proptest! {
         let segs: Vec<SegmentId> = (0..3)
             .map(|_| {
                 kernel
-                    .create_segment(SegmentKind::Anonymous, UserId::SYSTEM, ManagerId(1), 1, 16)
+                    .create_segment(SegmentKind::Anonymous, UserId::SYSTEM, ManagerId(1), 16)
                     .expect("create segment")
             })
             .collect();

@@ -74,7 +74,7 @@ fn model_kernel() -> (Kernel, SegmentId) {
         layout,
     );
     let seg = k
-        .create_segment(SegmentKind::Anonymous, UserId(1), ManagerId(1), 1, 64)
+        .create_segment(SegmentKind::Anonymous, UserId(1), ManagerId(1), 64)
         .expect("segment");
     (k, seg)
 }
@@ -655,51 +655,8 @@ fn first_failure_cancels_the_rest() {
 
 // ----- cost-attribution regression pins -------------------------------------
 // The ring work audited every call path's `kernel_call` entry charge;
-// these pin the two sites that folded the charge into a composite cost
-// (`CostModel::migrate_pages`) and must NOT add another on top.
-
-/// `compose_page` charges exactly one kernel call: the composite
-/// `migrate_pages(k)` cost and nothing else (referenced from the
-/// comment in `Kernel::compose_page`).
-#[test]
-fn single_kernel_call_charged_per_compose() {
-    let mut k = Kernel::new(64);
-    let staging = k
-        .create_segment(SegmentKind::FramePool, UserId::SYSTEM, ManagerId(1), 1, 64)
-        .expect("staging");
-    let big = k
-        .create_segment(SegmentKind::Anonymous, UserId::SYSTEM, ManagerId(1), 4, 4)
-        .expect("large-page segment");
-    // Boot pages 8..12 are physically contiguous by construction.
-    k.migrate_pages(
-        SegmentId::FRAME_POOL,
-        staging,
-        PageNumber(8),
-        PageNumber(8),
-        4,
-        PageFlags::RW,
-        PageFlags::empty(),
-    )
-    .expect("stage");
-    let costs = k.costs().clone();
-    let t0 = k.now();
-    k.compose_page(
-        staging,
-        big,
-        PageNumber(8),
-        PageNumber(0),
-        PageFlags::RW,
-        PageFlags::empty(),
-    )
-    .expect("compose");
-    let elapsed = k.now().duration_since(t0);
-    // The composite already folds the entry cost in — exactly once.
-    assert_eq!(elapsed, costs.migrate_pages(4));
-    assert_eq!(
-        costs.migrate_pages(4),
-        costs.kernel_call + costs.migrate_base + costs.migrate_per_page * 4
-    );
-}
+// this pins the site that folds the charge into a composite cost and
+// must NOT add another on top.
 
 /// `modify_page_flags` charges exactly one kernel call plus the base +
 /// per-page service cost (referenced from the comment on
