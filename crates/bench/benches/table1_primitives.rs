@@ -132,8 +132,9 @@ fn bench(c: &mut Criterion) {
 }
 
 /// Host cost of a machine's fixed state: building and dropping a kernel at
-/// the paper's size and at an economy lane's, and one probe of the 64 K
-/// mapping table.
+/// the paper's size and at an economy lane's, a whole machine built and
+/// torn down (no benchmark interval times the teardown), and one probe of
+/// the 64 K mapping table.
 fn construction_and_translation(c: &mut Criterion) {
     c.bench_function("kernel_new_paper_frames", |b| {
         b.iter(|| Kernel::new(black_box(PAPER_FRAMES)))
@@ -141,6 +142,10 @@ fn construction_and_translation(c: &mut Criterion) {
 
     c.bench_function("kernel_new_lane_32", |b| {
         b.iter(|| Kernel::new(black_box(32)))
+    });
+
+    c.bench_function("machine_boot_teardown_paper_frames", |b| {
+        b.iter(|| drop(Machine::with_default_manager(black_box(PAPER_FRAMES))))
     });
 
     // A table holding 4096 translations, as after a 16 MB working set.

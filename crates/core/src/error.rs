@@ -67,6 +67,14 @@ pub enum KernelError {
         /// The offending destination frame.
         frame: FrameId,
     },
+    /// A page past `u32::MAX`, where no frame can be installed (the frame
+    /// table keeps an owner's page in 32 bits).
+    PageNotAddressable {
+        /// Destination segment.
+        segment: SegmentId,
+        /// The page past `u32::MAX`.
+        page: PageNumber,
+    },
 }
 
 impl fmt::Display for KernelError {
@@ -109,6 +117,9 @@ impl fmt::Display for KernelError {
             }
             KernelError::FrameNotExchangeable { frame } => {
                 write!(f, "{frame} cannot take part in a tier exchange")
+            }
+            KernelError::PageNotAddressable { segment, page } => {
+                write!(f, "{page} of {segment} is past the 32-bit page range")
             }
         }
     }

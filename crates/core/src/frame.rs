@@ -11,36 +11,30 @@
 //! [`CostModel`](epcm_sim::cost::CostModel) charge at the call that models
 //! it — the simulation's real heap behaviour is not what is being
 //! measured.
+//!
+//! Every frame has an owner slot, from boot on (a segment holding frames
+//! cannot be destroyed). Its page is kept in 32 bits: a [`Frame`] is 32 bytes.
 
 use std::fmt;
 
 use epcm_sim::disk::Block;
 
+use crate::error::KernelError;
 use crate::types::{FrameId, PageNumber, SegmentId, UserId, BASE_PAGE_SIZE};
 
 /// One physical base (4 KB) page frame.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Frame {
     /// Byte contents; `None` is logically all-zero.
     data: Option<Block>,
-    /// The segment slot currently holding this frame, if any.
-    owner: Option<(SegmentId, PageNumber)>,
+    /// The segment and page holding this frame.
+    owner: (SegmentId, u32),
     /// The last user principal whose data touched this frame, for V++'s
     /// zero-only-across-users security rule.
     last_user: UserId,
 }
 
 impl Frame {
-    /// The segment slot currently holding this frame.
-    pub fn owner(&self) -> Option<(SegmentId, PageNumber)> {
-        self.owner
-    }
-
-    /// The last user whose data touched this frame.
-    pub fn last_user(&self) -> UserId {
-        self.last_user
-    }
-
     /// Whether the frame's buffer has been materialised (false = logically
     /// zero without backing allocation).
     pub fn is_materialised(&self) -> bool {
@@ -65,16 +59,22 @@ pub struct FrameTable {
 }
 
 impl FrameTable {
-    /// Creates `frames` zeroed frames.
+    /// Creates `frames` all-zero frames in one pass, each owned by the
+    /// boot segment at the page of its own index.
     ///
     /// # Panics
     ///
     /// Panics if `frames` is zero or exceeds `u32::MAX`.
     pub fn new(frames: usize) -> Self {
         assert!(frames > 0, "a machine needs at least one page frame");
-        assert!(frames <= u32::MAX as usize, "frame index must fit in u32");
+        let count = u32::try_from(frames).expect("frame index must fit in u32");
+        let boot = |page| Frame {
+            data: None,
+            owner: (SegmentId::FRAME_POOL, page),
+            last_user: UserId::SYSTEM,
+        };
         FrameTable {
-            frames: vec![Frame::default(); frames],
+            frames: (0..count).map(boot).collect(),
         }
     }
 
@@ -104,13 +104,21 @@ impl FrameTable {
     /// # Panics
     ///
     /// Panics if `frame` is out of range.
-    pub fn owner(&self, frame: FrameId) -> Option<(SegmentId, PageNumber)> {
-        self.frames[frame.index()].owner
+    pub fn owner(&self, frame: FrameId) -> (SegmentId, PageNumber) {
+        let (segment, page) = self.frames[frame.index()].owner;
+        (segment, PageNumber(page.into()))
     }
 
     /// Sets the frame's owner slot (kernel-internal, used by migration).
-    pub(crate) fn set_owner(&mut self, frame: FrameId, owner: Option<(SegmentId, PageNumber)>) {
+    pub(crate) fn set_owner(&mut self, frame: FrameId, owner: (SegmentId, u32)) {
         self.frames[frame.index()].owner = owner;
+    }
+
+    /// Exchanges two frames' owner slots (kernel-internal, used by a tier
+    /// exchange).
+    pub(crate) fn swap_owners(&mut self, a: FrameId, b: FrameId) {
+        let owner = self.frames[a.index()].owner;
+        self.frames[a.index()].owner = std::mem::replace(&mut self.frames[b.index()].owner, owner);
     }
 
     /// The last user whose data touched the frame.
@@ -190,9 +198,14 @@ impl FrameTable {
     }
 
     /// Iterates over all frame ids in physical-address order.
-    pub fn ids(&self) -> impl Iterator<Item = FrameId> + '_ {
+    pub fn ids(&self) -> impl ExactSizeIterator<Item = FrameId> + '_ {
         (0..self.frames.len() as u32).map(FrameId)
     }
+}
+
+/// `page` as an owner slot's 32-bit page, or an error past `u32::MAX`.
+pub(crate) fn owner_page(segment: SegmentId, page: PageNumber) -> Result<u32, KernelError> {
+    u32::try_from(page.as_u64()).map_err(|_| KernelError::PageNotAddressable { segment, page })
 }
 
 impl fmt::Display for FrameTable {
@@ -211,10 +224,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn new_table_is_zeroed_and_unowned() {
+    fn a_frame_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Frame>(), 32);
+    }
+
+    #[test]
+    fn new_table_is_zeroed_and_owned_by_the_boot_segment() {
         let t = FrameTable::new(4);
         for id in t.ids() {
-            assert_eq!(t.owner(id), None);
+            assert_eq!(
+                t.owner(id),
+                (SegmentId::FRAME_POOL, PageNumber(id.index() as u64))
+            );
+            assert_eq!(t.last_user(id), UserId::SYSTEM);
             assert!(!t.frame(id).is_materialised());
             let mut buf = [1u8; 16];
             t.read(id, 0, &mut buf);
@@ -301,12 +323,26 @@ mod tests {
 
     #[test]
     fn owner_tracking() {
-        let mut t = FrameTable::new(1);
+        let mut t = FrameTable::new(2);
         let f = FrameId(0);
-        t.set_owner(f, Some((SegmentId(3), PageNumber(7))));
-        assert_eq!(t.owner(f), Some((SegmentId(3), PageNumber(7))));
-        t.set_owner(f, None);
-        assert_eq!(t.owner(f), None);
+        t.set_owner(f, (SegmentId(3), u32::MAX));
+        assert_eq!(t.owner(f), (SegmentId(3), PageNumber(u64::from(u32::MAX))));
+        t.swap_owners(f, FrameId(1));
+        assert_eq!(t.owner(f), (SegmentId::FRAME_POOL, PageNumber(1)));
+        assert_eq!(t.owner(FrameId(1)).0, SegmentId(3));
+    }
+
+    #[test]
+    fn owner_pages_past_u32_are_refused() {
+        let last = PageNumber(u64::from(u32::MAX));
+        assert_eq!(owner_page(SegmentId(2), last), Ok(u32::MAX));
+        assert_eq!(
+            owner_page(SegmentId(2), last.offset(1)),
+            Err(KernelError::PageNotAddressable {
+                segment: SegmentId(2),
+                page: last.offset(1),
+            })
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ use epcm_trace::{EventKind, MetricsRegistry, SharedTracer, TraceEvent, TraceSink
 use crate::error::KernelError;
 use crate::fault::{FaultEvent, FaultKind};
 use crate::flags::PageFlags;
-use crate::frame::FrameTable;
+use crate::frame::{owner_page, FrameTable};
 use crate::ring::{CompletionEntry, CompletionRing, RingOp, SubmissionRing};
 use crate::segment::{BoundRegion, PageEntry, Segment};
 use crate::tier::{MemTier, TierLayout};
@@ -257,30 +257,10 @@ impl Kernel {
             frames as u64,
             "tier layout must cover the frame pool exactly"
         );
-        let mut frames_table = FrameTable::new(frames);
-        // The boot segment's page table is filled in one pass from the frame
-        // ids, which are already in page order.
-        let boot = Segment::new(
-            SegmentId::FRAME_POOL,
-            SegmentKind::FramePool,
-            UserId::SYSTEM,
-            ManagerId::SYSTEM,
-            frames as u64,
-        )
-        .with_entries(frames_table.ids().map(|id| {
-            (
-                PageNumber(id.index() as u64),
-                PageEntry {
-                    frame: id,
-                    flags: PageFlags::RW,
-                },
-            )
-        }));
-        for (page, entry) in boot.resident() {
-            frames_table.set_owner(entry.frame, Some((SegmentId::FRAME_POOL, page)));
-        }
+        let table = FrameTable::new(frames);
+        let boot = Segment::boot(table.ids());
         Kernel {
-            frames: frames_table,
+            frames: table,
             segments: vec![Some(boot)],
             mapping: MappingTable::vpp_default(),
             tlb: Tlb::r3000(),
@@ -960,7 +940,9 @@ impl Kernel {
     ///
     /// Fails atomically per page (earlier pages stay migrated) with
     /// [`KernelError::PageNotPresent`], [`KernelError::DestinationOccupied`],
-    /// [`KernelError::PageOutOfRange`] or [`KernelError::UnknownSegment`].
+    /// [`KernelError::PageOutOfRange`], [`KernelError::UnknownSegment`] or,
+    /// for a destination page past `u32::MAX`,
+    /// [`KernelError::PageNotAddressable`].
     #[allow(clippy::too_many_arguments)]
     pub fn migrate_pages(
         &mut self,
@@ -1038,6 +1020,7 @@ impl Kernel {
                 ..
             } => (hold_segment, hold_page, Some((source_segment, source_page))),
         };
+        let owner_pg = owner_page(dst_seg, dst_pg)?;
         if self.segment(dst_seg)?.entry(dst_pg).is_some() {
             return Err(KernelError::DestinationOccupied {
                 segment: dst_seg,
@@ -1082,7 +1065,7 @@ impl Kernel {
             flags |= PageFlags::DIRTY;
         }
 
-        self.frames.set_owner(frame, Some((dst_seg, dst_pg)));
+        self.frames.set_owner(frame, (dst_seg, owner_pg));
         self.segment_mut(dst_seg)?
             .insert_entry(dst_pg, PageEntry { frame, flags });
         self.mapping.install(dst_seg, dst_pg, frame);
@@ -1157,10 +1140,7 @@ impl Kernel {
         if src == dst {
             return Ok(());
         }
-        let (dst_seg, dst_pg) = self
-            .frames
-            .owner(dst)
-            .ok_or(KernelError::FrameNotExchangeable { frame: dst })?;
+        let (dst_seg, dst_pg) = self.frames.owner(dst);
         if dst_seg == SegmentId::FRAME_POOL {
             return Err(KernelError::FrameNotExchangeable { frame: dst });
         }
@@ -1182,8 +1162,8 @@ impl Kernel {
                 })
             }
         }
-        self.frames.set_owner(dst, Some((seg, page)));
-        self.frames.set_owner(src, Some((dst_seg, dst_pg)));
+        // `src` is owned by `(seg, page)`: the two frames trade slots.
+        self.frames.swap_owners(src, dst);
         // Both frames now physically hold the page owner's data: the
         // destination by the copy, the source residually. Tracking that
         // keeps the security-zeroing rule exact on later migrations.
@@ -1882,7 +1862,7 @@ mod tests {
         assert!(e.flags.contains(PageFlags::REFERENCED));
         // The frame left the boot pool.
         assert_eq!(k.resident_pages(SegmentId::FRAME_POOL).unwrap(), 63);
-        assert_eq!(k.frames().owner(e.frame), Some((seg, PageNumber(0))));
+        assert_eq!(k.frames().owner(e.frame), (seg, PageNumber(0)));
     }
 
     #[test]
@@ -2679,5 +2659,106 @@ mod data_access_tests {
         assert!(new.stats().faults_protection > 0);
         assert!(new.stats().faults_cow > 0);
         assert!(new.stats().slow_accesses > 0 && new.stats().zram_accesses > 0);
+    }
+}
+
+#[cfg(test)]
+mod boot_tests {
+    //! A kernel builds its boot state in one pass: each frame created
+    //! owned by the boot segment, and the boot segment's page table and
+    //! residency bitmap filled whole. These tests check that state
+    //! against a boot segment built page by page with `insert_entry`, as
+    //! a migration builds any segment.
+    use super::*;
+
+    /// The boot segment of a `frames`-frame machine, one insert per page.
+    fn reference_boot(frames: u32) -> Segment {
+        let mut boot = Segment::new(
+            SegmentId::FRAME_POOL,
+            SegmentKind::FramePool,
+            UserId::SYSTEM,
+            ManagerId::SYSTEM,
+            u64::from(frames),
+        );
+        for f in 0..frames {
+            boot.insert_entry(
+                PageNumber(u64::from(f)),
+                PageEntry {
+                    frame: FrameId(f),
+                    flags: PageFlags::RW,
+                },
+            );
+        }
+        boot
+    }
+
+    fn assert_boots_like_the_reference(k: &Kernel) {
+        let frames = k.frames().len();
+        let reference = reference_boot(u32::try_from(frames).unwrap());
+        let boot = k.segment(SegmentId::FRAME_POOL).unwrap();
+        assert_eq!(k.segment_ids().collect::<Vec<_>>(), [SegmentId::FRAME_POOL]);
+        assert_eq!(boot.kind(), reference.kind());
+        assert_eq!(boot.user(), reference.user());
+        assert_eq!(boot.manager(), reference.manager());
+        assert_eq!(boot.size_pages(), reference.size_pages());
+        assert_eq!(boot.resident_pages(), reference.resident_pages());
+        assert_eq!(boot.resident_bits(), reference.resident_bits());
+        assert!(boot.resident().eq(reference.resident()), "boot entries");
+        assert_eq!(boot.entry(PageNumber(frames as u64)), None);
+        assert_eq!(boot.first_vacant(), PageNumber(frames as u64));
+        for (page, entry) in reference.resident() {
+            let f = entry.frame;
+            assert_eq!(k.frames().owner(f), (SegmentId::FRAME_POOL, page));
+            assert_eq!(k.frames().last_user(f), UserId::SYSTEM);
+            assert!(!k.frames().frame(f).is_materialised(), "{f} holds data");
+        }
+    }
+
+    #[test]
+    fn boot_state_matches_a_page_by_page_build() {
+        // 32 768 is the paper's machine (`PAPER_FRAMES`).
+        for frames in [1, 63, 64, 65, 1000, 32_768] {
+            assert_boots_like_the_reference(&Kernel::new(frames));
+        }
+    }
+
+    #[test]
+    fn tiered_boot_state_matches_a_page_by_page_build() {
+        let layout = TierLayout::new(40, 17, 8);
+        let k = Kernel::with_tiers(65, CostModel::decstation_5000_200(), layout);
+        assert_boots_like_the_reference(&k);
+        assert_eq!(k.tiers(), &layout);
+    }
+
+    #[test]
+    fn a_page_past_u32_holds_no_frame() {
+        let mut k = Kernel::new(4);
+        let big = 1 << 32;
+        let seg = k
+            .create_segment(SegmentKind::Anonymous, UserId(1), ManagerId(1), big + 1)
+            .unwrap();
+        let err = k
+            .migrate_pages(
+                SegmentId::FRAME_POOL,
+                seg,
+                PageNumber(0),
+                PageNumber(big),
+                1,
+                PageFlags::RW,
+                PageFlags::empty(),
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            KernelError::PageNotAddressable {
+                segment: seg,
+                page: PageNumber(big),
+            }
+        );
+        assert!(err.to_string().contains("32-bit page range"));
+        // Nothing moved: the frame is still the boot segment's.
+        assert_eq!(k.resident_pages(seg).unwrap(), 0);
+        k.destroy_segment(seg).unwrap();
+        assert_boots_like_the_reference(&k);
     }
 }

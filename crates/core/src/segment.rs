@@ -114,27 +114,20 @@ impl Segment {
         }
     }
 
-    /// Fills the page table with `entries` in one pass, sized for the
-    /// whole segment up front (the boot segment's every-frame map), then
-    /// builds the residency bitmap a word at a time: setting a bit per
-    /// insert slowed `Kernel::new` at 32 768 frames measurably.
-    pub(crate) fn with_entries(
-        mut self,
-        entries: impl IntoIterator<Item = (PageNumber, PageEntry)>,
-    ) -> Self {
-        self.pages.reserve(to_index(self.size_pages));
-        for (page, entry) in entries {
-            self.insert_slot(page, entry);
-        }
-        self.bits = Bitmap::filled(self.pages.len() as u64);
-        if self.resident < self.pages.len() as u64 {
-            for (p, e) in (0..).zip(&self.pages) {
-                if e.is_none() {
-                    self.bits.clear(p);
-                }
-            }
-        }
-        self
+    /// The well-known boot segment ([`SegmentId::FRAME_POOL`]): page `i`
+    /// maps the `i`-th of `frames` read-write. The page table is one
+    /// `collect` and the bitmap is filled a word at a time.
+    pub(crate) fn boot(frames: impl ExactSizeIterator<Item = FrameId>) -> Self {
+        let size = frames.len() as u64;
+        let (kind, user, manager) = (SegmentKind::FramePool, UserId::SYSTEM, ManagerId::SYSTEM);
+        let mut boot = Segment::new(SegmentId::FRAME_POOL, kind, user, manager, size);
+        let flags = PageFlags::RW;
+        boot.pages = frames
+            .map(|frame| Some(PageEntry { frame, flags }))
+            .collect();
+        boot.bits = Bitmap::filled(size);
+        boot.resident = size;
+        boot
     }
 
     /// The segment's id.
@@ -186,14 +179,8 @@ impl Segment {
 
     /// Installs `entry` at `page`, growing the table to reach it.
     pub(crate) fn insert_entry(&mut self, page: PageNumber, entry: PageEntry) -> Option<PageEntry> {
-        self.bits.set(page.as_u64());
-        self.insert_slot(page, entry)
-    }
-
-    /// The page-table half of [`Self::insert_entry`]; the caller keeps
-    /// the bitmap.
-    fn insert_slot(&mut self, page: PageNumber, entry: PageEntry) -> Option<PageEntry> {
         debug_assert!(self.in_range(page), "{page} inserted past the segment size");
+        self.bits.set(page.as_u64());
         let idx = to_index(page.as_u64());
         if idx >= self.pages.len() {
             self.pages.resize(idx + 1, None);
@@ -452,35 +439,33 @@ mod tests {
 
     #[test]
     fn bitmap_tracks_residency_and_vacancies() {
-        let entry = |p: u64| {
-            (
-                PageNumber(p),
-                PageEntry {
-                    frame: FrameId(p as u32),
-                    flags: PageFlags::RW,
-                },
-            )
+        let entry = |p: u64| PageEntry {
+            frame: FrameId(p as u32),
+            flags: PageFlags::RW,
         };
-        let sized = |pages| {
-            Segment::new(
-                SegmentId(1),
-                SegmentKind::Anonymous,
-                UserId(0),
-                ManagerId(0),
-                pages,
-            )
-        };
-        // Bulk-built, every slot filled: all ones, a partial last word.
-        let full = sized(70).with_entries((0..70).map(entry));
+        // The boot segment, every slot filled: all ones, a partial last
+        // word.
+        let full = Segment::boot((0..70).map(FrameId));
         assert_eq!(full.resident_bits().words(), &[u64::MAX, (1 << 6) - 1]);
+        assert_eq!(full.resident_pages(), 70);
+        assert_eq!(full.entry(PageNumber(69)), Some(entry(69)));
         assert_eq!(full.first_vacant(), PageNumber(70));
         assert_eq!(full.vacant_from(PageNumber(0)).next(), None);
-        // Bulk-built with holes, then changed page by page.
-        let mut s = sized(200).with_entries([0, 1, 2, 64, 130].map(entry));
+        // Holes, changed page by page.
+        let mut s = Segment::new(
+            SegmentId(1),
+            SegmentKind::Anonymous,
+            UserId(0),
+            ManagerId(0),
+            200,
+        );
+        for p in [0, 1, 2, 64, 130] {
+            s.insert_entry(PageNumber(p), entry(p));
+        }
         assert_eq!(s.resident_bits().words(), &[0b111, 1, 1 << 2]);
         assert_eq!(s.first_vacant(), PageNumber(3));
         s.remove_entry(PageNumber(1));
-        s.insert_entry(PageNumber(3), entry(3).1);
+        s.insert_entry(PageNumber(3), entry(3));
         assert_eq!(s.first_vacant(), PageNumber(1));
         let vacant: Vec<u64> = s
             .vacant_from(PageNumber(62))

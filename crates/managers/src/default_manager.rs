@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 
 use epcm_core::flags::PageFlags;
 use epcm_core::types::{PageNumber, SegmentId, SegmentKind};
-use epcm_sim::disk::{Block, FileId};
+use epcm_sim::disk::FileId;
 
 pub use crate::generic::{
     DefaultManagerConfig, DefaultManagerStats, IoRetryStats, PromotionStats, WritebackStats,
@@ -54,7 +54,6 @@ impl Specialization for Ucds {
         _env: &mut Env<'_>,
         seg: SegmentId,
         _page: PageNumber,
-        _block: &mut Block,
     ) -> Result<Fill, ManagerError> {
         Ok(self
             .files

@@ -69,7 +69,7 @@ use epcm_sim::disk::{Block, FileId, FileStore, FileStoreError};
 use epcm_sim::writeback::{TicketId, WritebackPipeline};
 use epcm_trace::{EventKind, MetricsRegistry, SharedTracer, TraceEvent, TraceSink};
 
-use crate::compress::{rle_compress, CompressStats};
+use crate::compress::{rle_len, CompressStats};
 use crate::manager::{Env, ManagerError, ManagerMode, SegmentManager};
 use crate::page_rows::{PageRows, Vacant};
 use crate::policy::{ClockPolicy, Probe, ReplacementPolicy};
@@ -78,14 +78,13 @@ use laundry::Laundry;
 use tiers::{Demotion, HeatTable};
 
 /// What a specialisation's fill hook produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub enum Fill {
     /// Hand the frame over as-is (zero for fresh frames): the minimal
     /// fault.
     Minimal,
-    /// The block holds the page's contents; copy them in before
-    /// migration.
-    Filled,
+    /// The page's contents; the engine copies them in before migration.
+    Filled(Block),
     /// Store-backed: the page is block `page` of this file. The engine
     /// reads it with retry. A block past the end of the file is an
     /// append: a minimal fault that grows the segment and hands over
@@ -136,11 +135,12 @@ pub trait Specialization: fmt::Debug {
         PhysConstraint::Any
     }
 
-    /// Produces the page's contents into `block` (4 KB, zero; writing it
-    /// through [`Block::make_mut`] gives it a page of its own), or names
-    /// the file block the engine should read them from. Called at a
-    /// missing-page fault before a frame is taken, unless the page has a
-    /// swap copy (the engine reads that itself). Default: minimal fault.
+    /// Produces the page's contents as a 4 KB block ([`Fill::Filled`];
+    /// writing a [`Block::zeroed`] through [`Block::make_mut`] gives it a
+    /// page of its own), or names the file block the engine should read
+    /// them from. Called at a missing-page fault before a frame is taken,
+    /// unless the page has a swap copy (the engine reads that itself).
+    /// Default: minimal fault.
     ///
     /// # Errors
     ///
@@ -150,9 +150,8 @@ pub trait Specialization: fmt::Debug {
         env: &mut Env<'_>,
         seg: SegmentId,
         page: PageNumber,
-        block: &mut Block,
     ) -> Result<Fill, ManagerError> {
-        let _ = (env, seg, page, block);
+        let _ = (env, seg, page);
         Ok(Fill::Minimal)
     }
 

@@ -320,25 +320,26 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
         };
         let swap_copy = ms.swap_copy(page);
         env.kernel.charge(env.kernel.costs().manager_alloc);
-        let mut block = Block::zeroed();
-        // The store to read from, and whether it is swap; `None` for a
-        // spec-filled block.
-        let store = match swap_copy {
-            Some(f) => Some((f, true)),
-            None => match self.spec.fill(env, seg, page, &mut block)? {
+        // The store to read from, and whether it is swap, or the block
+        // the spec filled.
+        let (store, filled) = match swap_copy {
+            Some(f) => (Some((f, true)), None),
+            None => match self.spec.fill(env, seg, page)? {
                 Fill::Minimal => return self.minimal_fault(env, free_seg, seg, page, false),
-                Fill::Filled => None,
+                Fill::Filled(block) => (None, Some(block)),
                 Fill::File(f) => {
                     let size = env.store.size(f).map_err(epcm_core::KernelError::from)?;
                     if page.as_u64() * BASE_PAGE_SIZE >= size {
                         return self.minimal_fault(env, free_seg, seg, page, true);
                     }
-                    Some((f, false))
+                    (Some((f, false)), None)
                 }
             },
         };
         let constraint = self.spec.frame_constraint(seg, page);
         let slot = self.take_free_slot(env, constraint)?;
+        // The spec's block, or zeros that a store read overwrites.
+        let mut block = filled.unwrap_or_else(Block::zeroed);
         if let Some((file, _)) = store {
             let size = env.store.size(file).map_err(epcm_core::KernelError::from)?;
             if page.as_u64() * BASE_PAGE_SIZE < size {
@@ -503,11 +504,11 @@ mod tests {
             _env: &mut Env<'_>,
             _seg: SegmentId,
             page: PageNumber,
-            block: &mut Block,
         ) -> Result<Fill, ManagerError> {
+            let mut block = Block::zeroed();
             block.make_mut().fill(page.as_u64() as u8);
             self.filled += 1;
-            Ok(Fill::Filled)
+            Ok(Fill::Filled(block))
         }
     }
 

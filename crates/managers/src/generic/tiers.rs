@@ -301,7 +301,7 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
     fn note_zram(&mut self, data: &[u8]) {
         self.zram_stats.compressed += 1;
         self.zram_stats.raw_bytes += BASE_PAGE_SIZE;
-        self.zram_stats.stored_bytes += rle_compress(data).len() as u64;
+        self.zram_stats.stored_bytes += rle_len(data) as u64;
     }
 
     /// Attempts to demote `page` — resident on a DRAM frame — into a

@@ -97,7 +97,6 @@ impl Specialization for PrefetchSpec {
         env: &mut Env<'_>,
         seg: SegmentId,
         page: PageNumber,
-        block: &mut Block,
     ) -> Result<Fill, ManagerError> {
         let Some(&file) = self.files.get(&seg.as_u32()) else {
             return Ok(Fill::Minimal); // anonymous segment
@@ -109,6 +108,7 @@ impl Specialization for PrefetchSpec {
         }
         let n = BASE_PAGE_SIZE.min(size - offset) as usize;
         let now = env.kernel.now();
+        let mut block = Block::zeroed();
         let full_latency = env.store.read(file, offset, &mut block.make_mut()[..n])?;
         match self.inflight.remove(&(seg.as_u32(), page.as_u64())) {
             Some(arrival) if arrival <= now => {
@@ -146,7 +146,7 @@ impl Specialization for PrefetchSpec {
             self.inflight.insert(key, now + block_time * k);
             self.stats.issued += 1;
         }
-        Ok(Fill::Filled)
+        Ok(Fill::Filled(block))
     }
 
     fn evict_disposition(&self, seg: SegmentId, _page: PageNumber, _: PageFlags) -> Disposition {

@@ -645,9 +645,7 @@ impl SystemPageCacheManager {
     fn tiered_holdings(kernel: &Kernel) -> Vec<(ManagerId, [u64; MemTier::COUNT])> {
         let mut map: BTreeMap<u32, [u64; MemTier::COUNT]> = BTreeMap::new();
         for frame in kernel.frames().ids() {
-            let Some((seg, _)) = kernel.frames().owner(frame) else {
-                continue;
-            };
+            let (seg, _) = kernel.frames().owner(frame);
             if seg == SegmentId::FRAME_POOL {
                 continue;
             }

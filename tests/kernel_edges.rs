@@ -356,10 +356,7 @@ fn boot_segment_maps_every_frame_to_its_own_page() {
         for (page, entry) in boot.resident() {
             assert_eq!(entry.frame.index() as u64, page.as_u64());
             assert_eq!(entry.flags, PageFlags::RW);
-            assert_eq!(
-                k.frames().owner(entry.frame),
-                Some((SegmentId::FRAME_POOL, page))
-            );
+            assert_eq!(k.frames().owner(entry.frame), (SegmentId::FRAME_POOL, page));
             seen += 1;
         }
         assert_eq!(seen, frames);

@@ -42,6 +42,12 @@ enum Op {
         page: u64,
         byte: u8,
     },
+    /// A `MigrateFrame` tier exchange between two of the pages resident
+    /// outside the boot pool, picked by index among them.
+    Exchange {
+        from: usize,
+        to: usize,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -80,13 +86,19 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             page,
             byte,
         }),
+        (any::<usize>(), any::<usize>()).prop_map(|(from, to)| Op::Exchange { from, to }),
     ]
 }
 
 /// Builds a kernel with SEGS anonymous segments; segment index 0 in ops
 /// means the boot pool.
 fn setup() -> (Kernel, Vec<SegmentId>) {
-    let mut kernel = Kernel::new(FRAMES);
+    setup_with(FRAMES)
+}
+
+/// [`setup`] on a machine of `frames` frames.
+fn setup_with(frames: usize) -> (Kernel, Vec<SegmentId>) {
+    let mut kernel = Kernel::new(frames);
     let mut segs = vec![SegmentId::FRAME_POOL];
     for _ in 0..SEGS {
         segs.push(
@@ -103,33 +115,55 @@ fn setup() -> (Kernel, Vec<SegmentId>) {
     (kernel, segs)
 }
 
-/// Every frame is either in the boot pool or in exactly one segment slot,
-/// and the frame table's owner field agrees with the segments.
+/// Every frame is either in the boot pool or in exactly one segment slot;
+/// the frame table's owner of every frame names exactly the slot that
+/// maps it, and every segment's residency bitmap marks exactly its
+/// resident pages.
 fn assert_conservation(kernel: &Kernel) {
     let mut seen = std::collections::BTreeMap::new();
-    let mut total = 0u64;
     for seg in kernel.segment_ids().collect::<Vec<_>>() {
-        for (page, entry) in kernel.segment(seg).expect("segment").resident() {
-            total += 1;
+        let segment = kernel.segment(seg).expect("segment");
+        for (page, entry) in segment.resident() {
             let prev = seen.insert(entry.frame, (seg, page));
             assert!(prev.is_none(), "frame {:?} in two slots", entry.frame);
+        }
+        let bits = segment.resident_bits();
+        let len = segment.size_pages().max(bits.words().len() as u64 * 64);
+        for p in 0..len {
             assert_eq!(
-                kernel.frames().owner(entry.frame),
-                Some((seg, page)),
-                "owner field out of sync"
+                bits.test(p),
+                segment.entry(PageNumber(p)).is_some(),
+                "residency bit {p} of {seg} out of sync"
             );
         }
     }
-    assert_eq!(total, FRAMES as u64, "frames lost or duplicated");
+    assert_eq!(
+        seen.len(),
+        kernel.frames().len(),
+        "frames lost or duplicated"
+    );
+    for frame in kernel.frames().ids() {
+        assert_eq!(
+            Some(&kernel.frames().owner(frame)),
+            seen.get(&frame),
+            "owner of {frame:?} out of sync"
+        );
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Invariant 1: frame conservation across arbitrary migrations.
+    /// Invariant 1: frame conservation across arbitrary migrations and
+    /// tier exchanges, on machines whose boot bitmap may end in a
+    /// partial word.
     #[test]
-    fn frames_are_conserved(ops in proptest::collection::vec(op_strategy(), 1..120)) {
-        let (mut kernel, segs) = setup();
+    fn frames_are_conserved(
+        frames in FRAMES..FRAMES + 8,
+        ops in proptest::collection::vec(op_strategy(), 1..120),
+    ) {
+        let (mut kernel, segs) = setup_with(frames);
+        assert_conservation(&kernel);
         for op in ops {
             match op {
                 Op::Migrate { src, dst, src_page, dst_page, count } => {
@@ -154,6 +188,20 @@ proptest! {
                 }
                 Op::Store { seg, page, byte } => {
                     let _ = kernel.store(segs[seg as usize], page * 4096, &[byte]);
+                }
+                Op::Exchange { from, to } => {
+                    let slots: Vec<_> = segs[1..]
+                        .iter()
+                        .flat_map(|&seg| {
+                            let resident = kernel.segment(seg).expect("segment").resident();
+                            resident.map(move |(page, entry)| (seg, page, entry.frame))
+                        })
+                        .collect();
+                    if !slots.is_empty() {
+                        let (seg, page, _) = slots[from % slots.len()];
+                        let (_, _, dst) = slots[to % slots.len()];
+                        kernel.migrate_frame(seg, page, dst).expect("exchange");
+                    }
                 }
             }
             assert_conservation(&kernel);
