@@ -2,6 +2,8 @@
 //! ablations vary (policies, prefetch bookkeeping, market billing).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use epcm_bench::ablations::{self, SweepScale};
+use epcm_bench::pool::ScenarioPool;
 use epcm_core::types::ManagerId;
 use epcm_managers::market::dram_frames;
 use epcm_managers::policy::{ClockPolicy, Probe, ReplacementPolicy};
@@ -9,7 +11,8 @@ use epcm_managers::{MarketConfig, MemoryMarket};
 use epcm_sim::clock::Timestamp;
 
 fn bench(c: &mut Criterion) {
-    println!("{}", epcm_bench::ablations::render());
+    let report = ablations::results_with(&ScenarioPool::serial(), SweepScale::Quick);
+    println!("{}", ablations::render(&report));
 
     c.bench_function("clock_policy_victim_selection", |b| {
         let mut clock = ClockPolicy::new();

@@ -31,6 +31,7 @@ use epcm_managers::{Machine, ManagerMode, MarketConfig, MemoryMarket};
 use epcm_sim::clock::Micros;
 use epcm_sim::cost::CostModel;
 use epcm_sim::disk::Device;
+use epcm_trace::json::{JsonArray, JsonObject};
 
 use crate::pool::{Job, ScenarioPool};
 
@@ -123,18 +124,22 @@ pub fn protection_batch_sweep(pages: u64, widths: &[u64]) -> Vec<(u64, u64)> {
 ///    `(policy name, faults)` per policy. Memory holds a page quota; the
 ///    working set is larger, so policy quality decides the refault count.
 pub fn policy_comparison(seed: u64) -> Vec<(&'static str, u64)> {
-    type PolicyFactory = Box<dyn Fn() -> Box<dyn ReplacementPolicy>>;
-    let policies: Vec<(&'static str, PolicyFactory)> = vec![
-        ("clock", Box::new(|| Box::new(ClockPolicy::new()))),
-        ("fifo", Box::new(|| Box::new(FifoPolicy::new()))),
-        ("lru", Box::new(|| Box::new(LruPolicy::new()))),
-        ("random", Box::new(|| Box::new(RandomPolicy::new(7)))),
-    ];
-    policies
-        .into_iter()
-        .map(|(name, make)| (name, policy_fault_count(make(), seed)))
+    POLICIES
+        .iter()
+        .map(|&(name, make)| (name, policy_fault_count(make(), seed)))
         .collect()
 }
+
+/// Builds a fresh replacement policy.
+type PolicyFactory = fn() -> Box<dyn ReplacementPolicy>;
+
+/// The policies [`policy_comparison`] races, by name.
+const POLICIES: [(&str, PolicyFactory); 4] = [
+    ("clock", || Box::new(ClockPolicy::new())),
+    ("fifo", || Box::new(FifoPolicy::new())),
+    ("lru", || Box::new(LruPolicy::new())),
+    ("random", || Box::new(RandomPolicy::new(7))),
+];
 
 /// Runs one policy through the 80/20 workload of [`policy_comparison`]
 /// and returns the refault count.
@@ -333,191 +338,314 @@ pub fn dbms_fault_sweep(delays_ms: &[u64]) -> Vec<(u64, f64, f64)> {
 }
 
 /// Scale at which the DBMS fault-latency sweep runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepScale {
     /// Reduced transaction counts — unit tests and quick sanity renders.
+    #[default]
     Quick,
-    /// The full §3.3 transaction counts, as printed by
-    /// `reproduce --ablations`.
+    /// The full §3.3 transaction counts, as run by `reproduce --ablations`.
     Paper,
 }
 
-fn dbms_sweep_config(scale: SweepScale, strategy: IndexStrategy, delay_ms: u64) -> DbmsConfig {
-    let mut cfg = match scale {
-        SweepScale::Quick => DbmsConfig::quick(strategy),
-        SweepScale::Paper => DbmsConfig::paper(strategy),
-    };
-    cfg.fault_delay = Micros::from_millis(delay_ms);
-    cfg
+impl SweepScale {
+    fn dbms_config(self, strategy: IndexStrategy, delay_ms: u64) -> DbmsConfig {
+        let mut cfg = match self {
+            SweepScale::Quick => DbmsConfig::quick(strategy),
+            SweepScale::Paper => DbmsConfig::paper(strategy),
+        };
+        cfg.fault_delay = Micros::from_millis(delay_ms);
+        cfg
+    }
+
+    fn label(self) -> &'static str {
+        match self {
+            SweepScale::Quick => "quick",
+            SweepScale::Paper => "paper",
+        }
+    }
 }
 
 /// [`dbms_fault_sweep`] at an explicit [`SweepScale`].
 pub fn dbms_fault_sweep_at(scale: SweepScale, delays_ms: &[u64]) -> Vec<(u64, f64, f64)> {
+    let average =
+        |strategy, ms| epcm_dbms::engine::run(&scale.dbms_config(strategy, ms)).average_ms();
     delays_ms
         .iter()
         .map(|&ms| {
-            let paging = dbms_sweep_config(scale, IndexStrategy::Paging, ms);
-            let regen = dbms_sweep_config(scale, IndexStrategy::Regeneration, ms);
             (
                 ms,
-                epcm_dbms::engine::run(&paging).average_ms(),
-                epcm_dbms::engine::run(&regen).average_ms(),
+                average(IndexStrategy::Paging, ms),
+                average(IndexStrategy::Regeneration, ms),
             )
         })
         .collect()
 }
 
-/// The report text is assembled from static pieces interleaved with
-/// pool-job results, so independent sweep points run concurrently while
-/// the concatenation order (and hence every output byte) stays exactly
-/// the declared, serial order.
-enum Piece {
-    Text(String),
-    Job(usize),
+/// Every ablation's measurements: what `reproduce --ablations` prints
+/// and writes to `BENCH_ablations.json`. The numbers name the sweeps
+/// above.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct AblationReport {
+    /// Scale of the DBMS fault-latency sweep.
+    pub scale: SweepScale,
+    /// 1. `(in-process, server)` minimal-fault cost.
+    pub manager_mode: (Micros, Micros),
+    /// 2. Ultrix minimal-fault cost `(with, without)` security zeroing.
+    pub zeroing: (Micros, Micros),
+    /// 3. A 64 KB cached read: `(V++ ops, V++ time, Ultrix ops, Ultrix time)`.
+    pub transfer_unit: (u64, Micros, u64, Micros),
+    /// 4. `(batch width, sampling faults)` over 64 sampled pages.
+    pub protection_batch: Vec<(u64, u64)>,
+    /// 5. `(policy, faults)` on the 80/20 workload.
+    pub policies: Vec<(&'static str, u64)>,
+    /// 6. `(read-ahead depth, scan time)`.
+    pub prefetch: Vec<(u64, Micros)>,
+    /// 7. Holdings of the applications with incomes 10 and 20.
+    pub market: (u64, u64),
+    /// 8. `(colored, first-fit)` mismatches, then `(colored, first-fit)`
+    ///    overcommit.
+    pub coloring: (u64, u64, u64, u64),
+    /// 9. `(fault delay ms, paging avg ms, regeneration avg ms)`.
+    pub dbms_fault_sweep: Vec<(u64, f64, f64)>,
+    /// 10. `(TLB entries, hit rate)`.
+    pub tlb: Vec<(usize, f64)>,
+    /// 11. `(mapping-table slots, hit rate)`.
+    pub mapping_table: Vec<(usize, f64)>,
 }
 
-struct Assembly<'a> {
-    jobs: Vec<Job<'a, String>>,
-    pieces: Vec<Piece>,
+/// How a measured point lands in the report.
+type Record = Box<dyn FnOnce(&mut AblationReport) + Send>;
+
+/// One pool job: measures a point on whichever worker claims it and
+/// returns how to record it, so the report is assembled in declared
+/// order for any worker count.
+fn point<'a, T: Send + 'static>(
+    measure: impl FnOnce() -> T + Send + 'a,
+    record: impl FnOnce(&mut AblationReport, T) + Send + 'static,
+) -> Job<'a, Record> {
+    Box::new(move || {
+        let value = measure();
+        Box::new(move |report: &mut AblationReport| record(report, value)) as Record
+    })
 }
 
-impl<'a> Assembly<'a> {
-    fn new() -> Self {
-        Self {
-            jobs: Vec::new(),
-            pieces: Vec::new(),
-        }
+/// Measures every ablation, fanning independent sweep points across the
+/// pool. The report is identical for any worker count.
+pub fn results_with(pool: &ScenarioPool, scale: SweepScale) -> AblationReport {
+    let mut points = vec![
+        point(manager_mode_costs, |r, v| r.manager_mode = v),
+        point(zeroing_costs, |r, v| r.zeroing = v),
+        point(|| transfer_unit_comparison(64), |r, v| r.transfer_unit = v),
+        point(
+            || protection_batch_sweep(64, &[1, 4, 16, 64]),
+            |r, v| r.protection_batch = v,
+        ),
+    ];
+    for (name, make) in POLICIES {
+        points.push(point(
+            move || (name, policy_fault_count(make(), 3)),
+            |r, v| r.policies.push(v),
+        ));
     }
-
-    fn text(&mut self, s: impl Into<String>) {
-        self.pieces.push(Piece::Text(s.into()));
+    for depth in [0u64, 2, 4, 8, 16] {
+        points.push(point(
+            move || prefetch_depth_sweep(&[depth])[0],
+            |r, v| r.prefetch.push(v),
+        ));
     }
-
-    fn job(&mut self, job: impl FnOnce() -> String + Send + 'a) {
-        self.pieces.push(Piece::Job(self.jobs.len()));
-        self.jobs.push(Box::new(job));
+    points.push(point(|| market_shares(100), |r, v| r.market = v));
+    points.push(point(coloring_comparison, |r, v| r.coloring = v));
+    points.push(point(
+        || mapping_table_sweep(4096, &[1024, 8192, 65_536]),
+        |r, v| r.mapping_table = v,
+    ));
+    points.push(point(
+        || tlb_sweep(128, &[16, 64, 256, 512]),
+        |r, v| r.tlb = v,
+    ));
+    for ms in [2u64, 6, 12, 20] {
+        points.push(point(
+            move || dbms_fault_sweep_at(scale, &[ms])[0],
+            |r, v| r.dbms_fault_sweep.push(v),
+        ));
     }
-
-    fn render(self, pool: &ScenarioPool) -> String {
-        let Assembly { jobs, pieces } = self;
-        let mut results: Vec<Option<String>> = pool.run(jobs).into_iter().map(Some).collect();
-        let mut out = String::new();
-        for piece in pieces {
-            match piece {
-                Piece::Text(s) => out.push_str(&s),
-                Piece::Job(i) => {
-                    out.push_str(&results[i].take().expect("each job result is used once"));
-                }
-            }
-        }
-        out
+    let mut report = AblationReport {
+        scale,
+        ..AblationReport::default()
+    };
+    for record in pool.run(points) {
+        record(&mut report);
     }
-}
-
-fn policy_line(name: &'static str, policy: Box<dyn ReplacementPolicy>, seed: u64) -> String {
-    format!("  {name:<7} {} faults\n", policy_fault_count(policy, seed))
+    report
 }
 
 /// Renders every ablation as one report.
-pub fn render() -> String {
-    render_with(&ScenarioPool::serial(), SweepScale::Quick)
+pub fn render(report: &AblationReport) -> String {
+    let mut out = String::from("\n=== Ablations ===\n");
+    let (inproc, server) = report.manager_mode;
+    out.push_str(&format!(
+        "manager mode:       in-process fault {inproc}, server fault {server} ({}x)\n",
+        server.as_micros() / inproc.as_micros().max(1)
+    ));
+    let (with, without) = report.zeroing;
+    out.push_str(&format!(
+        "security zeroing:   Ultrix fault {with} with zeroing, {without} without\n"
+    ));
+    let (vops, vus, uops, uus) = report.transfer_unit;
+    out.push_str(&format!(
+        "transfer unit 64KB: V++ {vops} ops / {vus}; Ultrix {uops} ops / {uus}\n"
+    ));
+    out.push_str("protection batching (64 sampled pages):\n");
+    for (w, faults) in &report.protection_batch {
+        out.push_str(&format!("  batch {w:>2}: {faults} sampling faults\n"));
+    }
+    out.push_str("replacement policy (80/20 workload, 4000 touches):\n");
+    for (name, faults) in &report.policies {
+        out.push_str(&format!("  {name:<7} {faults} faults\n"));
+    }
+    out.push_str("prefetch depth (64-page scan, 3 ms compute/page):\n");
+    for (d, t) in &report.prefetch {
+        out.push_str(&format!("  depth {d:>2}: {t}\n"));
+    }
+    let (a, b) = report.market;
+    out.push_str(&format!(
+        "memory market:      incomes 10:20 -> holdings {a}:{b} (ratio {:.2})\n",
+        b as f64 / a.max(1) as f64
+    ));
+    let (cm, pm, co, po) = report.coloring;
+    out.push_str(&format!(
+        "page coloring:      mismatches {cm} vs {pm}; overcommit {co} vs {po} (colored vs first-fit)\n"
+    ));
+    out.push_str("mapping-table size (4096 live translations):\n");
+    for (slots, rate) in &report.mapping_table {
+        out.push_str(&format!(
+            "  {slots:>6} slots: {:.1}% hit rate\n",
+            rate * 100.0
+        ));
+    }
+    out.push_str("TLB reach (random refs over 128 pages):\n");
+    for (entries, rate) in &report.tlb {
+        out.push_str(&format!(
+            "  {entries:>3} entries: {:.1}% hit rate\n",
+            rate * 100.0
+        ));
+    }
+    out.push_str("DBMS fault-delay sweep (avg ms, paging vs regeneration):\n");
+    for (ms, paging, regen) in &report.dbms_fault_sweep {
+        out.push_str(&format!(
+            "  {ms:>2} ms faults: paging {paging:>7.0}, regeneration {regen:>5.0}\n"
+        ));
+    }
+    out
 }
 
-/// Renders every ablation, fanning independent sweep points across the
-/// pool. Output is byte-identical for any worker count, and identical to
-/// the historical serial renderer at the same [`SweepScale`].
-pub fn render_with(pool: &ScenarioPool, scale: SweepScale) -> String {
-    let mut asm = Assembly::new();
-    asm.text("\n=== Ablations ===\n");
-
-    asm.job(|| {
-        let (inproc, server) = manager_mode_costs();
-        format!(
-            "manager mode:       in-process fault {inproc}, server fault {server} ({}x)\n",
-            server.as_micros() / inproc.as_micros().max(1)
-        )
-    });
-
-    asm.job(|| {
-        let (with, without) = zeroing_costs();
-        format!("security zeroing:   Ultrix fault {with} with zeroing, {without} without\n")
-    });
-
-    asm.job(|| {
-        let (vops, vus, uops, uus) = transfer_unit_comparison(64);
-        format!("transfer unit 64KB: V++ {vops} ops / {vus}; Ultrix {uops} ops / {uus}\n")
-    });
-
-    asm.text("protection batching (64 sampled pages):\n");
-    asm.job(|| {
-        protection_batch_sweep(64, &[1, 4, 16, 64])
-            .into_iter()
-            .map(|(w, faults)| format!("  batch {w:>2}: {faults} sampling faults\n"))
-            .collect()
-    });
-
-    asm.text("replacement policy (80/20 workload, 4000 touches):\n");
-    asm.job(|| policy_line("clock", Box::new(ClockPolicy::new()), 3));
-    asm.job(|| policy_line("fifo", Box::new(FifoPolicy::new()), 3));
-    asm.job(|| policy_line("lru", Box::new(LruPolicy::new()), 3));
-    asm.job(|| policy_line("random", Box::new(RandomPolicy::new(7)), 3));
-
-    asm.text("prefetch depth (64-page scan, 3 ms compute/page):\n");
-    for depth in [0u64, 2, 4, 8, 16] {
-        asm.job(move || {
-            let (d, t) = prefetch_depth_sweep(&[depth])[0];
-            format!("  depth {d:>2}: {t}\n")
-        });
+/// The ablations as a machine-readable JSON document
+/// (`BENCH_ablations.json`), one field per sweep.
+pub fn ablations_json(report: &AblationReport) -> String {
+    fn rows<T>(items: &[T], row: impl Fn(&T) -> JsonObject) -> String {
+        let mut array = JsonArray::new();
+        for item in items {
+            array.push_raw(row(item).finish());
+        }
+        array.finish()
     }
-
-    asm.job(|| {
-        let (a, b) = market_shares(100);
-        format!(
-            "memory market:      incomes 10:20 -> holdings {a}:{b} (ratio {:.2})\n",
-            b as f64 / a.max(1) as f64
+    let (inproc, server) = report.manager_mode;
+    let (with, without) = report.zeroing;
+    let (vops, vus, uops, uus) = report.transfer_unit;
+    let (a, b) = report.market;
+    let (cm, pm, co, po) = report.coloring;
+    JsonObject::new()
+        .string("bench", "ablations")
+        .string("dbms_scale", report.scale.label())
+        .raw(
+            "manager_mode",
+            JsonObject::new()
+                .u64("in_process_fault_us", inproc.as_micros())
+                .u64("server_fault_us", server.as_micros())
+                .finish(),
         )
-    });
-
-    asm.job(|| {
-        let (cm, pm, co, po) = coloring_comparison();
-        format!(
-            "page coloring:      mismatches {cm} vs {pm}; overcommit {co} vs {po} (colored vs first-fit)\n"
+        .raw(
+            "security_zeroing",
+            JsonObject::new()
+                .u64("ultrix_fault_us", with.as_micros())
+                .u64("ultrix_fault_unzeroed_us", without.as_micros())
+                .finish(),
         )
-    });
-
-    asm.text("mapping-table size (4096 live translations):\n");
-    asm.job(|| {
-        mapping_table_sweep(4096, &[1024, 8192, 65_536])
-            .into_iter()
-            .map(|(slots, rate)| format!("  {slots:>6} slots: {:.1}% hit rate\n", rate * 100.0))
-            .collect()
-    });
-
-    asm.text("TLB reach (random refs over 128 pages):\n");
-    asm.job(|| {
-        tlb_sweep(128, &[16, 64, 256, 512])
-            .into_iter()
-            .map(|(entries, rate)| {
-                format!("  {entries:>3} entries: {:.1}% hit rate\n", rate * 100.0)
-            })
-            .collect()
-    });
-
-    asm.text("DBMS fault-delay sweep (avg ms, paging vs regeneration):\n");
-    for ms in [2u64, 6, 12, 20] {
-        asm.text(format!("  {ms:>2} ms faults: paging "));
-        asm.job(move || {
-            let cfg = dbms_sweep_config(scale, IndexStrategy::Paging, ms);
-            format!("{:>7.0}", epcm_dbms::engine::run(&cfg).average_ms())
-        });
-        asm.text(", regeneration ");
-        asm.job(move || {
-            let cfg = dbms_sweep_config(scale, IndexStrategy::Regeneration, ms);
-            format!("{:>5.0}", epcm_dbms::engine::run(&cfg).average_ms())
-        });
-        asm.text("\n");
-    }
-    asm.render(pool)
+        .raw(
+            "transfer_unit_64kb",
+            JsonObject::new()
+                .u64("vpp_ops", vops)
+                .u64("vpp_us", vus.as_micros())
+                .u64("ultrix_ops", uops)
+                .u64("ultrix_us", uus.as_micros())
+                .finish(),
+        )
+        .raw(
+            "protection_batching",
+            rows(&report.protection_batch, |&(width, faults)| {
+                JsonObject::new()
+                    .u64("batch", width)
+                    .u64("sampling_faults", faults)
+            }),
+        )
+        .raw(
+            "replacement_policy",
+            rows(&report.policies, |&(name, faults)| {
+                JsonObject::new()
+                    .string("policy", name)
+                    .u64("faults", faults)
+            }),
+        )
+        .raw(
+            "prefetch_depth",
+            rows(&report.prefetch, |&(depth, t)| {
+                JsonObject::new()
+                    .u64("depth", depth)
+                    .u64("scan_us", t.as_micros())
+            }),
+        )
+        .raw(
+            "memory_market",
+            JsonObject::new()
+                .u64("holdings_income_10", a)
+                .u64("holdings_income_20", b)
+                .finish(),
+        )
+        .raw(
+            "page_coloring",
+            JsonObject::new()
+                .u64("colored_mismatches", cm)
+                .u64("first_fit_mismatches", pm)
+                .u64("colored_overcommit", co)
+                .u64("first_fit_overcommit", po)
+                .finish(),
+        )
+        .raw(
+            "mapping_table",
+            rows(&report.mapping_table, |&(slots, rate)| {
+                JsonObject::new()
+                    .u64("slots", slots as u64)
+                    .f64("hit_rate", rate)
+            }),
+        )
+        .raw(
+            "tlb_reach",
+            rows(&report.tlb, |&(entries, rate)| {
+                JsonObject::new()
+                    .u64("entries", entries as u64)
+                    .f64("hit_rate", rate)
+            }),
+        )
+        .raw(
+            "dbms_fault_sweep",
+            rows(&report.dbms_fault_sweep, |&(ms, paging, regen)| {
+                JsonObject::new()
+                    .u64("fault_delay_ms", ms)
+                    .f64("paging_avg_ms", paging)
+                    .f64("regeneration_avg_ms", regen)
+            }),
+        )
+        .finish()
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Regenerates every table of the paper's evaluation, printing
 //! paper-vs-measured rows, plus the sections of the scenario registry
-//! ([`epcm_bench::scenario`]) and (with `--ablations`) the design-choice
-//! sweeps from DESIGN.md.
+//! ([`epcm_bench::scenario`]), the design-choice ablation sweeps from
+//! DESIGN.md among them.
 //!
 //! ```text
 //! reproduce                    # Tables 1-4
@@ -10,7 +10,6 @@
 //! reproduce --json             # also write each section's BENCH_*.json
 //! reproduce --jobs N           # fan independent scenarios over N workers
 //! reproduce --wall-clock       # time each section, write BENCH_timings.json
-//! reproduce --ablations        # ablation sweeps only (full DBMS sweep)
 //! reproduce --tiers dram:64,slow:256,zram:64   # + tier sweep (or dram:ALL)
 //! reproduce --promotion        # + hot-page promotion ablation, off vs on
 //! reproduce --async-writeback  # + sync-vs-async laundry ablation
@@ -18,6 +17,7 @@
 //! reproduce --shards N         # + sharded run; N workers for it, chaos, economy
 //! reproduce --chaos SEED:RATE  # + chaos-injection run with tenant churn
 //! reproduce --economy quick|stress|both        # + memory-market scenarios
+//! reproduce --ablations        # + design-choice ablation sweeps (full DBMS sweep)
 //! ```
 //!
 //! Sections run in registry order and print their tables; with `--json`
@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use epcm_bench::json_report::{self, WallClockEntry};
 use epcm_bench::pool::ScenarioPool;
-use epcm_bench::{ablations, scenario};
+use epcm_bench::scenario;
 
 fn write_json(path: &str, json: &str) {
     let mut contents = json.to_string();
@@ -157,14 +157,6 @@ fn main() -> ExitCode {
     let mut wall = WallClock::new(opts.wall_clock);
     if wall.enabled {
         wall.time("calibration", calibration_ms);
-    }
-    if opts.ablations {
-        let report = wall.time("ablations", || {
-            ablations::render_with(&pool, ablations::SweepScale::Paper)
-        });
-        print!("{report}");
-        wall.finish(pool.jobs());
-        return ExitCode::SUCCESS;
     }
     let mut failures = Vec::new();
     for s in scenario::SCENARIOS.iter().filter(|s| (s.selected)(&opts)) {

@@ -17,14 +17,15 @@
 use epcm_core::shard::ShardSpec;
 use epcm_core::tier::{TierLayout, TierSpec};
 use epcm_economy::{EconomyConfig, EconomyReport, IncomeClass};
-use epcm_managers::shard::ShardRunReport;
+use epcm_managers::shard::{LaneFate, ShardRunReport};
 use epcm_sim::chaos::ChaosPlan;
 
 use crate::pool::ScenarioPool;
 use crate::promotion::PromotionPair;
 use crate::ring::RingReport;
 use crate::{
-    chaos, economy, json_report, promotion, ring, shards, table1, table23, table4, tiers, writeback,
+    ablations, chaos, economy, json_report, promotion, ring, shards, table1, table23, table4,
+    tiers, writeback,
 };
 
 /// Total frame budget of the tier sweep when `--tiers dram:ALL` leaves
@@ -38,7 +39,7 @@ pub struct Options {
     pub quick: bool,
     /// `--json`: write each section's `BENCH_*.json` files.
     pub json: bool,
-    /// `--ablations`: run the ablation sweeps instead of the sections.
+    /// `--ablations`: the design-choice ablation sweeps.
     pub ablations: bool,
     /// `--wall-clock`: time each section, write `BENCH_timings.json`.
     pub wall_clock: bool,
@@ -206,11 +207,6 @@ static GLOBAL_FLAGS: &[Flag] = &[
         "time each section, write BENCH_timings.json",
         |o| &mut o.wall_clock,
     ),
-    Flag::switch(
-        "--ablations",
-        "run the ablation sweeps only (full DBMS sweep)",
-        |o| &mut o.ablations,
-    ),
 ];
 
 /// Every section, in output order.
@@ -331,6 +327,7 @@ pub static SCENARIOS: &[Scenario] = &[
             Output::new(shards::render(&report))
                 .file("BENCH_shards.json", shards::shards_json(&report))
                 .gates(&report, CONSERVATION_GATES)
+                .gates(&report, SHARD_GATES)
         },
     },
     Scenario {
@@ -348,6 +345,7 @@ pub static SCENARIOS: &[Scenario] = &[
             Output::new(chaos::render(&plan, &report))
                 .file("BENCH_chaos.json", chaos::chaos_json(&plan, &report))
                 .gates(&report, CONSERVATION_GATES)
+                .gates(&report, CHAOS_GATES)
         },
     },
     Scenario {
@@ -365,6 +363,20 @@ pub static SCENARIOS: &[Scenario] = &[
             Output::new(economy::render(&reports))
                 .file("BENCH_economy.json", economy::economy_json(&reports))
                 .gates(reports.as_slice(), ECONOMY_GATES)
+        },
+    },
+    Scenario {
+        name: "ablations",
+        flag: Some(Flag::switch(
+            "--ablations",
+            "add the design-choice ablation sweeps (full DBMS sweep)",
+            |o| &mut o.ablations,
+        )),
+        selected: |o| o.ablations,
+        run: |_, pool| {
+            let report = ablations::results_with(pool, ablations::SweepScale::Paper);
+            Output::new(ablations::render(&report))
+                .file("BENCH_ablations.json", ablations::ablations_json(&report))
         },
     },
 ];
@@ -409,13 +421,34 @@ const PROMOTION_GATES: &[Gate<[PromotionPair]>] = &[
     },
 ];
 
-const RING_GATES: &[Gate<RingReport>] = &[|report| {
-    let factor = report.collapse_factor();
-    ensure(
-        factor >= 4.0,
-        format!("crossing collapse {factor:.2}x below the 4x floor"),
-    )
-}];
+const RING_GATES: &[Gate<RingReport>] = &[
+    |report| {
+        let factor = report.collapse_factor();
+        ensure(
+            factor >= 4.0,
+            format!("crossing collapse {factor:.2}x below the 4x floor"),
+        )
+    },
+    // Every application rerun issues single-op batches, so the direct
+    // rows must ring one doorbell per op and the batched rows must
+    // reproduce their timeline to the microsecond.
+    |report| {
+        report.apps.chunks(2).try_for_each(|pair| {
+            let (direct, batched) = (&pair[0], &pair[1]);
+            ensure(
+                direct.ring_batches == direct.ring_ops,
+                format!("{}: a direct batch held more than one op", direct.app),
+            )?;
+            ensure(
+                direct.elapsed_us == batched.elapsed_us,
+                format!(
+                    "{}: batched rerun took {} us, direct {} us",
+                    direct.app, batched.elapsed_us, direct.elapsed_us
+                ),
+            )
+        })
+    },
+];
 
 const CONSERVATION_GATES: &[Gate<ShardRunReport>] = &[
     |report| ensure(report.conserved, "spill pool lost or duplicated frames"),
@@ -425,6 +458,64 @@ const CONSERVATION_GATES: &[Gate<ShardRunReport>] = &[
             residual.abs() < 1e-6,
             format!("market ledger out of balance: residual {residual}"),
         )
+    },
+];
+
+const SHARD_GATES: &[Gate<ShardRunReport>] = &[
+    |report| {
+        ensure(
+            report.lanes.iter().all(|l| l.final_time_us > 0),
+            "a lane never reached the final barrier",
+        )
+    },
+    |report| {
+        ensure(
+            report.lanes.iter().any(|l| l.lease_peak > 0),
+            "no lane ever leased a spill frame",
+        )
+    },
+    |report| {
+        ensure(
+            report.epochs.iter().any(|e| e.contended),
+            "no epoch contended for spill frames",
+        )
+    },
+];
+
+const CHAOS_GATES: &[Gate<ShardRunReport>] = &[
+    |report| {
+        ensure(
+            report.trace.iter().any(|l| l.contains("chaos injected")),
+            "no chaos event was ever injected",
+        )
+    },
+    |report| ensure(report.departures > 0, "churn never departed a lane"),
+    // A lane that crashed and then departed counts as a departure under
+    // the crash fate, so the counter can only exceed the departed fates.
+    |report| {
+        let departed = report.lanes.iter().filter(|l| l.fate == LaneFate::Departed);
+        ensure(
+            report.departures >= departed.count() as u64,
+            format!(
+                "departure counter {} below the departed lanes",
+                report.departures
+            ),
+        )
+    },
+    |report| {
+        report
+            .lanes
+            .iter()
+            .filter(|l| l.fate == LaneFate::Departed)
+            .try_for_each(|l| {
+                ensure(
+                    l.balance == 0.0,
+                    format!(
+                        "lane {} departed with {} drams unsettled",
+                        l.lane, l.balance
+                    ),
+                )
+            })
     },
 ];
 
@@ -568,7 +659,7 @@ mod tests {
             "--economy quick --json",
             "--economy both --json",
             "--quick --json --tiers dram:64,slow:256,zram:64 --promotion --async-writeback \
-             --batched-abi --chaos 3405691582:0.5 --economy both --shards 4 --jobs 8",
+             --batched-abi --chaos 3405691582:0.5 --economy both --ablations --shards 4 --jobs 8",
         ] {
             if let Err(e) = parse(line) {
                 panic!("`{line}` was rejected: {e}");

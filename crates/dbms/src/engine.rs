@@ -396,6 +396,21 @@ mod tests {
         );
     }
 
+    /// Different seeds change the stochastic results (the determinism is
+    /// seed-parameterised, not hard-coded), but not the coarse physics.
+    #[test]
+    fn seeds_matter() {
+        let mut a_cfg = DbmsConfig::quick(IndexStrategy::InMemory);
+        let mut b_cfg = a_cfg.clone();
+        a_cfg.seed = 1;
+        b_cfg.seed = 2;
+        let a = run(&a_cfg);
+        let b = run(&b_cfg);
+        assert_ne!(a.all, b.all, "different seeds must perturb responses");
+        let ratio = a.average_ms() / b.average_ms();
+        assert!((0.5..2.0).contains(&ratio), "ratio {ratio}");
+    }
+
     #[test]
     fn mix_is_95_to_5() {
         let cfg = DbmsConfig::quick(IndexStrategy::InMemory);

@@ -362,18 +362,18 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
     /// backoff on the virtual clock. Every injected fault and every retry
     /// is traced; a permanent failure (or a transient one outlasting the
     /// budget) is returned to the caller.
-    pub(super) fn store_io_with_retry(
+    pub(super) fn store_io_with_retry<T>(
         &mut self,
         env: &mut Env<'_>,
         write: bool,
-        mut op: impl FnMut(&mut FileStore) -> Result<Micros, FileStoreError>,
-    ) -> Result<Micros, ManagerError> {
+        mut op: impl FnMut(&mut FileStore) -> Result<T, FileStoreError>,
+    ) -> Result<T, ManagerError> {
         let limit = self.config.io_retry_limit;
         let mut attempt = 0u32;
         loop {
             self.io_stats.attempts += 1;
             let err = match op(env.store) {
-                Ok(latency) => return Ok(latency),
+                Ok(done) => return Ok(done),
                 Err(e) => e,
             };
             let (file, op_idx, transient) = match &err {

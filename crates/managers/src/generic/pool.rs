@@ -338,17 +338,19 @@ impl<S: Specialization, P: ReplacementPolicy> GenericManager<S, P> {
         };
         let constraint = self.spec.frame_constraint(seg, page);
         let slot = self.take_free_slot(env, constraint)?;
-        // The spec's block, or zeros that a store read overwrites.
-        let mut block = filled.unwrap_or_else(Block::zeroed);
+        // The spec's block, the store's, or zeros.
+        let mut block = filled;
         if let Some((file, _)) = store {
             let size = env.store.size(file).map_err(epcm_core::KernelError::from)?;
             if page.as_u64() * BASE_PAGE_SIZE < size {
-                let latency = self.store_io_with_retry(env, false, |store| {
-                    store.read_block(file, page.as_u64(), &mut block)
+                let (read, latency) = self.store_io_with_retry(env, false, |store| {
+                    store.read_block(file, page.as_u64())
                 })?;
                 env.kernel.charge(latency);
+                block = Some(read);
             }
         }
+        let block = block.unwrap_or_else(Block::zeroed);
         env.kernel.manager_write_block(free_seg, slot, block)?;
         env.kernel.charge(env.kernel.costs().page_copy_4k);
         self.op_migrate_pages(env, (free_seg, slot), (seg, page), 1, SHED)?;

@@ -72,7 +72,7 @@ pub use chaotic::ChaoticManager;
 pub use default_manager::{
     DefaultManagerConfig, DefaultManagerStats, DefaultSegmentManager, IoRetryStats, WritebackStats,
 };
-pub use machine::{Machine, MachineBuilder, MachineError, MachineStats, TraceStep};
+pub use machine::{Machine, MachineBuilder, MachineError, MachineStats};
 pub use manager::{Env, ManagerError, ManagerMode, SegmentManager};
 pub use market::{MarketConfig, MemoryMarket, PriceSchedule};
 pub use shard::{

@@ -114,25 +114,6 @@ impl From<SpcmError> for MachineError {
     }
 }
 
-/// One step of the Figure 2 walkthrough, recorded when tracing is enabled.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceStep {
-    /// Step 1: the kernel forwarded a fault.
-    FaultRaised(FaultEvent),
-    /// Steps 2–4: dispatched to the manager in the given mode.
-    Dispatched {
-        /// The handling manager.
-        manager: ManagerId,
-        /// Its execution mode.
-        mode: ManagerMode,
-    },
-    /// Step 5: handler returned; the application resumes.
-    Resumed {
-        /// Virtual time consumed by the whole fault, trap to resume.
-        elapsed: Micros,
-    },
-}
-
 /// Aggregate machine statistics (Table 3 reads these).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MachineStats {
@@ -236,7 +217,6 @@ impl MachineBuilder {
             next_manager: 1,
             default_manager: None,
             stats: MachineStats::default(),
-            trace: None,
             event_tracer: None,
             quarantine_seg: None,
             watchdog: self.watchdog.map(Watchdog::new),
@@ -270,7 +250,6 @@ pub struct Machine {
     next_manager: u32,
     default_manager: Option<ManagerId>,
     stats: MachineStats,
-    trace: Option<Vec<TraceStep>>,
     event_tracer: Option<SharedTracer>,
     /// System-owned segment where seized dirty pages that could not be
     /// written back are impounded; created on first use.
@@ -368,16 +347,6 @@ impl Machine {
     /// The upcall watchdog, if enabled.
     pub fn watchdog(&self) -> Option<&Watchdog> {
         self.watchdog.as_ref()
-    }
-
-    /// Starts recording [`TraceStep`]s (the Figure 2 walkthrough).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// Takes and clears the recorded trace.
-    pub fn take_trace(&mut self) -> Vec<TraceStep> {
-        self.trace.take().unwrap_or_default()
     }
 
     // ----- event tracing / unified metrics ---------------------------------
@@ -1129,16 +1098,8 @@ impl Machine {
             .managers
             .get_mut(&fault.manager.0)
             .ok_or(MachineError::UnknownManager(fault.manager))?;
-        let mode = mgr.mode();
-        if let Some(t) = &mut self.trace {
-            t.push(TraceStep::FaultRaised(fault));
-            t.push(TraceStep::Dispatched {
-                manager: fault.manager,
-                mode,
-            });
-        }
         let costs = self.kernel.costs();
-        let (dispatch, resume) = match mode {
+        let (dispatch, resume) = match mgr.mode() {
             ManagerMode::FaultingProcess => (costs.fault_dispatch_inprocess, costs.resume_direct),
             ManagerMode::Server => (
                 costs.fault_dispatch_ipc + costs.server_demux,
@@ -1165,9 +1126,6 @@ impl Machine {
         // Attribute the trap entry (charged before dispatch) to the fault too.
         let elapsed = self.kernel.now().duration_since(started) + trap_entry;
         self.stats.manager_time += elapsed;
-        if let Some(t) = &mut self.trace {
-            t.push(TraceStep::Resumed { elapsed });
-        }
         self.observe_upcall(fault.manager, UpcallKind::Fault, elapsed)?;
         result.map_err(|source| MachineError::Manager { fault, source })
     }
@@ -1345,18 +1303,6 @@ mod tests {
         m.touch(seg, 0, AccessKind::Write).unwrap();
         assert_eq!(m.kernel().resident_pages(seg).unwrap(), 1);
         assert_eq!(m.stats().manager_calls, 1);
-    }
-
-    #[test]
-    fn fault_trace_records_figure2_steps() {
-        let mut m = Machine::with_default_manager(256);
-        let seg = m.create_segment(SegmentKind::Anonymous, 8).unwrap();
-        m.enable_trace();
-        m.touch(seg, 3, AccessKind::Write).unwrap();
-        let trace = m.take_trace();
-        assert!(matches!(trace[0], TraceStep::FaultRaised(_)));
-        assert!(matches!(trace[1], TraceStep::Dispatched { .. }));
-        assert!(matches!(trace[2], TraceStep::Resumed { .. }));
     }
 
     #[test]

@@ -744,10 +744,10 @@ impl FileStore {
         Ok(self.charge(file, offset, len))
     }
 
-    /// Reads block `index` into `block` by sharing it, not copying it.
-    /// The block's bytes past the end of the file are zero. Counts, fault
-    /// injection and latency are those of a byte [`FileStore::read`] of
-    /// the block's bytes within the file.
+    /// Reads block `index` by sharing it, not copying it, and returns it
+    /// with the read's latency. The block's bytes past the end of the
+    /// file are zero. Counts, fault injection and latency are those of a
+    /// byte [`FileStore::read`] of the block's bytes within the file.
     ///
     /// # Errors
     ///
@@ -758,8 +758,7 @@ impl FileStore {
         &mut self,
         file: FileId,
         index: u64,
-        block: &mut Block,
-    ) -> Result<Micros, FileStoreError> {
+    ) -> Result<(Block, Micros), FileStoreError> {
         let size = self.entry(file)?.len;
         let offset = index.saturating_mul(BLOCK_SIZE);
         if offset >= size {
@@ -772,15 +771,15 @@ impl FileStore {
         }
         let len = BLOCK_SIZE.min(size - offset);
         self.inject(false, file, offset, len)?;
-        let entry = self.entry(file)?;
-        *block = entry
+        let block = self
+            .entry(file)?
             .blocks
             .get(index as usize)
             .cloned()
             .flatten()
             .unwrap_or_else(Block::zeroed);
         self.reads += 1;
-        Ok(self.charge(file, offset, len))
+        Ok((block, self.charge(file, offset, len)))
     }
 
     /// Writes `block` as block `index` by sharing it, not copying it,
@@ -1052,15 +1051,14 @@ mod tests {
         let data: Vec<u8> = (0..2 * BLOCK_SIZE + 10).map(|i| i as u8).collect();
         let base = data.as_ptr();
         let f = s.create_with("a", data);
-        let mut block = Block::zeroed();
-        s.read_block(f, 1, &mut block).unwrap();
+        let (block, _) = s.read_block(f, 1).unwrap();
         assert_eq!(
             block.as_slice().as_ptr(),
             base.wrapping_add(BLOCK_BYTES),
             "whole blocks are windows of the caller's buffer"
         );
         // The partial tail is a zero-padded copy.
-        s.read_block(f, 2, &mut block).unwrap();
+        let (block, _) = s.read_block(f, 2).unwrap();
         let expect: Vec<u8> = (2 * BLOCK_SIZE..2 * BLOCK_SIZE + 10)
             .map(|i| i as u8)
             .collect();
@@ -1074,15 +1072,14 @@ mod tests {
         let mut s = FileStore::new(Device::Instant);
         let f = s.create("a", 2 * BLOCK_BYTES);
         s.write(f, 5, b"old").unwrap();
-        let (mut first, mut second) = (Block::zeroed(), Block::zeroed());
-        s.read_block(f, 0, &mut first).unwrap();
-        s.read_block(f, 0, &mut second).unwrap();
+        let (first, _) = s.read_block(f, 0).unwrap();
+        let (second, _) = s.read_block(f, 0).unwrap();
         assert!(Block::ptr_eq(&first, &second));
         s.write(f, 5, b"new").unwrap();
         assert_eq!(&first.as_slice()[5..8], b"old");
         // A never-written block reads as the shared zero page.
-        s.read_block(f, 1, &mut first).unwrap();
-        assert!(Block::ptr_eq(&first, &Block::zeroed()));
+        let (unwritten, _) = s.read_block(f, 1).unwrap();
+        assert!(Block::ptr_eq(&unwritten, &Block::zeroed()));
     }
 
     #[test]
@@ -1093,8 +1090,7 @@ mod tests {
         block.make_mut()[..4].copy_from_slice(b"page");
         s.write_block(f, 3, &block).unwrap();
         assert_eq!(s.size(f).unwrap(), 4 * BLOCK_SIZE);
-        let mut stored = Block::zeroed();
-        s.read_block(f, 3, &mut stored).unwrap();
+        let (stored, _) = s.read_block(f, 3).unwrap();
         assert!(Block::ptr_eq(&stored, &block));
         block.make_mut()[0] = b'P';
         let mut buf = [0u8; 4];
@@ -1108,10 +1104,9 @@ mod tests {
     fn read_block_at_or_past_the_end_is_out_of_range() {
         let mut s = FileStore::new(Device::Instant);
         let f = s.create("a", BLOCK_BYTES);
-        let mut block = Block::zeroed();
         for index in [1, u64::MAX] {
             assert!(matches!(
-                s.read_block(f, index, &mut block),
+                s.read_block(f, index),
                 Err(FileStoreError::OutOfRange {
                     len: BLOCK_SIZE,
                     ..

@@ -499,10 +499,9 @@ proptest! {
                     let f = pick(file);
                     let offset = index * BLOCK_SIZE;
                     let size = model.files[f].len() as u64;
-                    let mut block = block_of(b"stale");
-                    let got = store.read_block(ids[f], index, &mut block);
+                    let got = store.read_block(ids[f], index);
                     if offset >= size {
-                        prop_assert_eq!(got, Err(FileStoreError::OutOfRange {
+                        prop_assert_eq!(got.map(|(_, latency)| latency), Err(FileStoreError::OutOfRange {
                             file: ids[f],
                             offset,
                             len: BLOCK_SIZE,
@@ -512,7 +511,8 @@ proptest! {
                         let (bytes, latency) = model
                             .read(ids[f], f, offset, BLOCK_SIZE.min(size - offset))
                             .expect("in range");
-                        prop_assert_eq!(got, Ok(latency));
+                        let (block, got) = got.expect("in range");
+                        prop_assert_eq!(got, latency);
                         prop_assert_eq!(block.as_slice(), block_of(&bytes).as_slice());
                     }
                 }
@@ -559,14 +559,16 @@ proptest! {
                 prop_assert_eq!(got, bytes.write(b, offset, &data));
             } else {
                 let size = bytes.size(b).expect("file");
-                let mut block = Block::zeroed();
-                let got = blocks.read_block(a, index, &mut block);
+                let got = blocks.read_block(a, index);
                 if offset < size {
                     let mut buf = vec![0; BLOCK_SIZE.min(size - offset) as usize];
                     let want = bytes.read(b, offset, &mut buf);
-                    prop_assert_eq!(got, want);
-                    if got.is_ok() {
-                        prop_assert_eq!(block.as_slice(), block_of(&buf).as_slice());
+                    match got {
+                        Ok((block, latency)) => {
+                            prop_assert_eq!(Ok(latency), want);
+                            prop_assert_eq!(block.as_slice(), block_of(&buf).as_slice());
+                        }
+                        Err(e) => prop_assert_eq!(Err(e), want),
                     }
                 } else {
                     prop_assert!(matches!(got, Err(FileStoreError::OutOfRange { .. })));

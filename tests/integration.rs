@@ -5,7 +5,11 @@ use epcm::core::{AccessKind, PageFlags, PageNumber, SegmentKind, UserId, BASE_PA
 use epcm::managers::default_manager::{DefaultManagerConfig, DefaultSegmentManager};
 use epcm::managers::generic::{GenericManager, PlainSpec};
 use epcm::managers::{Machine, ManagerMode};
+use epcm::sim::clock::Micros;
 use epcm::sim::disk::Device;
+use epcm::trace::EventKind;
+use epcm::workloads::runner::run_on_vpp_traced;
+use epcm::workloads::trace::{AppSpec, InputFile};
 
 /// A program whose working set exceeds physical memory pages in and out
 /// through the default manager with all data intact, and the paging I/O
@@ -293,4 +297,64 @@ fn eviction_reads_page_attributes_once_per_probe() {
     let (probes, evictions, elapsed) = run(0);
     assert!(evictions > 0, "the sweep must evict");
     assert_eq!(run(8), (probes, evictions, elapsed));
+}
+
+/// A deliberately tiny event ring on a whole application run wraps: the
+/// held events are capped at its capacity, drops are counted, the
+/// per-kind counts the metrics report stay equal to an unconstrained
+/// ring's, and the survivors are the tail of the full stream.
+#[test]
+fn ring_wraparound_drops_events_but_not_counts() {
+    let spec = AppSpec {
+        name: "wraparound".into(),
+        inputs: vec![InputFile {
+            name: "in".into(),
+            size: 64 * 1024,
+        }],
+        output_bytes: 48 * 1024,
+        aux_files: 3,
+        heap_pages: 24,
+        compute_vpp: Micros::from_millis(2),
+        compute_ultrix: Micros::from_millis(2),
+    };
+    let full = run_on_vpp_traced(&spec, 2048, 1 << 20).unwrap();
+    let tiny = run_on_vpp_traced(&spec, 2048, 16).unwrap();
+    assert_eq!(tiny.events.len(), 16);
+    assert!(tiny.metrics.counter("trace.dropped") > 0);
+    assert_eq!(full.metrics.counter("trace.dropped"), 0);
+    for key in ["trace.recorded", "trace.events.fault"] {
+        assert_eq!(
+            tiny.metrics.counter(key),
+            full.metrics.counter(key),
+            "{key}"
+        );
+    }
+    assert_eq!(tiny.events[..], full.events[full.events.len() - 16..]);
+}
+
+/// A metrics snapshot diff isolates exactly the work done between the
+/// two snapshots, and the event trace corroborates it.
+#[test]
+fn snapshot_diff_isolates_incremental_work() {
+    let mut m = Machine::with_default_manager(512);
+    let tracer = m.enable_event_tracing(4096);
+    let seg = m.create_segment(SegmentKind::Anonymous, 16).unwrap();
+    m.touch(seg, 0, AccessKind::Write).unwrap();
+
+    let before = m.metrics().snapshot();
+    m.touch(seg, 1, AccessKind::Write).unwrap();
+    m.touch(seg, 2, AccessKind::Write).unwrap();
+    let delta = m.metrics().snapshot().diff(&before);
+    assert_eq!(delta.counter("kernel.faults.missing"), 2);
+    assert_eq!(delta.counter("trace.events.fault"), 2);
+    assert_eq!(delta.counter("machine.manager_calls"), 2);
+    // Nothing else about the kernel's fault taxonomy moved.
+    assert_eq!(delta.counter("kernel.faults.cow"), 0);
+    assert_eq!(delta.counter("kernel.faults.protection"), 0);
+    let faults = tracer
+        .events()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Fault { .. }))
+        .count();
+    assert_eq!(faults, 3); // the warm-up fault and the two measured ones
 }

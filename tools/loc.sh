@@ -5,7 +5,8 @@
 # prints crates/core/src plus crates/managers/src (the kernel and manager
 # code a simplification is judged by), then the same count for
 # subsystems tracked on their own; those lines are already inside their
-# crate's line and the total.
+# crate's line and the total. Last comes a `tests` line: every line of the
+# root package's integration tests, tests/*.rs.
 # Usage: tools/loc.sh [repo root]
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
@@ -31,3 +32,4 @@ for sub in crates/managers/src/shard; do
   [ -d "$sub" ] || continue
   printf '%-28s %6d\n' "$sub" "$(count "$sub")"
 done
+printf '%-28s %6d\n' tests "$(cat tests/*.rs | wc -l)"
